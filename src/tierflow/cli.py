@@ -153,8 +153,14 @@ def _print_plan(spec) -> None:
         print(f"  arm {arm.name}: {plan}")
 
 
+def _check_jobs(args) -> None:
+    if args.jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {args.jobs}")
+
+
 def cmd_train(args) -> int:
     started = time.monotonic()
+    _check_jobs(args)
     doc = load_json(args.config)
     if args.seed is not None:
         doc["seed"] = args.seed
@@ -190,6 +196,7 @@ def cmd_train(args) -> int:
 
 def cmd_diagnose(args) -> int:
     started = time.monotonic()
+    _check_jobs(args)
     doc = load_json(args.config)
     if args.seed is not None:
         doc["seed"] = args.seed
@@ -207,6 +214,9 @@ def cmd_diagnose(args) -> int:
     arm = candidates[0]
     if len(arm.steps) != 2:
         raise ConfigError(f"arm {arm.name!r} is not a 2-step schedule")
+    e2 = arm.steps[1].epochs
+    if not 0 <= args.delta <= e2:
+        raise ConfigError(f"delta must lie in [0, {e2}], got {args.delta}")
     if args.dry_run:
         plan = " -> ".join(f"{s.tier}x{s.epochs}ep" for s in arm.steps)
         print(f"diagnose: arm {arm.name} ({plan}), transition window {args.delta} epochs")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import WeightSnapshot, take_snapshot
-from .ftl import DataContext, FtlResult, TrainSchedule, TrainStep, train_ftl
+from .ftl import DataContext, FtlResult, TrainSchedule, train_ftl
 
 __all__ = [
     "WeightSnapshot",
@@ -77,6 +77,12 @@ def fold_change(
 
 @dataclass
 class DriftComparison:
+    """Both arms' per-layer drift from the shared (1, E1) snapshot, and fold changes.
+
+    ``ftl_result`` ends at (2, delta) and ``baseline_result`` at (1, E1 + delta);
+    each log holds only the epochs its own call trained.
+    """
+
     ftl_report: LayerDistanceReport
     baseline_report: LayerDistanceReport
     fold_changes: list[float | None]
@@ -90,47 +96,25 @@ def weight_drift_protocol(
     """Compare step-transition drift against continued same-tier drift.
 
     Requires a 2-step schedule with step-1 budget E1 and step-2 budget of at
-    least ``delta``.  Arm one runs the schedule and snapshots at (step 1, E1)
-    and (step 2, delta); arm two continues training on the step-1 tier for
-    E1 + delta epochs from the same seed, so both arms are bit-identical
-    through epoch E1 (asserted).
+    least ``delta``.  Step 1 is trained once for E1 epochs and forked: the FTL
+    arm enters step 2 and stops at (step 2, delta); the baseline arm continues
+    step 1, on the same data and shuffle streams, through epoch E1 + delta.
     """
     if len(schedule.steps) != 2:
         raise ValueError(
             f"drift protocol needs a 2-step schedule, got {len(schedule.steps)} steps"
         )
-    e1 = schedule.steps[0].epochs
-    if delta < 0 or delta > schedule.steps[1].epochs:
-        raise ValueError(
-            f"delta must lie in [0, {schedule.steps[1].epochs}], got {delta}"
-        )
+    e1, e2 = schedule.steps[0].epochs, schedule.steps[1].epochs
+    if not 0 <= delta <= e2:
+        raise ValueError(f"delta must lie in [0, {e2}], got {delta}")
 
-    ftl_result = train_ftl(schedule, ctx, frozenset({(1, e1), (2, delta)}))
-
-    continuation = TrainSchedule(
-        steps=[TrainStep(schedule.steps[0].tier, e1 + delta)],
-        validation_tier=schedule.validation_tier,
-        batch_size=schedule.batch_size,
-        learning_rate=schedule.learning_rate,
-        seed=schedule.seed,
-        hidden_layers=schedule.hidden_layers,
-        reset_optimizer_between_steps=schedule.reset_optimizer_between_steps,
-    )
-    base_result = train_ftl(continuation, ctx, frozenset({(1, e1), (1, e1 + delta)}))
-
-    ftl_at_e1 = ftl_result.snapshots[f"step1_epoch{e1}"]
-    base_at_e1 = base_result.snapshots[f"step1_epoch{e1}"]
-    for wa, wb in zip(ftl_at_e1.weights, base_at_e1.weights):
-        if not np.array_equal(wa, wb):
-            raise RuntimeError("protocol arms diverged before the step transition")
-    for ba, bb in zip(ftl_at_e1.biases, base_at_e1.biases):
-        if not np.array_equal(ba, bb):
-            raise RuntimeError("protocol arms diverged before the step transition")
-
-    ftl_report = layer_distance(ftl_at_e1, ftl_result.snapshots[f"step2_epoch{delta}"])
-    base_report = layer_distance(
-        base_at_e1, base_result.snapshots[f"step1_epoch{e1 + delta}"]
-    )
+    prefix = train_ftl(schedule, ctx, frozenset({(1, e1)}), stop=(1, e1))
+    ftl_end, base_end = (2, delta), (1, e1 + delta)
+    ftl_result = train_ftl(schedule, ctx, frozenset({ftl_end}), start=prefix, stop=ftl_end)
+    base_result = train_ftl(schedule, ctx, frozenset({base_end}), start=prefix, stop=base_end)
+    at_e1 = prefix.snapshots[f"step1_epoch{e1}"]
+    ftl_report = layer_distance(at_e1, ftl_result.snapshots[f"step2_epoch{delta}"])
+    base_report = layer_distance(at_e1, base_result.snapshots[f"step1_epoch{e1 + delta}"])
     return DriftComparison(
         ftl_report, base_report, fold_change(ftl_report, base_report),
         ftl_result, base_result,

@@ -14,6 +14,7 @@ of the schedule are bit-identical over that prefix.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,19 +166,27 @@ class StepData:
 
 @dataclass
 class FtlResult:
+    """A run's outputs; its net, Adam state, validation set and ``at`` form a fork."""
+
     network: DenseNetwork
     log: MetricsLog
     snapshots: dict[str, WeightSnapshot]
     steps: list[StepData]
     validation_positives: list[LabeledPair]
     validation_negatives: list[LabeledPair]
+    validation: tuple[np.ndarray, np.ndarray]
+    adam: AdamState
+    at: tuple[int, int]
 
 
-def _positives_of(table: InteractionTable, tier: TierSpec) -> list[LabeledPair]:
-    return [
+def _positives_of(table: InteractionTable, tier: TierSpec, role: str) -> list[LabeledPair]:
+    positives = [
         LabeledPair(r.compound_id, r.protein_id, 1, r.score)
         for r in tier_filter(table, tier).records
     ]
+    if not positives:
+        raise DataError(f"{role} tier {tier} has no positives")
+    return positives
 
 
 def _evaluate_arrays(net: DenseNetwork, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -200,52 +209,55 @@ def train_ftl(
     schedule: TrainSchedule,
     ctx: DataContext,
     snapshot_points: frozenset[tuple[int, int]] = frozenset(),
+    start: FtlResult | None = None,
+    stop: tuple[int, int] | None = None,
 ) -> FtlResult:
-    """Run the stepwise schedule; returns the net, full metrics, and snapshots.
+    """Run the stepwise schedule; returns the net, metrics, snapshots and fork.
 
     ``snapshot_points`` are (step, epoch) pairs to capture, with epoch 0
-    meaning "before this step's first update"; the end of every step is
-    always captured under the tag ``step<k>_end``.
+    meaning "before this step's first update"; each step this call finishes is
+    also captured as ``step<k>_end``.  ``start`` forks an earlier result of the
+    same schedule: its net and Adam state are copied, its validation set and
+    snapshots reused, and training resumes after its ``at`` (step, epoch).
+    ``stop=(k, e)`` ends the run after epoch ``e`` of step ``k``, which may pass
+    that step's budget.  The log holds only the epochs this call trained.
     """
-    seed = schedule.seed
-    val_pos = _positives_of(ctx.interactions, schedule.validation_tier)
-    if not val_pos:
-        raise DataError(f"validation tier {schedule.validation_tier} has no positives")
-    all_pos = ctx.interactions.pairs()
-    val_negs = sample_negatives(
-        ctx.compounds,
-        ctx.proteins,
-        all_pos,
-        len(val_pos),
-        RngStream(derive_seed(seed, "validation-negatives")),
-    )
-    val_x, val_y = ctx.feature_matrix(val_pos + val_negs)
-    val_pairs = {p.pair for p in val_pos} | {p.pair for p in val_negs}
-    forbidden = all_pos | {p.pair for p in val_negs}
-
-    net = init_network(
-        list(schedule.hidden_layers) + [1],
-        ctx.feature_dim,
-        None,
-        RngStream(derive_seed(seed, "init")),
-    )
+    forbidden = ctx.interactions.pairs()
+    if start is None:
+        val_pos = _positives_of(ctx.interactions, schedule.validation_tier, "validation")
+        val_negs = sample_negatives(
+            ctx.compounds, ctx.proteins, forbidden, len(val_pos),
+            RngStream(derive_seed(schedule.seed, "validation-negatives")),
+        )
+        val_x, val_y = ctx.feature_matrix(val_pos + val_negs)
+        net = init_network(
+            list(schedule.hidden_layers) + [1], ctx.feature_dim, None,
+            RngStream(derive_seed(schedule.seed, "init")),
+        )
+        adam = AdamState.create(net.parameters(), schedule.learning_rate)
+    else:
+        val_pos, val_negs = start.validation_positives, start.validation_negatives
+        val_x, val_y = start.validation
+        net, adam = copy.deepcopy((start.network, start.adam))
     params = net.parameters()
-    adam = AdamState.create(params, schedule.learning_rate)
+    val_pairs = {p.pair for p in val_pos} | {p.pair for p in val_negs}
+    forbidden |= {p.pair for p in val_negs}
+    stop_step, stop_epoch = stop or (len(schedule.steps), schedule.steps[-1].epochs)
+    start_step, start_epoch = stopped = start.at if start else (1, 0)
+    snapshots = dict(start.snapshots) if start else {}
 
     log = MetricsLog()
-    snapshots: dict[str, WeightSnapshot] = {}
     steps_out: list[StepData] = []
 
-    for k, step in enumerate(schedule.steps, start=1):
-        positives = _positives_of(ctx.interactions, step.tier)
-        if not positives:
-            raise DataError(f"step {k} tier {step.tier} has no positives")
+    for k, step in enumerate(schedule.steps[:stop_step], start=1):
+        first = start_epoch + 1 if k == start_step else 1
+        last = stop_epoch if k == stop_step else step.epochs
+        if k < start_step or first > max(last, 1):
+            continue
+        positives = _positives_of(ctx.interactions, step.tier, f"step {k}")
         negatives = sample_negatives(
-            ctx.compounds,
-            ctx.proteins,
-            forbidden,
-            len(positives),
-            RngStream(derive_seed(seed, "negatives", k)),
+            ctx.compounds, ctx.proteins, forbidden, len(positives),
+            RngStream(derive_seed(schedule.seed, "negatives", k)),
         )
         train_pairs = {p.pair for p in positives} | {p.pair for p in negatives}
         if train_pairs & val_pairs:
@@ -254,13 +266,13 @@ def train_ftl(
 
         x, y = ctx.feature_matrix(positives + negatives)
         n = len(y)
-        if schedule.reset_optimizer_between_steps and k > 1:
+        if first == 1 and schedule.reset_optimizer_between_steps and k > 1:
             adam = AdamState.create(params, schedule.learning_rate)
-        if (k, 0) in snapshot_points:
+        if first == 1 and (k, 0) in snapshot_points:
             snapshots[f"step{k}_epoch0"] = take_snapshot(net, f"step{k}_epoch0")
 
-        for epoch in range(1, step.epochs + 1):
-            order = RngStream(derive_seed(seed, "shuffle", k, epoch)).permutation(n)
+        for epoch in range(first, last + 1):
+            order = RngStream(derive_seed(schedule.seed, "shuffle", k, epoch)).permutation(n)
             for at in range(0, n, schedule.batch_size):
                 idx = order[at:at + schedule.batch_size]
                 acts = forward(net, x[idx])
@@ -274,9 +286,13 @@ def train_ftl(
             if (k, epoch) in snapshot_points:
                 tag = f"step{k}_epoch{epoch}"
                 snapshots[tag] = take_snapshot(net, tag)
-        snapshots[f"step{k}_end"] = take_snapshot(net, f"step{k}_end")
+        if last == step.epochs:
+            snapshots[f"step{k}_end"] = take_snapshot(net, f"step{k}_end")
+        stopped = (k, last)
 
-    return FtlResult(net, log, snapshots, steps_out, val_pos, val_negs)
+    return FtlResult(
+        net, log, snapshots, steps_out, val_pos, val_negs, (val_x, val_y), adam, stopped
+    )
 
 
 def train_single(

@@ -418,8 +418,8 @@ def test_c08_diagnostics_exactness(tiny_ctx):
     )
     at_zero = weight_drift_protocol(schedule, tiny_ctx, delta=0)
     zeros_ok = bool(np.all(at_zero.ftl_report.distances() == 0.0))
-    # shared-prefix bit-identity is asserted inside the protocol; reaching
-    # here with delta > 0 exercises it too
+    # shared-prefix bit-identity is asserted by
+    # tests/test_diagnostics.py::test_protocol_fork_matches_independent_runs
     at_two = weight_drift_protocol(schedule, tiny_ctx, delta=2)
     rows_ok = len(at_two.fold_changes) == 3
     _report(

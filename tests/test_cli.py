@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -275,6 +279,40 @@ def test_diagnose_without_two_step_arm_exit_1(tmp_path):
     doc["arms"] = [doc["arms"][1]]  # baseline only
     config = write_json(tmp_path / "exp.json", doc)
     assert main(["diagnose", "--config", config, "--out", str(tmp_path / "o")]) == 1
+
+
+def run_cli(*argv):
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "tierflow", *argv], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+
+
+@pytest.mark.parametrize("dry_run", [True, False])
+@pytest.mark.parametrize("argv, message", [
+    (["diagnose", "--delta", "3"], "delta must lie in [0, 2], got 3"),
+    (["diagnose", "--delta", "-1"], "delta must lie in [0, 2], got -1"),
+    (["diagnose", "--jobs", "0"], "jobs must be >= 1, got 0"),
+    (["train", "--jobs", "0"], "jobs must be >= 1, got 0"),
+], ids=["delta-past-e2", "delta-negative", "diagnose-jobs-0", "train-jobs-0"])
+def test_out_of_range_flag_rejected_before_data(tmp_path, argv, message, dry_run):
+    # the data files do not exist, so a run that got as far as loading them
+    # would exit 2 instead
+    doc = {k: v for k, v in EXPERIMENT_DOC.items() if k != "synth"}
+    doc["data"] = {
+        "interactions": "nope.tsv",
+        "compound_features": "nope.bits",
+        "protein_features": "nope.bits",
+    }
+    config = write_json(tmp_path / "exp.json", doc)
+    out = tmp_path / "o"
+    proc = run_cli(*argv, "--config", config, "--out", str(out),
+                   *(["--dry-run"] if dry_run else []))
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [f"ERROR: config error: {message}"]
+    assert not (out / "manifest.json").exists()
 
 
 def test_train_reset_optimizer_flag_changes_metrics(experiment_config, tmp_path):

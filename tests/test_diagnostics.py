@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from tierflow.diagnostics import (
     weight_drift_protocol,
 )
 from tierflow.engine import init_network, take_snapshot
-from tierflow.ftl import TrainSchedule, TrainStep
+from tierflow.ftl import TrainSchedule, TrainStep, train_ftl
 from tierflow.rng import RngStream
 
 LOW = TierSpec(300, 700)
@@ -142,16 +143,48 @@ def test_protocol_delta_zero_gives_zero_ftl_drift(tiny_ctx):
     assert np.all(comparison.ftl_report.distances() == 0.0)
 
 
+def _independent_runs(schedule, ctx, delta):
+    """The protocol's two arms as separate full runs, sharing nothing."""
+    e1 = schedule.steps[0].epochs
+    full = train_ftl(schedule, ctx, frozenset({(1, e1), (2, delta)}))
+    continuation = replace(schedule, steps=[TrainStep(schedule.steps[0].tier, e1 + delta)])
+    single = train_ftl(continuation, ctx, frozenset({(1, e1), (1, e1 + delta)}))
+    return full, single
+
+
+def assert_same_snapshot(a, b):
+    assert a.tag == b.tag
+    for x, y in zip(a.weights + a.biases, b.weights + b.biases, strict=True):
+        assert np.array_equal(x, y)
+
+
 def test_protocol_shared_prefix_and_layer_count(tiny_ctx):
-    comparison = weight_drift_protocol(_two_step_schedule(), tiny_ctx, delta=2)
+    schedule = _two_step_schedule()
+    comparison = weight_drift_protocol(schedule, tiny_ctx, delta=2)
     # one ratio per layer, hidden (8, 4) plus the output unit
     assert len(comparison.fold_changes) == 3
-    ftl_e1 = comparison.ftl_result.snapshots["step1_epoch3"]
-    base_e1 = comparison.baseline_result.snapshots["step1_epoch3"]
-    for wa, wb in zip(ftl_e1.weights, base_e1.weights):
-        assert np.array_equal(wa, wb)
+    full, single = _independent_runs(schedule, tiny_ctx, 2)
+    for result in (comparison.ftl_result, comparison.baseline_result, single):
+        assert_same_snapshot(result.snapshots["step1_epoch3"], full.snapshots["step1_epoch3"])
     assert np.all(comparison.ftl_report.distances() > 0.0)
     assert np.all(comparison.baseline_report.distances() > 0.0)
+
+
+@pytest.mark.parametrize("reset", [False, True])
+@pytest.mark.parametrize("delta", [0, 1, 2])
+def test_protocol_fork_matches_independent_runs(tiny_ctx, reset, delta):
+    schedule = replace(_two_step_schedule(e1=3, e2=2), reset_optimizer_between_steps=reset)
+    comparison = weight_drift_protocol(schedule, tiny_ctx, delta=delta)
+    full, single = _independent_runs(schedule, tiny_ctx, delta)
+    ftl, base = comparison.ftl_result, comparison.baseline_result
+    for tag in ("step1_epoch3", f"step2_epoch{delta}"):
+        assert_same_snapshot(ftl.snapshots[tag], full.snapshots[tag])
+    for tag in ("step1_epoch3", f"step1_epoch{3 + delta}"):
+        assert_same_snapshot(base.snapshots[tag], single.snapshots[tag])
+    # each arm logs only the epochs it trained after the fork
+    assert ftl.log.records == [r for r in full.log.records if r.step == 2 and r.epoch <= delta]
+    assert base.log.records == [r for r in single.log.records if r.epoch > 3]
+    assert ftl.at == (2, delta) and base.at == (1, 3 + delta)
 
 
 def test_protocol_delta_bounds(tiny_ctx):

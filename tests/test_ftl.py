@@ -237,3 +237,20 @@ def test_run_experiment_duplicate_arm_names_rejected():
             validation_tier=VAL,
             seed=1,
         )
+
+
+@pytest.mark.parametrize("fork_at", [(1, 2), (1, 3), (2, 1)])
+def test_forked_run_resumes_bit_identical(tiny_ctx, fork_at):
+    sched = fast_schedule(
+        [TrainStep(LOW, 3), TrainStep(HIGH, 2)], seed=12, reset_optimizer_between_steps=True
+    )
+    full = train_ftl(sched, tiny_ctx)
+    head = train_ftl(sched, tiny_ctx, stop=fork_at)
+    tail = train_ftl(sched, tiny_ctx, start=head)
+    assert head.at == fork_at and tail.at == full.at == (2, 2)
+    assert head.log.records + tail.log.records == full.log.records
+    for a, b in zip(tail.network.parameters(), full.network.parameters()):
+        assert np.array_equal(a, b)
+    # the fork itself is left untouched by the continuation
+    again = train_ftl(sched, tiny_ctx, start=head)
+    assert again.log.records == tail.log.records
