@@ -21,6 +21,7 @@ from pathlib import Path
 
 from . import checkpoint as ckpt
 from .config import (
+    ExperimentSpec,
     build_data_context,
     experiment_from_dict,
     load_json,
@@ -140,38 +141,44 @@ def cmd_embed(args) -> int:
     return 0
 
 
-def _print_plan(spec) -> None:
+def _plan(steps) -> str:
+    return " -> ".join(f"{s.tier}x{s.epochs}ep" for s in steps)
+
+
+def _print_plan(spec: ExperimentSpec) -> None:
+    # seed, architecture and validation tier are shared by every arm
+    shared = next(iter(spec.arms.values()))
     source = "synthetic" if spec.synth is not None else "files"
-    print(f"train: data source {source}, seed {spec.config.seed}")
+    print(f"train: data source {source}, seed {shared.seed}")
     print(
-        f"  architecture {list(spec.config.hidden_layers)} + [1], "
-        f"batch {spec.config.batch_size}, lr {spec.config.learning_rate}"
+        f"  architecture {list(shared.hidden_layers)} + [1], "
+        f"batch {shared.batch_size}, lr {shared.learning_rate}"
     )
-    print(f"  validation tier {spec.config.validation_tier}")
-    for arm in spec.config.arms:
-        plan = " -> ".join(f"{s.tier}x{s.epochs}ep" for s in arm.steps)
-        print(f"  arm {arm.name}: {plan}")
+    print(f"  validation tier {shared.validation_tier}")
+    for name, schedule in spec.arms.items():
+        print(f"  arm {name}: {_plan(schedule.steps)}")
 
 
-def _check_jobs(args) -> None:
+def _parse_experiment(args) -> tuple[dict, ExperimentSpec]:
+    """The experiment document with the flag overrides applied, and its spec."""
     if args.jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {args.jobs}")
-
-
-def cmd_train(args) -> int:
-    started = time.monotonic()
-    _check_jobs(args)
     doc = load_json(args.config)
     if args.seed is not None:
         doc["seed"] = args.seed
     if args.reset_optimizer:
         doc["reset_optimizer_between_steps"] = True
-    spec = experiment_from_dict(doc, base_dir=Path(args.config).parent)
+    return doc, experiment_from_dict(doc, base_dir=Path(args.config).parent)
+
+
+def cmd_train(args) -> int:
+    started = time.monotonic()
+    doc, spec = _parse_experiment(args)
     if args.dry_run:
         _print_plan(spec)
         return 0
     ctx = build_data_context(spec)
-    result = run_experiment(spec.config, ctx, jobs=args.jobs)
+    result = run_experiment(spec.arms, ctx, jobs=args.jobs)
     out = _out_dir(args)
     outputs = []
     for name, outcome in result.arms.items():
@@ -190,49 +197,40 @@ def cmd_train(args) -> int:
     report_path = out / "report.json"
     report_path.write_text(ckpt.dumps(result.report_dict()) + "\n", encoding="utf-8")
     outputs.append(report_path)
-    _write_manifest(out, "train", doc, spec.config.seed, outputs, started)
+    _write_manifest(out, "train", doc, doc["seed"], outputs, started)
     return 0
 
 
 def cmd_diagnose(args) -> int:
     started = time.monotonic()
-    _check_jobs(args)
-    doc = load_json(args.config)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.reset_optimizer:
-        doc["reset_optimizer_between_steps"] = True
-    spec = experiment_from_dict(doc, base_dir=Path(args.config).parent)
+    doc, spec = _parse_experiment(args)
     if args.arm is not None:
-        candidates = [a for a in spec.config.arms if a.name == args.arm]
-        if not candidates:
+        if args.arm not in spec.arms:
             raise ConfigError(f"no arm named {args.arm!r} in config")
+        name = args.arm
     else:
-        candidates = [a for a in spec.config.arms if len(a.steps) == 2]
-        if not candidates:
+        name = next((n for n, s in spec.arms.items() if len(s.steps) == 2), None)
+        if name is None:
             raise ConfigError("diagnose needs an arm with exactly two steps")
-    arm = candidates[0]
-    if len(arm.steps) != 2:
-        raise ConfigError(f"arm {arm.name!r} is not a 2-step schedule")
-    e2 = arm.steps[1].epochs
+    schedule = spec.arms[name]
+    if len(schedule.steps) != 2:
+        raise ConfigError(f"arm {name!r} is not a 2-step schedule")
+    e2 = schedule.steps[1].epochs
     if not 0 <= args.delta <= e2:
         raise ConfigError(f"delta must lie in [0, {e2}], got {args.delta}")
     if args.dry_run:
-        plan = " -> ".join(f"{s.tier}x{s.epochs}ep" for s in arm.steps)
-        print(f"diagnose: arm {arm.name} ({plan}), transition window {args.delta} epochs")
+        print(
+            f"diagnose: arm {name} ({_plan(schedule.steps)}), "
+            f"transition window {args.delta} epochs"
+        )
         return 0
     ctx = build_data_context(spec)
-    try:
-        comparison = weight_drift_protocol(
-            spec.config.schedule_for(arm), ctx, delta=args.delta
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    comparison = weight_drift_protocol(schedule, ctx, delta=args.delta)
     out = _out_dir(args)
     csv_path = out / "weight_drift.csv"
     csv_path.write_text("\n".join(drift_csv_lines(comparison)) + "\n", encoding="utf-8")
     log.info("diagnose: wrote %s", csv_path)
-    _write_manifest(out, "diagnose", doc, spec.config.seed, [csv_path], started)
+    _write_manifest(out, "diagnose", doc, doc["seed"], [csv_path], started)
     return 0
 
 

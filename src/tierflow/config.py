@@ -19,8 +19,8 @@ from .data import (
     load_latents,
     synth_generate,
 )
-from .errors import ConfigError
-from .ftl import ArmSpec, DataContext, ExperimentConfig, TrainStep
+from .errors import ConfigError, DataError
+from .ftl import DataContext, TrainSchedule, TrainStep
 from .vae import VaeConfig, chemical_preset, protein_preset
 
 
@@ -30,11 +30,37 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+_KINDS = {
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "true or false": lambda v: isinstance(v, bool),
+    "a non-empty string": lambda v: isinstance(v, str) and v != "",
+    "a list": lambda v: isinstance(v, list),
+    "an object": lambda v: isinstance(v, dict),
+}
+
+
+def _expect(value, kind: str, where: str):
+    """``value`` if it is of the JSON ``kind`` (a key of ``_KINDS``)."""
+    if not _KINDS[kind](value):
+        raise ConfigError(f"{where}: expected {kind}, got {value!r}")
+    return value
+
+
+_REQUIRED = object()
+
+
+def _field(doc: dict, key: str, kind: str, where: str, default=_REQUIRED):
+    """``doc[key]`` checked against ``kind``; required unless a default is given."""
+    value = _require(doc, key, where) if default is _REQUIRED else doc.get(key, default)
+    return _expect(value, kind, f"{where}.{key}")
+
+
 def _tier(value, where: str) -> TierSpec:
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
-        or not all(isinstance(v, int) for v in value)
+        or not all(_KINDS["an integer"](v) for v in value)
     ):
         raise ConfigError(f"{where}: expected [lo, hi] integer pair, got {value!r}")
     try:
@@ -126,23 +152,40 @@ class DataPaths:
 
 @dataclass
 class ExperimentSpec:
-    """Parsed experiment document: the training plan plus its data source."""
+    """Parsed experiment document: each arm's schedule, in file order, plus the data source."""
 
-    config: ExperimentConfig
+    arms: dict[str, TrainSchedule]
     synth: SynthConfig | None = None
     paths: DataPaths | None = None
 
 
 def experiment_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentSpec:
+    """Build and check every arm's schedule, so a dry run rejects what a real run would."""
     where = "experiment"
     validation_tier = _tier(
         _require(doc, "validation_tier", where), f"{where}.validation_tier"
     )
-    arms = []
-    for i, entry in enumerate(_require(doc, "arms", where)):
+    hidden_layers = _field(doc, "hidden_layers", "a list", where, [128, 64, 32, 16, 8])
+    shared = dict(
+        validation_tier=validation_tier,
+        seed=_field(doc, "seed", "an integer", where),
+        batch_size=_field(doc, "batch_size", "an integer", where, 1000),
+        learning_rate=float(_field(doc, "learning_rate", "a number", where, 0.001)),
+        hidden_layers=tuple(
+            _expect(v, "an integer", f"{where}.hidden_layers[{i}]")
+            for i, v in enumerate(hidden_layers)
+        ),
+        reset_optimizer_between_steps=_field(
+            doc, "reset_optimizer_between_steps", "true or false", where, False
+        ),
+    )
+    arms: dict[str, TrainSchedule] = {}
+    for i, entry in enumerate(_field(doc, "arms", "a list", where)):
         spot = f"{where}.arms[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{spot}: expected an object")
+        _expect(entry, "an object", spot)
+        name = _field(entry, "name", "a non-empty string", spot)
+        if name in arms:
+            raise ConfigError(f"{spot}: duplicate arm name {name!r}")
         if "validation_tier" in entry:
             arm_tier = _tier(entry["validation_tier"], f"{spot}.validation_tier")
             if arm_tier != validation_tier:
@@ -151,56 +194,37 @@ def experiment_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentS
                     f"shared validation tier {validation_tier}"
                 )
         steps = []
-        for j, step in enumerate(_require(entry, "steps", spot)):
+        for j, step in enumerate(_field(entry, "steps", "a list", spot)):
             sspot = f"{spot}.steps[{j}]"
-            if not isinstance(step, dict):
-                raise ConfigError(f"{sspot}: expected an object")
+            _expect(step, "an object", sspot)
+            tier = _tier(_require(step, "tier", sspot), f"{sspot}.tier")
+            epochs = _field(step, "epochs", "an integer", sspot)
             try:
-                steps.append(
-                    TrainStep(
-                        tier=_tier(_require(step, "tier", sspot), f"{sspot}.tier"),
-                        epochs=int(_require(step, "epochs", sspot)),
-                    )
-                )
+                steps.append(TrainStep(tier, epochs))
             except ValueError as exc:
                 raise ConfigError(f"{sspot}: {exc}") from exc
-        arms.append(ArmSpec(name=str(_require(entry, "name", spot)), steps=steps))
-
-    try:
-        config = ExperimentConfig(
-            arms=arms,
-            validation_tier=validation_tier,
-            seed=int(_require(doc, "seed", where)),
-            batch_size=int(doc.get("batch_size", 1000)),
-            learning_rate=float(doc.get("learning_rate", 0.001)),
-            hidden_layers=tuple(
-                int(v) for v in doc.get("hidden_layers", (128, 64, 32, 16, 8))
-            ),
-            reset_optimizer_between_steps=bool(
-                doc.get("reset_optimizer_between_steps", False)
-            ),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        try:
+            arms[name] = TrainSchedule(steps=steps, **shared)
+        except ValueError as exc:
+            raise ConfigError(f"{spot}: {exc}") from exc
+    if not arms:
+        raise ConfigError(f"{where}.arms: needs at least one arm")
 
     has_synth = "synth" in doc
     has_data = "data" in doc
     if has_synth == has_data:
         raise ConfigError(f"{where}: exactly one of 'synth' or 'data' is required")
     if has_synth:
-        return ExperimentSpec(config, synth=synth_config_from_dict(doc["synth"]))
+        synth = _field(doc, "synth", "an object", where)
+        return ExperimentSpec(arms, synth=synth_config_from_dict(synth))
 
-    data = doc["data"]
-    if not isinstance(data, dict):
-        raise ConfigError(f"{where}.data: expected an object")
+    data = _field(doc, "data", "an object", where)
     base = base_dir or Path(".")
-    paths = DataPaths(
-        interactions=base / str(_require(data, "interactions", f"{where}.data")),
-        compound_features=base
-        / str(_require(data, "compound_features", f"{where}.data")),
-        protein_features=base / str(_require(data, "protein_features", f"{where}.data")),
-    )
-    return ExperimentSpec(config, paths=paths)
+    paths = DataPaths(*(
+        base / _field(data, key, "a non-empty string", f"{where}.data")
+        for key in ("interactions", "compound_features", "protein_features")
+    ))
+    return ExperimentSpec(arms, paths=paths)
 
 
 def _load_features(path: Path):
@@ -210,8 +234,12 @@ def _load_features(path: Path):
     with _open_for_read(path) as fh:
         first = fh.readline()
     if first.startswith("#width="):
-        return load_bitvectors(path).as_float_features()
-    return load_latents(path)
+        store = load_bitvectors(path).as_float_features()
+    else:
+        store = load_latents(path)
+    if not len(store):
+        raise DataError(f"{path}: no feature vectors")
+    return store
 
 
 def build_data_context(spec: ExperimentSpec) -> DataContext:

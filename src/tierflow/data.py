@@ -143,7 +143,10 @@ def load_latents(path: str | Path) -> LatentStore:
                 entries[key] = np.array([float(v) for v in values.split(",")])
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: bad float: {exc}") from exc
-    return LatentStore(entries)
+    try:
+        return LatentStore(entries)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def save_latents(store: LatentStore, path: str | Path) -> None:
@@ -280,10 +283,6 @@ def percentile_cutoff(table: InteractionTable, percentile: float) -> int:
     return int(np.partition(scores, k - 1)[k - 1])
 
 
-def positive_pairs_of(table: InteractionTable) -> set[tuple[str, str]]:
-    return table.pairs()
-
-
 def sample_negatives(
     compounds: list[str],
     proteins: list[str],
@@ -304,7 +303,7 @@ def sample_negatives(
     n_blocked = sum(1 for c, p in positives if c in cset and p in pset)
     complement = n_grid - n_blocked
     if count > complement:
-        raise ValueError(
+        raise DataError(
             f"cannot draw {count} negatives: only {complement} non-positive pairs exist"
         )
     chosen: list[LabeledPair] = []

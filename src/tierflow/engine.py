@@ -89,9 +89,6 @@ class DenseLayer:
     def parameters(self) -> list[np.ndarray]:
         return [self.weights, self.biases]
 
-    def copy(self) -> "DenseLayer":
-        return DenseLayer(self.weights.copy(), self.biases.copy(), self.activation)
-
 
 @dataclass
 class DenseNetwork:
@@ -123,9 +120,6 @@ class DenseNetwork:
         for layer in self.layers:
             params.extend(layer.parameters())
         return params
-
-    def copy(self) -> "DenseNetwork":
-        return DenseNetwork([l.copy() for l in self.layers], self.input_dim)
 
 
 def init_network(

@@ -15,6 +15,8 @@ of the schedule are bit-identical over that prefix.
 from __future__ import annotations
 
 import copy
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +59,8 @@ class TrainStep:
 
 @dataclass
 class TrainSchedule:
+    """One arm's full run plan; a baseline is a one-step schedule."""
+
     steps: list[TrainStep]
     validation_tier: TierSpec
     batch_size: int = 1000
@@ -71,6 +75,14 @@ class TrainSchedule:
             raise ValueError("schedule needs at least one step")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}"
+            )
+        if any(size < 1 for size in self.hidden_layers):
+            raise ValueError(
+                f"hidden layer sizes must be >= 1, got {list(self.hidden_layers)}"
+            )
         for step in self.steps:
             if step.tier.overlaps(self.validation_tier):
                 raise ValueError(
@@ -319,48 +331,6 @@ def train_single(
 
 
 @dataclass
-class ArmSpec:
-    name: str
-    steps: list[TrainStep]
-
-    def __post_init__(self):
-        if not self.name:
-            raise ConfigError("arm needs a non-empty name")
-        if not self.steps:
-            raise ConfigError(f"arm {self.name!r} needs at least one step")
-
-
-@dataclass
-class ExperimentConfig:
-    arms: list[ArmSpec]
-    validation_tier: TierSpec
-    seed: int
-    batch_size: int = 1000
-    learning_rate: float = 0.001
-    hidden_layers: tuple[int, ...] = (128, 64, 32, 16, 8)
-    reset_optimizer_between_steps: bool = False
-
-    def __post_init__(self):
-        self.hidden_layers = tuple(self.hidden_layers)
-        if not self.arms:
-            raise ConfigError("experiment needs at least one arm")
-        names = [a.name for a in self.arms]
-        if len(set(names)) != len(names):
-            raise ConfigError(f"duplicate arm names in {names}")
-
-    def schedule_for(self, arm: ArmSpec) -> TrainSchedule:
-        return TrainSchedule(
-            steps=list(arm.steps),
-            validation_tier=self.validation_tier,
-            batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-            seed=self.seed,
-            hidden_layers=self.hidden_layers,
-            reset_optimizer_between_steps=self.reset_optimizer_between_steps,
-        )
-
-
-@dataclass
 class ArmOutcome:
     name: str
     network: DenseNetwork
@@ -400,29 +370,29 @@ class ExperimentResult:
         return report
 
 
-def _run_arm(config: ExperimentConfig, ctx: DataContext, arm: ArmSpec) -> ArmOutcome:
-    result = train_ftl(config.schedule_for(arm), ctx)
+def _run_arm(name: str, schedule: TrainSchedule, ctx: DataContext) -> ArmOutcome:
+    result = train_ftl(schedule, ctx)
     loss, loss_at, acc, acc_at = result.log.best_validation()
-    return ArmOutcome(arm.name, result.network, result.log, loss, acc, loss_at, acc_at)
+    return ArmOutcome(name, result.network, result.log, loss, acc, loss_at, acc_at)
 
 
 def run_experiment(
-    config: ExperimentConfig, ctx: DataContext, jobs: int = 1
+    arms: Mapping[str, TrainSchedule], ctx: DataContext, jobs: int = 1
 ) -> ExperimentResult:
-    """Run every arm with the shared seed and validation set.
+    """Run every named arm on the same data.
 
     Arms are independent; with jobs > 1 they run in separate processes and the
     results are identical to a sequential run.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1 or len(config.arms) == 1:
-        outcomes = [_run_arm(config, ctx, arm) for arm in config.arms]
+    if jobs == 1 or len(arms) == 1:
+        outcomes = [_run_arm(name, schedule, ctx) for name, schedule in arms.items()]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(jobs, len(config.arms))) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(arms))) as pool:
             outcomes = list(
-                pool.map(_run_arm, *zip(*[(config, ctx, arm) for arm in config.arms]))
+                pool.map(_run_arm, arms.keys(), arms.values(), [ctx] * len(arms))
             )
     return ExperimentResult({o.name: o for o in sorted(outcomes, key=lambda o: o.name)})

@@ -95,14 +95,6 @@ class VaeModel:
             + self.decoder.parameters()
         )
 
-    def copy(self) -> "VaeModel":
-        return VaeModel(
-            self.encoder_trunk.copy(),
-            self.mu_head.copy(),
-            self.logvar_head.copy(),
-            self.decoder.copy(),
-        )
-
 
 def build_vae(config: VaeConfig, rng: RngStream) -> VaeModel:
     """Trunk, twin linear heads, and a mirrored decoder, all seeded."""

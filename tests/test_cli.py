@@ -3,9 +3,12 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tierflow.cli import main
 from tierflow.data import load_bitvectors, load_interactions, load_oracle
@@ -290,6 +293,18 @@ def run_cli(*argv):
     )
 
 
+def missing_data_doc():
+    """EXPERIMENT_DOC reading data files that do not exist, so a run that got
+    as far as loading them would exit 2."""
+    doc = {k: v for k, v in EXPERIMENT_DOC.items() if k != "synth"}
+    doc["data"] = {
+        "interactions": "nope.tsv",
+        "compound_features": "nope.bits",
+        "protein_features": "nope.bits",
+    }
+    return doc
+
+
 @pytest.mark.parametrize("dry_run", [True, False])
 @pytest.mark.parametrize("argv, message", [
     (["diagnose", "--delta", "3"], "delta must lie in [0, 2], got 3"),
@@ -298,21 +313,103 @@ def run_cli(*argv):
     (["train", "--jobs", "0"], "jobs must be >= 1, got 0"),
 ], ids=["delta-past-e2", "delta-negative", "diagnose-jobs-0", "train-jobs-0"])
 def test_out_of_range_flag_rejected_before_data(tmp_path, argv, message, dry_run):
-    # the data files do not exist, so a run that got as far as loading them
-    # would exit 2 instead
-    doc = {k: v for k, v in EXPERIMENT_DOC.items() if k != "synth"}
-    doc["data"] = {
-        "interactions": "nope.tsv",
-        "compound_features": "nope.bits",
-        "protein_features": "nope.bits",
-    }
-    config = write_json(tmp_path / "exp.json", doc)
+    config = write_json(tmp_path / "exp.json", missing_data_doc())
     out = tmp_path / "o"
     proc = run_cli(*argv, "--config", config, "--out", str(out),
                    *(["--dry-run"] if dry_run else []))
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [f"ERROR: config error: {message}"]
     assert not (out / "manifest.json").exists()
+
+
+def with_field(doc, path, value):
+    """A deep copy of ``doc`` with the field at ``path`` (keys and indices) set."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return doc
+
+
+@pytest.mark.parametrize("dry_run", [True, False])
+@pytest.mark.parametrize("path, value, message", [
+    (["reset_optimizer_between_steps"], "no",
+     "experiment.reset_optimizer_between_steps: expected true or false, got 'no'"),
+    (["seed"], 1.7, "experiment.seed: expected an integer, got 1.7"),
+    (["arms", 0, "name"], [1],
+     "experiment.arms[0].name: expected a non-empty string, got [1]"),
+    (["arms"], 5, "experiment.arms: expected a list, got 5"),
+    (["arms", 1, "steps", 0, "tier"], [800, 1000],
+     "experiment.arms[1]: training tier [800,1000) overlaps validation tier [900,1000)"),
+    (["batch_size"], 0, "experiment.arms[0]: batch_size must be >= 1, got 0"),
+    (["hidden_layers"], [0],
+     "experiment.arms[0]: hidden layer sizes must be >= 1, got [0]"),
+    (["learning_rate"], -1,
+     "experiment.arms[0]: learning_rate must be finite and > 0, got -1.0"),
+    (["learning_rate"], float("nan"),
+     "experiment.arms[0]: learning_rate must be finite and > 0, got nan"),
+    (["arms", 1, "name"], "ftl", "experiment.arms[1]: duplicate arm name 'ftl'"),
+], ids=["reset-string", "seed-float", "name-list", "arms-int", "overlap-tier",
+        "batch-0", "hidden-0", "lr-negative", "lr-nan", "duplicate-name"])
+def test_invalid_experiment_rejected_at_parse(tmp_path, path, value, message, dry_run):
+    config = write_json(tmp_path / "exp.json", with_field(missing_data_doc(), path, value))
+    out = tmp_path / "o"
+    proc = run_cli("train", "--config", config, "--out", str(out),
+                   *(["--dry-run"] if dry_run else []))
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [f"ERROR: config error: {message}"]
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("compounds, proteins, bad", [
+    ("C0\t1,2\nC1\t3\n", "P0\t1,2\nP1\t3,4\n", "compounds.tsv"),
+    ("", "P0\t1,2\nP1\t3,4\n", "compounds.tsv"),
+    ("C0\t1,2\nC1\t3,4\n", "", "proteins.tsv"),
+], ids=["latent-widths-differ", "empty-compounds", "empty-proteins"])
+def test_bad_feature_file_exit_2(tmp_path, compounds, proteins, bad):
+    (tmp_path / "interactions.tsv").write_text(
+        "C0\tP0\t950\nC0\tP1\t500\nC1\tP0\t800\n", encoding="utf-8"
+    )
+    (tmp_path / "compounds.tsv").write_text(compounds, encoding="utf-8")
+    (tmp_path / "proteins.tsv").write_text(proteins, encoding="utf-8")
+    doc = {**missing_data_doc(), "data": {
+        "interactions": "interactions.tsv",
+        "compound_features": "compounds.tsv",
+        "protein_features": "proteins.tsv",
+    }}
+    out = tmp_path / "o"
+    proc = run_cli("train", "--config", write_json(tmp_path / "exp.json", doc),
+                   "--out", str(out))
+    assert proc.returncode == 2
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("ERROR: data error: ") and bad in line
+    assert not (out / "manifest.json").exists()
+
+
+MUTATION_POOL = [None, True, "x", -1, 0, 1.5, float("nan"), [], [0], {}]
+MUTABLE_FIELDS = (
+    [[key] for key in [*EXPERIMENT_DOC, "reset_optimizer_between_steps"]]
+    + [["arms", i, key] for i in range(2) for key in ("name", "steps")]
+    + [["arms", i, "steps", j, key]
+       for i, arm in enumerate(EXPERIMENT_DOC["arms"])
+       for j in range(len(arm["steps"]))
+       for key in ("tier", "epochs")]
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(path=st.sampled_from(MUTABLE_FIELDS), value=st.sampled_from(MUTATION_POOL))
+def test_dry_run_rejects_what_real_run_rejects(path, value):
+    # the pool holds no large sizes, so a real run stays small
+    with tempfile.TemporaryDirectory() as tmp:
+        root = pathlib.Path(tmp)
+        config = write_json(root / "exp.json", with_field(EXPERIMENT_DOC, path, value))
+        dry = main(["train", "--config", config, "--out", str(root / "dry"), "--dry-run"])
+        real = main(["train", "--config", config, "--out", str(root / "real")])
+    assert dry in (0, 1) and real in (0, 1, 2, 3)
+    assert (dry == 1) == (real == 1)
 
 
 def test_train_reset_optimizer_flag_changes_metrics(experiment_config, tmp_path):

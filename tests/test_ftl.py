@@ -5,10 +5,8 @@ import pytest
 
 from tierflow.data import LabeledPair, TierSpec, tier_filter
 from tierflow.engine import DenseLayer, DenseNetwork
-from tierflow.errors import ConfigError, DataError
+from tierflow.errors import DataError
 from tierflow.ftl import (
-    ArmSpec,
-    ExperimentConfig,
     MetricsLog,
     TrainSchedule,
     TrainStep,
@@ -194,18 +192,11 @@ def test_reset_optimizer_flag_changes_trajectory(tiny_ctx):
 
 
 def test_run_experiment_identical_arms_zero_deltas(tiny_ctx):
-    config = ExperimentConfig(
-        arms=[
-            ArmSpec("a", [TrainStep(HIGH, 2)]),
-            ArmSpec("b", [TrainStep(HIGH, 2)]),
-        ],
-        validation_tier=VAL,
-        seed=13,
-        batch_size=64,
-        learning_rate=1e-3,
-        hidden_layers=(8, 4),
-    )
-    result = run_experiment(config, tiny_ctx)
+    arms = {
+        "a": fast_schedule([TrainStep(HIGH, 2)], seed=13),
+        "b": fast_schedule([TrainStep(HIGH, 2)], seed=13),
+    }
+    result = run_experiment(arms, tiny_ctx)
     report = result.report_dict()
     assert report["deltas"]["a_vs_b"]["best_val_loss"] == 0.0
     assert report["deltas"]["a_vs_b"]["best_val_accuracy"] == 0.0
@@ -213,30 +204,14 @@ def test_run_experiment_identical_arms_zero_deltas(tiny_ctx):
 
 
 def test_run_experiment_parallel_matches_sequential(tiny_ctx):
-    config = ExperimentConfig(
-        arms=[
-            ArmSpec("ftl", [TrainStep(LOW, 2), TrainStep(HIGH, 2)]),
-            ArmSpec("baseline", [TrainStep(HIGH, 4)]),
-        ],
-        validation_tier=VAL,
-        seed=17,
-        batch_size=64,
-        learning_rate=1e-3,
-        hidden_layers=(8, 4),
-    )
-    seq = run_experiment(config, tiny_ctx, jobs=1)
-    par = run_experiment(config, tiny_ctx, jobs=2)
+    arms = {
+        "ftl": fast_schedule([TrainStep(LOW, 2), TrainStep(HIGH, 2)], seed=17),
+        "baseline": fast_schedule([TrainStep(HIGH, 4)], seed=17),
+    }
+    seq = run_experiment(arms, tiny_ctx, jobs=1)
+    par = run_experiment(arms, tiny_ctx, jobs=2)
     for name in seq.arms:
         assert seq.arms[name].log.records == par.arms[name].log.records
-
-
-def test_run_experiment_duplicate_arm_names_rejected():
-    with pytest.raises(ConfigError, match="duplicate"):
-        ExperimentConfig(
-            arms=[ArmSpec("x", [TrainStep(HIGH, 1)]), ArmSpec("x", [TrainStep(LOW, 1)])],
-            validation_tier=VAL,
-            seed=1,
-        )
 
 
 @pytest.mark.parametrize("fork_at", [(1, 2), (1, 3), (2, 1)])
