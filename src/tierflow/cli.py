@@ -22,6 +22,7 @@ from pathlib import Path
 from . import checkpoint as ckpt
 from .config import (
     ExperimentSpec,
+    _field,
     build_data_context,
     experiment_from_dict,
     load_json,
@@ -112,7 +113,9 @@ def cmd_synth(args) -> int:
 def cmd_embed(args) -> int:
     started = time.monotonic()
     doc = load_json(args.config)
-    seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
+    seed = _field(doc, "seed", "an integer", "vae", 0)
+    if args.seed is not None:
+        seed = args.seed
     config = vae_config_from_dict(doc, where="vae")
     if args.dry_run:
         print(

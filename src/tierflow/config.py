@@ -7,7 +7,7 @@ always half-open.  Parse errors raise :class:`ConfigError` naming the field.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .data import (
@@ -81,42 +81,39 @@ def load_json(path: str | Path) -> dict:
 
 def synth_config_from_dict(doc: dict, where: str = "synth") -> SynthConfig:
     tiers = []
-    for i, entry in enumerate(_require(doc, "tiers", where)):
+    for i, entry in enumerate(_field(doc, "tiers", "a list", where)):
         spot = f"{where}.tiers[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{spot}: expected an object")
+        _expect(entry, "an object", spot)
+        tier = _tier(_require(entry, "range", spot), f"{spot}.range")
+        count = _field(entry, "count", "an integer", spot)
+        flip_rate = float(_field(entry, "flip_rate", "a number", spot))
         try:
-            tiers.append(
-                SynthTier(
-                    tier=_tier(_require(entry, "range", spot), f"{spot}.range"),
-                    count=int(_require(entry, "count", spot)),
-                    flip_rate=float(_require(entry, "flip_rate", spot)),
-                )
-            )
+            tiers.append(SynthTier(tier, count, flip_rate))
         except ValueError as exc:
             raise ConfigError(f"{spot}: {exc}") from exc
+    fields = {
+        key: _field(doc, key, "an integer", where)
+        for key in ("n_compounds", "n_proteins", "compound_bits", "protein_bits", "seed")
+    }
+    validation_tier = _tier(_require(doc, "validation_tier", where), f"{where}.validation_tier")
+    for key, default in (("bit_density", 0.5), ("true_rate", 0.2)):
+        fields[key] = float(_field(doc, key, "a number", where, default))
     try:
-        return SynthConfig(
-            n_compounds=int(_require(doc, "n_compounds", where)),
-            n_proteins=int(_require(doc, "n_proteins", where)),
-            compound_bits=int(_require(doc, "compound_bits", where)),
-            protein_bits=int(_require(doc, "protein_bits", where)),
-            tiers=tiers,
-            validation_tier=_tier(
-                _require(doc, "validation_tier", where), f"{where}.validation_tier"
-            ),
-            seed=int(_require(doc, "seed", where)),
-            bit_density=float(doc.get("bit_density", 0.5)),
-            true_rate=float(doc.get("true_rate", 0.2)),
-        )
-    except (TypeError, ValueError) as exc:
+        return SynthConfig(tiers=tiers, validation_tier=validation_tier, **fields)
+    except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
 _VAE_PRESETS = {"protein": protein_preset, "chemical": chemical_preset}
+# the fields a preset document may override, with their JSON kinds
+_VAE_SCHEDULE = {
+    "epochs": "an integer", "batch_size": "an integer", "learning_rate": "a number"
+}
 
 
 def vae_config_from_dict(doc: dict, where: str = "vae") -> VaeConfig:
+    """A preset, whose schedule fields the document may override, or a full config."""
+    preset, arch = None, {}
     if "preset" in doc:
         name = doc["preset"]
         if name not in _VAE_PRESETS:
@@ -124,22 +121,24 @@ def vae_config_from_dict(doc: dict, where: str = "vae") -> VaeConfig:
                 f"{where}.preset: unknown preset {name!r}, "
                 f"choose from {sorted(_VAE_PRESETS)}"
             )
-        config = _VAE_PRESETS[name]()
-        # presets accept overrides for the schedule-sized fields
-        for key in ("epochs", "batch_size", "learning_rate"):
-            if key in doc:
-                setattr(config, key, type(getattr(config, key))(doc[key]))
-        return config
-    try:
-        return VaeConfig(
-            input_dim=int(_require(doc, "input_dim", where)),
-            encoder_hidden=tuple(int(v) for v in _require(doc, "encoder_hidden", where)),
-            latent_dim=int(_require(doc, "latent_dim", where)),
-            epochs=int(_require(doc, "epochs", where)),
-            batch_size=int(_require(doc, "batch_size", where)),
-            learning_rate=float(_require(doc, "learning_rate", where)),
+        preset = _VAE_PRESETS[name]()
+    else:
+        arch["input_dim"] = _field(doc, "input_dim", "an integer", where)
+        arch["encoder_hidden"] = tuple(
+            _expect(v, "an integer", f"{where}.encoder_hidden[{i}]")
+            for i, v in enumerate(_field(doc, "encoder_hidden", "a list", where))
         )
-    except (TypeError, ValueError) as exc:
+        arch["latent_dim"] = _field(doc, "latent_dim", "an integer", where)
+    schedule = {
+        key: _field(doc, key, kind, where)
+        for key, kind in _VAE_SCHEDULE.items()
+        if preset is None or key in doc
+    }
+    if "learning_rate" in schedule:
+        schedule["learning_rate"] = float(schedule["learning_rate"])
+    try:
+        return replace(preset, **schedule) if preset else VaeConfig(**arch, **schedule)
+    except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 

@@ -11,6 +11,7 @@ File formats (UTF-8, LF):
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -168,9 +169,6 @@ class TierSpec:
         if not (0 <= self.lo < self.hi <= 1000):
             raise ValueError(f"need 0 <= lo < hi <= 1000, got [{self.lo},{self.hi})")
 
-    def contains(self, score: int) -> bool:
-        return self.lo <= score < self.hi
-
     def overlaps(self, other: "TierSpec") -> bool:
         return self.lo < other.hi and other.lo < self.hi
 
@@ -178,47 +176,49 @@ class TierSpec:
         return f"[{self.lo},{self.hi})"
 
 
-@dataclass(frozen=True)
-class InteractionRecord:
-    compound_id: str
-    protein_id: str
-    score: int
-
-    def __post_init__(self):
-        if not (0 <= self.score <= 1000):
-            raise ValueError(f"score {self.score} outside [0, 1000]")
-
-    @property
-    def pair(self) -> tuple[str, str]:
-        return (self.compound_id, self.protein_id)
-
-
-@dataclass
+@dataclass(eq=False)
 class InteractionTable:
-    """Positive interaction records; (compound, protein) pairs are unique."""
+    """Positive interactions as aligned columns; (compound, protein) pairs are unique."""
 
-    records: list[InteractionRecord] = field(default_factory=list)
+    compound_ids: np.ndarray
+    protein_ids: np.ndarray
+    scores: np.ndarray
 
     def __post_init__(self):
-        seen = set()
-        for rec in self.records:
-            if rec.pair in seen:
-                raise ValueError(f"duplicate pair {rec.pair}")
-            seen.add(rec.pair)
+        self.compound_ids = np.asarray(self.compound_ids, dtype=str)
+        self.protein_ids = np.asarray(self.protein_ids, dtype=str)
+        self.scores = np.asarray(self.scores, dtype=np.int64)
+        if not self.compound_ids.shape == self.protein_ids.shape == self.scores.shape:
+            raise ValueError("interaction columns differ in shape")
+        bad = np.flatnonzero((self.scores < 0) | (self.scores > 1000))
+        if bad.size:
+            raise ValueError(f"score {self.scores[bad[0]]} outside [0, 1000]")
+        # codes of each id within its own column make a pair key for the check
+        _, c = np.unique(self.compound_ids, return_inverse=True)
+        p_ids, p = np.unique(self.protein_ids, return_inverse=True)
+        keys = c * len(p_ids) + p
+        order = np.argsort(keys, kind="stable")
+        repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+        if repeats.size:
+            i = repeats.min()
+            raise ValueError(
+                f"duplicate pair {(str(self.compound_ids[i]), str(self.protein_ids[i]))}"
+            )
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.scores)
 
-    def pairs(self) -> set[tuple[str, str]]:
-        return {rec.pair for rec in self.records}
 
-    def scores(self) -> np.ndarray:
-        return np.array([rec.score for rec in self.records], dtype=np.int64)
+def _line_of_row(path: Path, row: int) -> int:
+    """Line number of the ``row``-th (0-based) non-blank line of a file."""
+    with _open_for_read(path) as fh:
+        lines = (n for n, line in enumerate(fh, start=1) if line.rstrip("\n"))
+        return next(itertools.islice(lines, row, None))
 
 
 def load_interactions(path: str | Path) -> InteractionTable:
     path = Path(path)
-    records = []
+    compounds, proteins, scores = [], [], []
     with _open_for_read(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -228,44 +228,33 @@ def load_interactions(path: str | Path) -> InteractionTable:
             if len(parts) != 3:
                 raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
             try:
-                rec = InteractionRecord(parts[0], parts[1], int(parts[2]))
+                scores.append(int(parts[2]))
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from exc
-            records.append(rec)
+            compounds.append(parts[0])
+            proteins.append(parts[1])
     try:
-        return InteractionTable(records)
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+        return InteractionTable(compounds, proteins, scores)
+    except (ValueError, OverflowError) as exc:
+        row = next((i for i, s in enumerate(scores) if not 0 <= s <= 1000), None)
+        if row is None:
+            raise DataError(f"{path}: {exc}") from exc
+        raise DataError(
+            f"{path}:{_line_of_row(path, row)}: score {scores[row]} outside [0, 1000]"
+        ) from exc
 
 
 def save_interactions(table: InteractionTable, path: str | Path) -> None:
-    lines = [f"{r.compound_id}\t{r.protein_id}\t{r.score}" for r in table.records]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    rows = zip(
+        table.compound_ids.tolist(), table.protein_ids.tolist(), table.scores.astype(str)
+    )
+    lines = "\n".join(map("\t".join, rows))
+    Path(path).write_text(lines + ("\n" if len(table) else ""), encoding="utf-8")
 
 
-@dataclass(frozen=True)
-class LabeledPair:
-    """A (compound, protein) example; negatives carry no confidence score."""
-
-    compound_id: str
-    protein_id: str
-    label: int
-    score: int | None = None
-
-    def __post_init__(self):
-        if self.label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.label}")
-        if self.label == 0 and self.score is not None:
-            raise ValueError("negative pairs carry no confidence score")
-
-    @property
-    def pair(self) -> tuple[str, str]:
-        return (self.compound_id, self.protein_id)
-
-
-def tier_filter(table: InteractionTable, tier: TierSpec) -> InteractionTable:
-    """Records with lo <= score < hi, original order preserved."""
-    return InteractionTable([r for r in table.records if tier.contains(r.score)])
+def tier_filter(table: InteractionTable, tier: TierSpec) -> np.ndarray:
+    """Boolean mask over the table's rows: lo <= score < hi."""
+    return (table.scores >= tier.lo) & (table.scores < tier.hi)
 
 
 def percentile_cutoff(table: InteractionTable, percentile: float) -> int:
@@ -278,72 +267,65 @@ def percentile_cutoff(table: InteractionTable, percentile: float) -> int:
         raise ValueError("percentile_cutoff needs a non-empty table")
     if not (0.0 <= percentile < 100.0):
         raise ValueError(f"percentile must lie in [0, 100), got {percentile}")
-    scores = table.scores()
+    scores = table.scores
     k = max(1, math.ceil(percentile / 100.0 * len(scores)))
     return int(np.partition(scores, k - 1)[k - 1])
 
 
+def index_of(sorted_values, values: np.ndarray) -> np.ndarray:
+    """Position of each value in the sorted ``sorted_values``, or -1 where it is absent."""
+    sorted_values = np.asarray(sorted_values)
+    if not sorted_values.size:
+        return np.full(len(values), -1, dtype=np.int64)
+    at = np.searchsorted(sorted_values, values)
+    found = sorted_values[np.minimum(at, len(sorted_values) - 1)] == values
+    return np.where(found, at, -1)
+
+
 def sample_negatives(
-    compounds: list[str],
-    proteins: list[str],
-    positives: set[tuple[str, str]],
+    n_compounds: int,
+    n_proteins: int,
+    forbidden_keys: np.ndarray,
     count: int,
     rng: RngStream,
-) -> list[LabeledPair]:
-    """Draw `count` distinct label-0 pairs uniformly from the non-positive grid.
+) -> np.ndarray:
+    """Draw `count` distinct pair keys uniformly from the grid minus `forbidden_keys`.
 
-    Rejection-samples against the positive set; when the request covers more
-    than half the complement the complement is enumerated instead so the call
+    A pair key is ``compound_index * n_proteins + protein_index``;
+    `forbidden_keys` is sorted and unique.  Each rejection round draws a block
+    of compound indices, then as many protein indices, and keeps the first
+    occurrence of every key that is neither forbidden nor already chosen.
+    When the request covers more than half the complement, the complement is
+    enumerated in key order and picked by permutation instead, so the call
     terminates.  Both paths are deterministic given the stream.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    n_grid = len(compounds) * len(proteins)
-    cset, pset = set(compounds), set(proteins)
-    n_blocked = sum(1 for c, p in positives if c in cset and p in pset)
-    complement = n_grid - n_blocked
+    forbidden_keys = np.asarray(forbidden_keys, dtype=np.int64)
+    n_grid = n_compounds * n_proteins
+    inside = np.searchsorted(forbidden_keys, [0, n_grid])
+    complement = n_grid - int(inside[1] - inside[0])
     if count > complement:
         raise DataError(
             f"cannot draw {count} negatives: only {complement} non-positive pairs exist"
         )
-    chosen: list[LabeledPair] = []
-    seen: set[tuple[str, str]] = set()
 
     if count > complement // 2:
         # dense regime: enumerate the complement once, then pick by permutation
-        free = [
-            (c, p) for c in compounds for p in proteins if (c, p) not in positives
-        ]
-        order = rng.permutation(len(free))[:count]
-        return [LabeledPair(free[i][0], free[i][1], 0) for i in order]
+        free = np.setdiff1d(np.arange(n_grid, dtype=np.int64), forbidden_keys, True)
+        return free[rng.permutation(len(free))[:count]]
 
+    chosen = np.empty(0, dtype=np.int64)
     while len(chosen) < count:
         batch = max(64, 2 * (count - len(chosen)))
-        ci = rng.integers(len(compounds), size=batch)
-        pi = rng.integers(len(proteins), size=batch)
-        for a, b in zip(ci, pi):
-            pair = (compounds[a], proteins[b])
-            if pair in positives or pair in seen:
-                continue
-            seen.add(pair)
-            chosen.append(LabeledPair(pair[0], pair[1], 0))
-            if len(chosen) == count:
-                break
+        ci = rng.integers(n_compounds, size=batch)
+        pi = rng.integers(n_proteins, size=batch)
+        keys = ci * n_proteins + pi
+        fresh = (index_of(forbidden_keys, keys) < 0) & (index_of(np.sort(chosen), keys) < 0)
+        keys = keys[fresh]
+        _, first = np.unique(keys, return_index=True)
+        chosen = np.concatenate([chosen, keys[np.sort(first)][:count - len(chosen)]])
     return chosen
-
-
-def make_features(
-    pair: LabeledPair, compound_latents: LatentStore, protein_latents: LatentStore
-) -> tuple[np.ndarray, int]:
-    """Concatenate [protein features || compound features] for one pair."""
-    if pair.protein_id not in protein_latents.entries:
-        raise DataError(f"unknown protein id {pair.protein_id!r}")
-    if pair.compound_id not in compound_latents.entries:
-        raise DataError(f"unknown compound id {pair.compound_id!r}")
-    vec = np.concatenate(
-        [protein_latents.entries[pair.protein_id], compound_latents.entries[pair.compound_id]]
-    )
-    return vec, pair.label
 
 
 @dataclass(frozen=True)
@@ -456,26 +438,25 @@ def synth_generate(config: SynthConfig) -> SynthData:
             f"tiers request {need_false} flipped positives, grid only has {len(false_pool)}"
         )
 
-    def pair_of(flat_idx: int) -> tuple[str, str]:
-        return (
-            compound_ids[flat_idx // config.n_proteins],
-            protein_ids[flat_idx % config.n_proteins],
-        )
-
-    records: list[InteractionRecord] = []
+    members, scores = [], []
     t_at, f_at = 0, 0
     for tier_idx, synth_tier in enumerate(config.tiers):
         n_flip = round(synth_tier.flip_rate * synth_tier.count)
         n_keep = synth_tier.count - n_flip
-        members = [pair_of(i) for i in true_pool[t_at:t_at + n_keep]]
-        members += [pair_of(i) for i in false_pool[f_at:f_at + n_flip]]
+        members.append(
+            np.concatenate([true_pool[t_at:t_at + n_keep], false_pool[f_at:f_at + n_flip]])
+        )
         t_at += n_keep
         f_at += n_flip
         lo, hi = synth_tier.tier.lo, synth_tier.tier.hi
-        tier_scores = lo + root.spawn("scores", tier_idx).integers(hi - lo, size=len(members))
-        records.extend(
-            InteractionRecord(c, p, int(s)) for (c, p), s in zip(members, tier_scores)
-        )
+        draw = root.spawn("scores", tier_idx).integers(hi - lo, size=synth_tier.count)
+        scores.append(lo + draw)
+    flat = np.concatenate(members)
+    interactions = InteractionTable(
+        np.asarray(compound_ids)[flat // config.n_proteins],
+        np.asarray(protein_ids)[flat % config.n_proteins],
+        np.concatenate(scores),
+    )
 
     oracle = {
         (compound_ids[i], protein_ids[j]): int(truth[i, j])
@@ -487,7 +468,7 @@ def synth_generate(config: SynthConfig) -> SynthData:
             config.compound_bits, dict(zip(compound_ids, cbits))
         ),
         proteins=BitVectorStore(config.protein_bits, dict(zip(protein_ids, pbits))),
-        interactions=InteractionTable(records),
+        interactions=interactions,
         oracle=oracle,
     )
 

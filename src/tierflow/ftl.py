@@ -24,10 +24,9 @@ import numpy as np
 from .data import (
     DataError,
     InteractionTable,
-    LabeledPair,
     LatentStore,
     TierSpec,
-    make_features,
+    index_of,
     sample_negatives,
     tier_filter,
 )
@@ -141,39 +140,68 @@ def metrics_csv_lines(log: MetricsLog, arm: str) -> list[str]:
 
 @dataclass
 class DataContext:
-    """Everything a training run consumes: positives, features, id universes."""
+    """Everything a training run consumes: positives, features, id universes.
+
+    Built once from the three fields: ``compounds`` and ``proteins`` are the
+    sorted id lists, ``compound_matrix`` and ``protein_matrix`` the feature
+    rows in that order, and ``ci``/``pi`` each table row's compound and
+    protein row (-1 for an id with no features).  A pair is the int64 key
+    ``ci * len(proteins) + pi``; ``row_keys`` holds each table row's key, or
+    ``-1 - row`` for a row with an unknown id so that ``feature_matrix`` can
+    name it, and ``positive_keys`` the sorted keys of the rows with known ids.
+    """
 
     interactions: InteractionTable
     compound_features: LatentStore
     protein_features: LatentStore
-    compounds: list[str] = field(default_factory=list)
-    proteins: list[str] = field(default_factory=list)
 
     def __post_init__(self):
-        if not self.compounds:
-            self.compounds = sorted(self.compound_features.entries)
-        if not self.proteins:
-            self.proteins = sorted(self.protein_features.entries)
+        by_compound, by_protein = self.compound_features.entries, self.protein_features.entries
+        self.compounds, self.proteins = sorted(by_compound), sorted(by_protein)
+        self.compound_matrix = np.array([by_compound[c] for c in self.compounds])
+        self.protein_matrix = np.array([by_protein[p] for p in self.proteins])
+        rows = self.interactions
+        self.ci = index_of(self.compounds, rows.compound_ids)
+        self.pi = index_of(self.proteins, rows.protein_ids)
+        known = (self.ci >= 0) & (self.pi >= 0)
+        keys = self.ci * len(self.proteins) + self.pi
+        self.row_keys = np.where(known, keys, -1 - np.arange(len(rows)))
+        self.positive_keys = np.sort(keys[known])
 
     @property
     def feature_dim(self) -> int:
         return self.protein_features.width + self.compound_features.width
 
-    def feature_matrix(self, pairs: list[LabeledPair]) -> tuple[np.ndarray, np.ndarray]:
-        rows, labels = [], []
-        for pair in pairs:
-            vec, label = make_features(pair, self.compound_features, self.protein_features)
-            rows.append(vec)
-            labels.append(label)
-        return np.stack(rows), np.array(labels, dtype=np.float64)
+    def tier_keys(self, tier: TierSpec, role: str) -> np.ndarray:
+        """Keys of the table's positives in ``tier``, in table order."""
+        keys = self.row_keys[tier_filter(self.interactions, tier)]
+        if not keys.size:
+            raise DataError(f"{role} tier {tier} has no positives")
+        return keys
+
+    def feature_matrix(
+        self, positive_keys: np.ndarray, negative_keys: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """[protein features || compound features] rows, positives first, and labels."""
+        keys = np.concatenate([positive_keys, negative_keys])
+        unknown = keys[keys < 0]
+        if unknown.size:
+            row, rows = -1 - unknown[0], self.interactions
+            if self.pi[row] < 0:
+                raise DataError(f"unknown protein id {str(rows.protein_ids[row])!r}")
+            raise DataError(f"unknown compound id {str(rows.compound_ids[row])!r}")
+        ci, pi = np.divmod(keys, len(self.proteins))
+        x = np.hstack([self.protein_matrix[pi], self.compound_matrix[ci]])
+        y = np.repeat([1.0, 0.0], [len(positive_keys), len(negative_keys)])
+        return x, y
 
 
 @dataclass
 class StepData:
     step_index: int
     tier: TierSpec
-    positives: list[LabeledPair]
-    negatives: list[LabeledPair]
+    positives: np.ndarray  # pair keys
+    negatives: np.ndarray
 
 
 @dataclass
@@ -184,37 +212,20 @@ class FtlResult:
     log: MetricsLog
     snapshots: dict[str, WeightSnapshot]
     steps: list[StepData]
-    validation_positives: list[LabeledPair]
-    validation_negatives: list[LabeledPair]
+    validation_positives: np.ndarray  # pair keys
+    validation_negatives: np.ndarray
     validation: tuple[np.ndarray, np.ndarray]
     adam: AdamState
     at: tuple[int, int]
 
 
-def _positives_of(table: InteractionTable, tier: TierSpec, role: str) -> list[LabeledPair]:
-    positives = [
-        LabeledPair(r.compound_id, r.protein_id, 1, r.score)
-        for r in tier_filter(table, tier).records
-    ]
-    if not positives:
-        raise DataError(f"{role} tier {tier} has no positives")
-    return positives
-
-
-def _evaluate_arrays(net: DenseNetwork, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+def evaluate(net: DenseNetwork, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Mean BCE and threshold-0.5 accuracy over the rows of ``x``; pure function."""
+    if not len(y):
+        raise ValueError("evaluate needs a non-empty example set")
     out = forward(net, x)[-1].reshape(-1)
     loss, _ = bce_loss(out, y)
     return loss, accuracy(out, y)
-
-
-def evaluate(
-    net: DenseNetwork, pairs: list[LabeledPair], ctx: DataContext
-) -> tuple[float, float]:
-    """Mean BCE and threshold-0.5 accuracy over the pairs; pure function."""
-    if not pairs:
-        raise ValueError("evaluate needs a non-empty pair set")
-    x, y = ctx.feature_matrix(pairs)
-    return _evaluate_arrays(net, x, y)
 
 
 def train_ftl(
@@ -234,14 +245,13 @@ def train_ftl(
     ``stop=(k, e)`` ends the run after epoch ``e`` of step ``k``, which may pass
     that step's budget.  The log holds only the epochs this call trained.
     """
-    forbidden = ctx.interactions.pairs()
     if start is None:
-        val_pos = _positives_of(ctx.interactions, schedule.validation_tier, "validation")
+        val_pos = ctx.tier_keys(schedule.validation_tier, "validation")
         val_negs = sample_negatives(
-            ctx.compounds, ctx.proteins, forbidden, len(val_pos),
+            len(ctx.compounds), len(ctx.proteins), ctx.positive_keys, len(val_pos),
             RngStream(derive_seed(schedule.seed, "validation-negatives")),
         )
-        val_x, val_y = ctx.feature_matrix(val_pos + val_negs)
+        val_x, val_y = ctx.feature_matrix(val_pos, val_negs)
         net = init_network(
             list(schedule.hidden_layers) + [1], ctx.feature_dim, None,
             RngStream(derive_seed(schedule.seed, "init")),
@@ -252,8 +262,8 @@ def train_ftl(
         val_x, val_y = start.validation
         net, adam = copy.deepcopy((start.network, start.adam))
     params = net.parameters()
-    val_pairs = {p.pair for p in val_pos} | {p.pair for p in val_negs}
-    forbidden |= {p.pair for p in val_negs}
+    val_keys = np.concatenate([val_pos, val_negs])
+    forbidden = np.union1d(ctx.positive_keys, val_negs)
     stop_step, stop_epoch = stop or (len(schedule.steps), schedule.steps[-1].epochs)
     start_step, start_epoch = stopped = start.at if start else (1, 0)
     snapshots = dict(start.snapshots) if start else {}
@@ -266,17 +276,16 @@ def train_ftl(
         last = stop_epoch if k == stop_step else step.epochs
         if k < start_step or first > max(last, 1):
             continue
-        positives = _positives_of(ctx.interactions, step.tier, f"step {k}")
+        positives = ctx.tier_keys(step.tier, f"step {k}")
         negatives = sample_negatives(
-            ctx.compounds, ctx.proteins, forbidden, len(positives),
+            len(ctx.compounds), len(ctx.proteins), forbidden, len(positives),
             RngStream(derive_seed(schedule.seed, "negatives", k)),
         )
-        train_pairs = {p.pair for p in positives} | {p.pair for p in negatives}
-        if train_pairs & val_pairs:
+        if np.intersect1d(np.concatenate([positives, negatives]), val_keys).size:
             raise RuntimeError("validation pairs leaked into a training step")
         steps_out.append(StepData(k, step.tier, positives, negatives))
 
-        x, y = ctx.feature_matrix(positives + negatives)
+        x, y = ctx.feature_matrix(positives, negatives)
         n = len(y)
         if first == 1 and schedule.reset_optimizer_between_steps and k > 1:
             adam = AdamState.create(params, schedule.learning_rate)
@@ -291,8 +300,8 @@ def train_ftl(
                 _, grad = bce_loss(acts[-1], y[idx])
                 grads = backward(net, acts, grad)
                 adam_step(adam, params, grads)
-            train_loss, train_acc = _evaluate_arrays(net, x, y)
-            val_loss, val_acc = _evaluate_arrays(net, val_x, val_y)
+            train_loss, train_acc = evaluate(net, x, y)
+            val_loss, val_acc = evaluate(net, val_x, val_y)
             log.append(k, epoch, "train", train_loss, train_acc)
             log.append(k, epoch, "validation", val_loss, val_acc)
             if (k, epoch) in snapshot_points:

@@ -15,7 +15,6 @@ from tierflow.checkpoint import load_network, save_network
 from tierflow.cli import main as cli_main
 from tierflow.data import (
     BitVectorStore,
-    InteractionRecord,
     InteractionTable,
     LatentStore,
     SynthConfig,
@@ -177,30 +176,33 @@ def test_c03_tier_algebra():
     for i in range(n_tables):
         size = max(1, int(10 ** rng.uniform(0, 4)[0]))
         scores = rng.integers(1001, size=size)
-        records = [
-            InteractionRecord(f"c{i}_{j}", f"p{i}_{j}", int(s))
-            for j, s in enumerate(scores)
-        ]
-        table = InteractionTable(records)
+        compounds = [f"c{i}_{j}" for j in range(size)]
+        proteins = [f"p{i}_{j}" for j in range(size)]
+        table = InteractionTable(compounds, proteins, scores)
+        records = list(zip(compounds, proteins, scores.tolist()))
+
+        def pairs_in(tier):
+            mask = tier_filter(table, tier)
+            return list(zip(table.compound_ids[mask].tolist(), table.protein_ids[mask].tolist()))
 
         lo, hi = sorted(rng.integers(1000, size=2).tolist())
         hi += 1
         tier = TierSpec(int(lo), int(hi))
-        got = [r.pair for r in tier_filter(table, tier).records]
-        expected = [r.pair for r in records if lo <= r.score < hi]
+        got = pairs_in(tier)
+        expected = [(c, p) for c, p, s in records if lo <= s < hi]
         worst_bad += got != expected
 
         # split/union consistency at a random midpoint
         if hi - lo >= 2:
             mid = int(lo) + 1 + int(rng.integers(hi - lo - 1)[0])
-            left = tier_filter(table, TierSpec(int(lo), mid)).records
-            right = tier_filter(table, TierSpec(mid, int(hi))).records
-            both = [r.pair for r in left] + [r.pair for r in right]
+            left = pairs_in(TierSpec(int(lo), mid))
+            right = pairs_in(TierSpec(mid, int(hi)))
+            both = left + right
             worst_bad += sorted(both) != sorted(expected)
             worst_bad += len(set(both)) != len(both)
 
         p = float(rng.uniform(0, 100)[0]) % 100.0
-        ordered = sorted(r.score for r in records)
+        ordered = sorted(s for _, _, s in records)
         k = max(1, math.ceil(p / 100.0 * len(ordered)))
         worst_bad += percentile_cutoff(table, p) != ordered[k - 1]
 
@@ -213,7 +215,7 @@ def test_c03_tier_algebra():
         + [700] + [int(s) for s in build.uniform(701, 1000, size=20)]
     )
     table = InteractionTable(
-        [InteractionRecord(f"c{j}", f"p{j}", s) for j, s in enumerate(scores)]
+        [f"c{j}" for j in range(len(scores))], [f"p{j}" for j in range(len(scores))], scores
     )
     mapping_ok = (
         percentile_cutoff(table, 82) == 319
@@ -239,34 +241,26 @@ def test_c04_negative_sampler_safety():
         grid_idx += 1
         n_c = 10 + int(rng.integers(70)[0])
         n_p = 10 + int(rng.integers(70)[0])
-        compounds = [f"c{i}" for i in range(n_c)]
-        proteins = [f"p{i}" for i in range(n_p)]
         n_pos = int(rng.integers(max(1, n_c * n_p // 10))[0])
-        positives = set()
         ci = rng.integers(n_c, size=n_pos)
         pi = rng.integers(n_p, size=n_pos)
-        for a, b in zip(ci, pi):
-            positives.add((compounds[a], proteins[b]))
+        positives = np.unique(ci * n_p + pi)
         complement = n_c * n_p - len(positives)
         count = min(complement, 20_000)
         negs = sample_negatives(
-            compounds, proteins, positives, count, rng.spawn("draw", grid_idx)
+            n_c, n_p, positives, count, rng.spawn("draw", grid_idx)
         )
-        pairs = [n.pair for n in negs]
-        violations += sum(p in positives for p in pairs)
-        violations += len(pairs) - len(set(pairs))
+        violations += int(np.isin(negs, positives).sum())
+        violations += len(negs) - len(np.unique(negs))
         total += count
 
     # uniformity: 1e5 single draws over a fixed 10x10 grid's 90-cell complement
-    compounds = [f"c{i}" for i in range(10)]
-    proteins = [f"p{i}" for i in range(10)]
-    positives = {(f"c{i}", f"p{i}") for i in range(10)}
-    counts: dict[tuple[str, str], int] = {}
+    positives = np.array([i * 10 + i for i in range(10)])
+    counts = np.zeros(100, dtype=np.int64)
     for i in range(100_000):
-        (neg,) = sample_negatives(compounds, proteins, positives, 1, RngStream(i))
-        counts[neg.pair] = counts.get(neg.pair, 0) + 1
-    observed = np.array([counts.get((c, p), 0) for c in compounds for p in proteins
-                         if (c, p) not in positives], dtype=float)
+        (neg,) = sample_negatives(10, 10, positives, 1, RngStream(i))
+        counts[neg] += 1
+    observed = np.delete(counts, positives).astype(float)
     expected = 100_000 / 90.0
     chi2 = float(((observed - expected) ** 2 / expected).sum())
     critical = scipy.stats.chi2.ppf(0.99, df=89)
@@ -485,8 +479,8 @@ def test_c10_format_round_trips(tmp_path):
     results["bitvectors"] = p1.read_bytes() == p2.read_bytes()
 
     table = InteractionTable(
-        [InteractionRecord(f"c{i}", f"p{i}", int(s))
-         for i, s in enumerate(rng.integers(1001, size=200))]
+        [f"c{i}" for i in range(200)], [f"p{i}" for i in range(200)],
+        rng.integers(1001, size=200),
     )
     t1, t2 = tmp_path / "tsv1", tmp_path / "tsv2"
     save_interactions(table, t1)

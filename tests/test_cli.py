@@ -388,6 +388,59 @@ def test_bad_feature_file_exit_2(tmp_path, compounds, proteins, bad):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("dry_run", [True, False])
+@pytest.mark.parametrize("command, doc, message", [
+    ("embed", {"preset": "chemical", "epochs": "x"},
+     "vae.epochs: expected an integer, got 'x'"),
+    ("embed", {"preset": "chemical", "batch_size": 0},
+     "vae: input_dim and batch_size must be >= 1, epochs >= 0"),
+    ("embed", {"preset": "chemical", "learning_rate": "fast"},
+     "vae.learning_rate: expected a number, got 'fast'"),
+    ("embed", {**VAE_DOC, "seed": 1.9}, "vae.seed: expected an integer, got 1.9"),
+    ("synth", with_field(SYNTH_DOC, ["tiers", 0, "count"], 400.7),
+     "synth.tiers[0].count: expected an integer, got 400.7"),
+    ("synth", {**SYNTH_DOC, "seed": "7"}, "synth.seed: expected an integer, got '7'"),
+], ids=["preset-epochs-string", "preset-batch-0", "preset-lr-string", "vae-seed-float",
+        "synth-count-float", "synth-seed-string"])
+def test_invalid_synth_or_vae_document_exit_1(tmp_path, command, doc, message, dry_run):
+    config = write_json(tmp_path / "config.json", doc)
+    out = tmp_path / "o"
+    # the bit-vector file does not exist, so a check left to the real run would exit 2
+    extra = ["--bitvectors", str(tmp_path / "nope.bits")] if command == "embed" else []
+    proc = run_cli(command, "--config", config, "--out", str(out), *extra,
+                   *(["--dry-run"] if dry_run else []))
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [f"ERROR: config error: {message}"]
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("ghost_score, code", [(800, 2), (100, 0)],
+                         ids=["in-trained-tier", "below-every-tier"])
+def test_unknown_compound_id(tmp_path, ghost_score, code):
+    # 10 x 10 grid of 2-wide latents, three positives per compound
+    rows = [f"C{i}\tP{(i + shift) % 10}\t{score}\n"
+            for i in range(10) for shift, score in ((0, 950), (1, 800), (2, 500))]
+    rows.append(f"GHOST\tP0\t{ghost_score}\n")
+    (tmp_path / "interactions.tsv").write_text("".join(rows), encoding="utf-8")
+    for prefix, name in (("C", "compounds.tsv"), ("P", "proteins.tsv")):
+        (tmp_path / name).write_text(
+            "".join(f"{prefix}{i}\t{i / 10},{1 - i / 10}\n" for i in range(10)),
+            encoding="utf-8",
+        )
+    doc = {**missing_data_doc(), "data": {
+        "interactions": "interactions.tsv",
+        "compound_features": "compounds.tsv",
+        "protein_features": "proteins.tsv",
+    }}
+    out = tmp_path / "o"
+    proc = run_cli("train", "--config", write_json(tmp_path / "exp.json", doc),
+                   "--out", str(out))
+    assert proc.returncode == code
+    if code:
+        assert proc.stderr.splitlines() == ["ERROR: data error: unknown compound id 'GHOST'"]
+    assert (out / "manifest.json").exists() == (code == 0)
+
+
 MUTATION_POOL = [None, True, "x", -1, 0, 1.5, float("nan"), [], [0], {}]
 MUTABLE_FIELDS = (
     [[key] for key in [*EXPERIMENT_DOC, "reset_optimizer_between_steps"]]

@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from tierflow.data import (
     BitVectorStore,
-    InteractionRecord,
     InteractionTable,
-    LabeledPair,
     LatentStore,
     SynthConfig,
     SynthTier,
@@ -17,7 +15,6 @@ from tierflow.data import (
     load_bitvectors,
     load_interactions,
     load_latents,
-    make_features,
     percentile_cutoff,
     sample_negatives,
     save_bitvectors,
@@ -27,14 +24,67 @@ from tierflow.data import (
     tier_filter,
 )
 from tierflow.errors import ConfigError, DataError
+from tierflow.ftl import DataContext
 from tierflow.rng import RngStream
 from conftest import tiny_synth_config
 
 
 def table_of(scores, prefix="x"):
+    ids = range(len(scores))
     return InteractionTable(
-        [InteractionRecord(f"c{prefix}{i}", f"p{prefix}{i}", s) for i, s in enumerate(scores)]
+        [f"c{prefix}{i}" for i in ids], [f"p{prefix}{i}" for i in ids], scores
     )
+
+
+def pairs_of(table, mask=slice(None)):
+    """The (compound, protein) pairs of the table's rows, in row order."""
+    return list(zip(table.compound_ids[mask].tolist(), table.protein_ids[mask].tolist()))
+
+
+def same_table(a, b):
+    return pairs_of(a) == pairs_of(b) and np.array_equal(a.scores, b.scores)
+
+
+def keys_of(pairs, compounds, proteins):
+    """Pair keys of the (compound, protein) pairs whose ids both lie in the universe."""
+    ci = {c: i for i, c in enumerate(compounds)}
+    pi = {p: j for j, p in enumerate(proteins)}
+    return np.array(
+        sorted(ci[c] * len(proteins) + pi[p] for c, p in pairs if c in ci and p in pi),
+        dtype=np.int64,
+    )
+
+
+def decode(keys, compounds, proteins):
+    return [(compounds[k // len(proteins)], proteins[k % len(proteins)]) for k in keys]
+
+
+def reference_sample_negatives(compounds, proteins, positives, count, rng):
+    """The per-draw sampler over id lists and a set of pairs that the vectorized
+    ``sample_negatives`` must match draw for draw."""
+    n_grid = len(compounds) * len(proteins)
+    cset, pset = set(compounds), set(proteins)
+    n_blocked = sum(1 for c, p in positives if c in cset and p in pset)
+    complement = n_grid - n_blocked
+    if count > complement:
+        raise DataError(f"cannot draw {count} negatives")
+    if count > complement // 2:
+        free = [(c, p) for c in compounds for p in proteins if (c, p) not in positives]
+        return [free[i] for i in rng.permutation(len(free))[:count]]
+    chosen, seen = [], set()
+    while len(chosen) < count:
+        batch = max(64, 2 * (count - len(chosen)))
+        ci = rng.integers(len(compounds), size=batch)
+        pi = rng.integers(len(proteins), size=batch)
+        for a, b in zip(ci, pi):
+            pair = (compounds[a], proteins[b])
+            if pair in positives or pair in seen:
+                continue
+            seen.add(pair)
+            chosen.append(pair)
+            if len(chosen) == count:
+                break
+    return chosen
 
 
 # ---------------------------------------------------------------- bit vectors
@@ -89,28 +139,20 @@ def test_bitvector_parse_errors(tmp_path, body):
 
 
 def test_interactions_round_trip(tmp_path):
-    table = InteractionTable(
-        [
-            InteractionRecord("c1", "p1", 0),
-            InteractionRecord("c1", "p2", 1000),
-            InteractionRecord("c2", "p1", 451),
-        ]
-    )
+    table = InteractionTable(["c1", "c1", "c2"], ["p1", "p2", "p1"], [0, 1000, 451])
     path = tmp_path / "table.tsv"
     save_interactions(table, path)
-    assert load_interactions(path) == table
+    assert same_table(load_interactions(path), table)
 
 
 def test_interactions_duplicate_pair_rejected():
     with pytest.raises(ValueError, match="duplicate"):
-        InteractionTable(
-            [InteractionRecord("c", "p", 10), InteractionRecord("c", "p", 20)]
-        )
+        InteractionTable(["c", "c"], ["p", "p"], [10, 20])
 
 
 def test_interaction_score_range():
     with pytest.raises(ValueError):
-        InteractionRecord("c", "p", 1001)
+        InteractionTable(["c"], ["p"], [1001])
 
 
 def test_interactions_parse_error_names_line(tmp_path):
@@ -135,18 +177,18 @@ def test_tier_spec_validation():
 def test_tier_filter_half_open():
     table = table_of([319, 389, 700, 900, 950])
     kept = tier_filter(table, TierSpec(700, 900))
-    assert [r.score for r in kept.records] == [700]
+    assert table.scores[kept].tolist() == [700]
 
 
 def test_tier_filter_identity():
     table = table_of([5, 300, 999])
-    assert tier_filter(table, TierSpec(0, 1000)) == table
+    assert tier_filter(table, TierSpec(0, 1000)).all()
 
 
 def test_tier_filter_preserves_order():
     table = table_of([500, 100, 700, 200, 650])
     kept = tier_filter(table, TierSpec(100, 700))
-    assert [r.score for r in kept.records] == [500, 100, 200, 650]
+    assert table.scores[kept].tolist() == [500, 100, 200, 650]
 
 
 @settings(max_examples=60)
@@ -158,12 +200,12 @@ def test_tier_filter_union_property(scores, bounds):
     a, b = sorted(bounds)
     c = 1000
     table = table_of(scores)
-    low = tier_filter(table, TierSpec(a, b)) if a < b else None
-    mid = tier_filter(table, TierSpec(b, c))
-    full = tier_filter(table, TierSpec(a, c))
-    combined = (low.records if low else []) + mid.records
-    assert sorted(r.pair for r in combined) == sorted(r.pair for r in full.records)
-    assert len({r.pair for r in combined}) == len(combined)
+    low = pairs_of(table, tier_filter(table, TierSpec(a, b))) if a < b else []
+    mid = pairs_of(table, tier_filter(table, TierSpec(b, c)))
+    full = pairs_of(table, tier_filter(table, TierSpec(a, c)))
+    combined = low + mid
+    assert sorted(combined) == sorted(full)
+    assert len(set(combined)) == len(combined)
 
 
 # ---------------------------------------------------------------- percentiles
@@ -186,7 +228,7 @@ def test_percentile_single_record():
 
 def test_percentile_empty_rejected():
     with pytest.raises(ValueError):
-        percentile_cutoff(InteractionTable([]), 50)
+        percentile_cutoff(table_of([]), 50)
     with pytest.raises(ValueError):
         percentile_cutoff(table_of([5]), 100)
 
@@ -222,71 +264,108 @@ def test_percentile_reference_mapping():
 
 
 def test_sample_negatives_exact_complement():
-    positives = {("c0", "p0"), ("c1", "p1")}
-    negs = sample_negatives(["c0", "c1"], ["p0", "p1"], positives, 2, RngStream(1))
-    assert {n.pair for n in negs} == {("c0", "p1"), ("c1", "p0")}
-    assert all(n.label == 0 and n.score is None for n in negs)
+    # keys on a 2x2 grid: (c0,p0)=0, (c0,p1)=1, (c1,p0)=2, (c1,p1)=3
+    negs = sample_negatives(2, 2, np.array([0, 3]), 2, RngStream(1))
+    assert set(negs.tolist()) == {1, 2}
+    assert negs.dtype == np.int64
 
 
 def test_sample_negatives_full_grid_rejected():
-    positives = {("c0", "p0"), ("c0", "p1")}
     with pytest.raises(ValueError):
-        sample_negatives(["c0"], ["p0", "p1"], positives, 1, RngStream(1))
+        sample_negatives(1, 2, np.array([0, 1]), 1, RngStream(1))
 
 
 def test_sample_negatives_deterministic():
-    compounds = [f"c{i}" for i in range(10)]
-    proteins = [f"p{i}" for i in range(10)]
-    positives = {("c1", "p1"), ("c2", "p7")}
-    a = sample_negatives(compounds, proteins, positives, 30, RngStream(5))
-    b = sample_negatives(compounds, proteins, positives, 30, RngStream(5))
-    assert [n.pair for n in a] == [n.pair for n in b]
+    positives = np.array([1 * 10 + 1, 2 * 10 + 7])
+    a = sample_negatives(10, 10, positives, 30, RngStream(5))
+    b = sample_negatives(10, 10, positives, 30, RngStream(5))
+    assert a.tolist() == b.tolist()
 
 
 def test_sample_negatives_distinct_and_clean():
-    compounds = [f"c{i}" for i in range(20)]
-    proteins = [f"p{i}" for i in range(15)]
-    positives = {(f"c{i}", f"p{i}") for i in range(15)}
-    negs = sample_negatives(compounds, proteins, positives, 200, RngStream(3))
-    pairs = [n.pair for n in negs]
-    assert len(set(pairs)) == 200
-    assert not set(pairs) & positives
+    positives = np.array([i * 15 + i for i in range(15)])
+    negs = sample_negatives(20, 15, positives, 200, RngStream(3))
+    assert len(set(negs.tolist())) == 200
+    assert not set(negs.tolist()) & set(positives.tolist())
 
 
 def test_sample_negatives_dense_regime():
     # request more than half the complement: exercises the enumeration path
-    compounds = [f"c{i}" for i in range(4)]
-    proteins = [f"p{i}" for i in range(4)]
-    positives = {("c0", "p0")}
-    negs = sample_negatives(compounds, proteins, positives, 14, RngStream(9))
-    pairs = {n.pair for n in negs}
-    assert len(pairs) == 14
-    assert ("c0", "p0") not in pairs
+    negs = sample_negatives(4, 4, np.array([0]), 14, RngStream(9))
+    assert len(set(negs.tolist())) == 14
+    assert 0 not in negs
+
+
+def check_against_reference(n_c, n_p, positives, count, seed):
+    """The vectorized sampler decodes to the reference's pairs, from the same draws."""
+    compounds = [f"c{i}" for i in range(n_c)]
+    proteins = [f"p{j}" for j in range(n_p)]
+    reference_rng, rng = RngStream(seed), RngStream(seed)
+    expected = reference_sample_negatives(compounds, proteins, positives, count, reference_rng)
+    got = sample_negatives(n_c, n_p, keys_of(positives, compounds, proteins), count, rng)
+    assert decode(got.tolist(), compounds, proteins) == expected
+    assert rng.counter == reference_rng.counter
+    return rng.counter
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_c=st.integers(min_value=1, max_value=12),
+    n_p=st.integers(min_value=1, max_value=12),
+    forbidden=st.sets(
+        st.tuples(st.integers(min_value=0, max_value=13), st.integers(min_value=0, max_value=13)),
+        max_size=120,
+    ),
+    fraction=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_sample_negatives_matches_reference(n_c, n_p, forbidden, fraction, seed):
+    # ids run past the grid, so some forbidden pairs lie outside the universe
+    positives = {(f"c{i}", f"p{j}") for i, j in forbidden}
+    blocked = sum(1 for i, j in forbidden if i < n_c and j < n_p)
+    # a fraction above one half takes the dense path, at most one half the rejection path
+    count = round(fraction * (n_c * n_p - blocked))
+    check_against_reference(n_c, n_p, positives, count, seed)
+
+
+def test_sample_negatives_matches_reference_over_rounds():
+    # half the grid forbidden: the first round of 64 draws leaves the request short
+    positives = {(f"c{i}", f"p{j}") for i in range(10) for j in range(10) if (i + j) % 2}
+    draws = check_against_reference(10, 10, positives, 25, seed=3)
+    assert draws > 2 * 64
 
 
 # ---------------------------------------------------------------- features
 
 
-def test_make_features_concatenation_order():
-    compound_latents = LatentStore({"c": np.array([3.0])})
-    protein_latents = LatentStore({"p": np.array([1.0, 2.0])})
-    vec, label = make_features(LabeledPair("c", "p", 1, 950), compound_latents, protein_latents)
-    assert np.array_equal(vec, np.array([1.0, 2.0, 3.0]))
-    assert label == 1
+def context_of(compounds, proteins, interactions=None):
+    """A DataContext over float feature stores, with no positives unless given."""
+    return DataContext(
+        interactions=interactions or InteractionTable([], [], []),
+        compound_features=LatentStore(compounds),
+        protein_features=LatentStore(proteins),
+    )
 
 
-def test_make_features_length():
-    compound_latents = LatentStore({"c": np.zeros(64)})
-    protein_latents = LatentStore({"p": np.zeros(128)})
-    vec, _ = make_features(LabeledPair("c", "p", 0), compound_latents, protein_latents)
-    assert vec.shape == (192,)
+def test_feature_matrix_concatenation_order():
+    ctx = context_of({"c": np.array([3.0])}, {"p": np.array([1.0, 2.0])})
+    x, y = ctx.feature_matrix(np.array([0]), np.array([0]))
+    assert np.array_equal(x, np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]]))
+    assert y.tolist() == [1.0, 0.0]
 
 
-def test_make_features_unknown_id_named():
-    compound_latents = LatentStore({"c": np.zeros(2)})
-    protein_latents = LatentStore({"p": np.zeros(2)})
-    with pytest.raises(DataError, match="ghost"):
-        make_features(LabeledPair("ghost", "p", 0), compound_latents, protein_latents)
+def test_feature_matrix_width():
+    ctx = context_of({"c": np.zeros(64)}, {"p": np.zeros(128)})
+    x, _ = ctx.feature_matrix(np.array([], dtype=np.int64), np.array([0]))
+    assert x.shape == (1, 192)
+
+
+def test_feature_matrix_unknown_id_named():
+    table = InteractionTable(["c", "ghost"], ["p", "p"], [950, 960])
+    ctx = context_of({"c": np.zeros(2)}, {"p": np.zeros(2)}, table)
+    keys = ctx.tier_keys(TierSpec(900, 1000), "validation")
+    with pytest.raises(DataError, match="unknown compound id 'ghost'"):
+        ctx.feature_matrix(keys, np.array([], dtype=np.int64))
 
 
 # ---------------------------------------------------------------- latent store io
@@ -314,17 +393,17 @@ def test_synth_counts_and_validation_clean():
     data = synth_generate(config)
     for synth_tier in config.tiers:
         got = tier_filter(data.interactions, synth_tier.tier)
-        assert len(got) == synth_tier.count
+        assert got.sum() == synth_tier.count
     val = tier_filter(data.interactions, config.validation_tier)
-    assert all(data.oracle[r.pair] == 1 for r in val.records)
+    assert all(data.oracle[pair] == 1 for pair in pairs_of(data.interactions, val))
 
 
 def test_synth_exact_flip_counts():
     config = tiny_synth_config(seed=22)
     data = synth_generate(config)
     for synth_tier in config.tiers:
-        records = tier_filter(data.interactions, synth_tier.tier).records
-        false_positives = sum(1 - data.oracle[r.pair] for r in records)
+        pairs = pairs_of(data.interactions, tier_filter(data.interactions, synth_tier.tier))
+        false_positives = sum(1 - data.oracle[pair] for pair in pairs)
         assert false_positives == round(synth_tier.flip_rate * synth_tier.count)
 
 
@@ -335,13 +414,13 @@ def test_synth_zero_flip_everywhere_means_all_true():
         validation_tier=TierSpec(900, 1000), seed=4,
     )
     data = synth_generate(config)
-    assert all(data.oracle[r.pair] == 1 for r in data.interactions.records)
+    assert all(data.oracle[pair] == 1 for pair in pairs_of(data.interactions))
 
 
 def test_synth_deterministic():
     a = synth_generate(tiny_synth_config(seed=7))
     b = synth_generate(tiny_synth_config(seed=7))
-    assert a.interactions == b.interactions
+    assert same_table(a.interactions, b.interactions)
     assert a.oracle == b.oracle
 
 
@@ -349,8 +428,8 @@ def test_synth_scores_stay_in_tier():
     data = synth_generate(tiny_synth_config(seed=8))
     config = tiny_synth_config(seed=8)
     for synth_tier in config.tiers:
-        for rec in tier_filter(data.interactions, synth_tier.tier).records:
-            assert synth_tier.tier.contains(rec.score)
+        for score in data.interactions.scores[tier_filter(data.interactions, synth_tier.tier)]:
+            assert synth_tier.tier.lo <= score < synth_tier.tier.hi
 
 
 def test_synth_config_rejects_overlapping_tiers():

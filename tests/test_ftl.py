@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tierflow.data import LabeledPair, TierSpec, tier_filter
+from tierflow.data import TierSpec, tier_filter
 from tierflow.engine import DenseLayer, DenseNetwork
 from tierflow.errors import DataError
 from tierflow.ftl import (
@@ -81,24 +81,30 @@ def test_step_continuity(tiny_ctx):
         assert np.array_equal(ba, bb)
 
 
+def pairs(ctx, keys):
+    """Decode pair keys to (compound, protein) ids."""
+    n_p = len(ctx.proteins)
+    return {(ctx.compounds[k // n_p], ctx.proteins[k % n_p]) for k in keys.tolist()}
+
+
 def test_filtering_semantics(tiny_ctx):
     sched = fast_schedule([TrainStep(LOW, 1), TrainStep(HIGH, 1)], seed=3)
     result = train_ftl(sched, tiny_ctx)
+    table = tiny_ctx.interactions
     for step_data, step in zip(result.steps, sched.steps):
-        expected = {
-            r.pair for r in tier_filter(tiny_ctx.interactions, step.tier).records
-        }
-        assert {p.pair for p in step_data.positives} == expected
+        mask = tier_filter(table, step.tier)
+        expected = set(zip(table.compound_ids[mask].tolist(), table.protein_ids[mask].tolist()))
+        assert pairs(tiny_ctx, step_data.positives) == expected
 
 
 def test_validation_isolation(tiny_ctx):
     sched = fast_schedule([TrainStep(LOW, 2), TrainStep(HIGH, 2)], seed=4)
     result = train_ftl(sched, tiny_ctx)
-    val_pairs = {p.pair for p in result.validation_positives}
-    val_pairs |= {p.pair for p in result.validation_negatives}
+    val_pairs = pairs(tiny_ctx, result.validation_positives)
+    val_pairs |= pairs(tiny_ctx, result.validation_negatives)
     for step_data in result.steps:
-        train_pairs = {p.pair for p in step_data.positives}
-        train_pairs |= {p.pair for p in step_data.negatives}
+        train_pairs = pairs(tiny_ctx, step_data.positives)
+        train_pairs |= pairs(tiny_ctx, step_data.negatives)
         assert not train_pairs & val_pairs
 
 
@@ -106,8 +112,9 @@ def test_negatives_are_one_to_one_and_clean(tiny_ctx):
     result = train_ftl(fast_schedule([TrainStep(HIGH, 1)], seed=8), tiny_ctx)
     step = result.steps[0]
     assert len(step.negatives) == len(step.positives)
-    all_pos = tiny_ctx.interactions.pairs()
-    assert not {p.pair for p in step.negatives} & all_pos
+    table = tiny_ctx.interactions
+    all_pos = set(zip(table.compound_ids.tolist(), table.protein_ids.tolist()))
+    assert not pairs(tiny_ctx, step.negatives) & all_pos
 
 
 def test_metrics_log_complete_audit_trail(tiny_ctx):
@@ -133,21 +140,18 @@ def test_evaluate_constant_half_predictor(tiny_ctx):
         [DenseLayer(np.zeros((1, tiny_ctx.feature_dim)), np.zeros(1), "sigmoid")],
         tiny_ctx.feature_dim,
     )
-    pos = [
-        LabeledPair(r.compound_id, r.protein_id, 1, r.score)
-        for r in tier_filter(tiny_ctx.interactions, VAL).records
-    ]
-    loss, acc = evaluate(net, pos, tiny_ctx)
+    pos = tiny_ctx.tier_keys(VAL, "validation")
+    none = np.array([], dtype=np.int64)
+    loss, acc = evaluate(net, *tiny_ctx.feature_matrix(pos, none))
     assert loss == pytest.approx(math.log(2), rel=1e-12)
     assert acc == 100.0  # every pair labeled 1, ties classify positive
-    mixed = pos + [
-        LabeledPair("C000000", p.protein_id, 0)
-        for p in pos[:10]
-        if ("C000000", p.protein_id) not in tiny_ctx.interactions.pairs()
-    ]
-    loss2, acc2 = evaluate(net, mixed, tiny_ctx)
+    # compound "C000000" sorts first, so its pair with protein row j has key j
+    n_p = len(tiny_ctx.proteins)
+    negs = np.array([k % n_p for k in pos[:10].tolist()])
+    negs = negs[~np.isin(negs, tiny_ctx.positive_keys)]
+    loss2, acc2 = evaluate(net, *tiny_ctx.feature_matrix(pos, negs))
     assert loss2 == pytest.approx(math.log(2), rel=1e-12)
-    assert acc2 == pytest.approx(100.0 * len(pos) / len(mixed))
+    assert acc2 == pytest.approx(100.0 * len(pos) / (len(pos) + len(negs)))
 
 
 def test_evaluate_empty_rejected(tiny_ctx):
@@ -156,7 +160,7 @@ def test_evaluate_empty_rejected(tiny_ctx):
         tiny_ctx.feature_dim,
     )
     with pytest.raises(ValueError):
-        evaluate(net, [], tiny_ctx)
+        evaluate(net, np.zeros((0, tiny_ctx.feature_dim)), np.zeros(0))
 
 
 def test_best_validation_extremes():
