@@ -19,6 +19,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import checkpoint as ckpt
 from .config import (
     ExperimentSpec,
@@ -73,6 +75,13 @@ def _write_manifest(
 
 def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]", "_", name)
+
+
+def _check_out(out: Path) -> None:
+    """Reject an ``--out`` that cannot become a directory, before any work."""
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not (existing.is_dir() and os.access(existing, os.W_OK | os.X_OK)):
+        raise ConfigError(f"--out {out}: {existing} is not a writable directory")
 
 
 def _out_dir(args) -> Path:
@@ -294,14 +303,18 @@ def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        _check_out(Path(args.out))
+        # an overflow or invalid operation anywhere is a numeric failure, not
+        # a warning followed by a finite but meaningless result
+        with np.errstate(over="raise", invalid="raise"):
+            return _COMMANDS[args.command](args)
     except ConfigError as exc:
         log.error("config error: %s", exc)
         return 1
     except DataError as exc:
         log.error("data error: %s", exc)
         return 2
-    except NumericError as exc:
+    except (NumericError, FloatingPointError) as exc:
         log.error("numeric failure: %s", exc)
         return 3
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -80,11 +81,16 @@ class LatentStore:
         return len(self.entries)
 
 
+@contextmanager
 def _open_for_read(path: Path):
+    """A text handle on ``path``; failing to open or decode it is a DataError naming it."""
     try:
-        return path.open(encoding="utf-8")
+        with path.open(encoding="utf-8") as fh:
+            yield fh
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def load_bitvectors(path: str | Path) -> BitVectorStore:

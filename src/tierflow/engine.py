@@ -8,6 +8,7 @@ cols = features plays the role of a batch, and layer weights are stored
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,34 +22,20 @@ IDENTITY = "identity"
 ACTIVATIONS = (RELU, SIGMOID, IDENTITY)
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic: never overflows for finite input."""
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def _apply_activation(z: np.ndarray, tag: str) -> np.ndarray:
+    # overwrites z: forward hands over a fresh pre-activation
     if tag == RELU:
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     if tag == SIGMOID:
-        return sigmoid(z)
+        # stable logistic: with e = exp(-|z|), 1 / (1 + e) for z >= 0, else e / (1 + e)
+        positive = z >= 0
+        e = np.exp(np.negative(np.abs(z, out=z), out=z), out=z)
+        out = np.where(positive, 1.0, e)
+        e += 1.0
+        out /= e
+        return out
     if tag == IDENTITY:
         return z
-    raise ValueError(f"unknown activation {tag!r}")
-
-
-def _activation_grad_from_output(a: np.ndarray, tag: str) -> np.ndarray:
-    # Derivative expressed through the post-activation value (what forward keeps).
-    if tag == RELU:
-        return (a > 0.0).astype(np.float64)
-    if tag == SIGMOID:
-        return a * (1.0 - a)
-    if tag == IDENTITY:
-        return np.ones_like(a)
     raise ValueError(f"unknown activation {tag!r}")
 
 
@@ -86,13 +73,16 @@ class DenseLayer:
     def in_dim(self) -> int:
         return self.weights.shape[1]
 
-    def parameters(self) -> list[np.ndarray]:
-        return [self.weights, self.biases]
-
 
 @dataclass
 class DenseNetwork:
-    """Ordered dense layers; layer i consumes layer i-1's output width."""
+    """Ordered dense layers; layer i consumes layer i-1's output width.
+
+    The parameters live in one float64 vector ``flat``, in :meth:`parameters`
+    order; the layers are rebuilt around reshaped views of it, so the caller's
+    arrays are copied, never re-homed.  Copy a network with :meth:`copy`:
+    ``copy.deepcopy`` would copy each view on its own, detached from ``flat``.
+    """
 
     layers: list[DenseLayer]
     input_dim: int
@@ -109,17 +99,40 @@ class DenseNetwork:
                     f"layer {i} expects input width {layer.in_dim}, previous width is {prev}"
                 )
             prev = layer.out_dim
+        self.flat = np.concatenate([p.ravel() for p in self.parameters()])
+        views = self.split(self.flat)
+        self.layers = [
+            DenseLayer(w, b, layer.activation)
+            for layer, w, b in zip(self.layers, views[0::2], views[1::2])
+        ]
 
     @property
     def output_dim(self) -> int:
         return self.layers[-1].out_dim
 
     def parameters(self) -> list[np.ndarray]:
-        """Flat parameter list (layer 0 weights, layer 0 biases, layer 1 weights, ...)."""
-        params: list[np.ndarray] = []
-        for layer in self.layers:
-            params.extend(layer.parameters())
-        return params
+        """Per-array parameter list (layer 0 weights, layer 0 biases, layer 1 weights, ...)."""
+        return [p for layer in self.layers for p in (layer.weights, layer.biases)]
+
+    def split(self, vector: np.ndarray) -> list[np.ndarray]:
+        """Views of a vector laid out like ``flat``, shaped like :meth:`parameters`."""
+        views, at = [], 0
+        for p in self.parameters():
+            views.append(vector[at:at + p.size].reshape(p.shape))
+            at += p.size
+        return views
+
+    def copy(self) -> "DenseNetwork":
+        """An independent network: one copy of ``flat``."""
+        return DenseNetwork(self.layers, self.input_dim)
+
+
+def check_sizes_and_rate(what: str, sizes, learning_rate: float) -> None:
+    """ValueError unless every layer size is >= 1 and the rate is finite and > 0."""
+    if not (math.isfinite(learning_rate) and learning_rate > 0):
+        raise ValueError(f"learning_rate must be finite and > 0, got {learning_rate}")
+    if any(size < 1 for size in sizes):
+        raise ValueError(f"{what} sizes must be >= 1, got {list(sizes)}")
 
 
 def init_network(
@@ -157,12 +170,13 @@ def init_network(
     return DenseNetwork(layers, input_dim)
 
 
-def forward(net: DenseNetwork, batch: np.ndarray) -> list[np.ndarray]:
+def forward(net: DenseNetwork, batch: np.ndarray, chain: bool = True) -> list[np.ndarray]:
     """Run the batch through every layer.
 
     Returns the activation chain ``[input, a_1, ..., a_L]``; the last entry is
     the network output.  Keeping the chain is what lets ``backward`` avoid
-    recomputation.
+    recomputation.  With ``chain=False`` only ``[input, output]`` is returned
+    and each hidden activation is freed once the next layer has read it.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2:
@@ -174,12 +188,14 @@ def forward(net: DenseNetwork, batch: np.ndarray) -> list[np.ndarray]:
     acts = [batch]
     a = batch
     for layer in net.layers:
-        z = a @ layer.weights.T + layer.biases
+        z = a @ layer.weights.T
+        z += layer.biases
         a = _apply_activation(z, layer.activation)
-        acts.append(a)
+        if chain:
+            acts.append(a)
     if a.size:
         _check_finite(a, "forward output")
-    return acts
+    return acts if chain else [batch, a]
 
 
 def bce_loss(predictions: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -201,22 +217,30 @@ def bce_loss(predictions: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
 
 
 def backward(
-    net: DenseNetwork, activations: list[np.ndarray], loss_gradient: np.ndarray
+    net: DenseNetwork,
+    activations: list[np.ndarray],
+    loss_gradient: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> list[np.ndarray]:
     """Backpropagate dLoss/dOutput through the network.
 
     ``activations`` is the chain produced by :func:`forward` on the same net;
     ``loss_gradient`` is the gradient w.r.t. the final (post-activation)
-    output.  Returns gradients aligned with ``net.parameters()``.
+    output.  The gradients are written into ``out`` (a vector laid out like
+    ``net.flat``, allocated when omitted) and returned as its views, aligned
+    with ``net.parameters()``.
     """
-    grads, _ = backward_with_input(net, activations, loss_gradient)
-    return grads
+    return _backpropagate(net, activations, loss_gradient, out, False)[0]
 
 
 def backward_with_input(
     net: DenseNetwork, activations: list[np.ndarray], loss_gradient: np.ndarray
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Like :func:`backward` but also returns dLoss/dInput (VAE chaining needs it)."""
+    return _backpropagate(net, activations, loss_gradient, None, True)
+
+
+def _backpropagate(net, activations, loss_gradient, out, input_gradient: bool):
     if len(activations) != len(net.layers) + 1:
         raise ValueError(
             f"activation chain has {len(activations)} entries, "
@@ -228,64 +252,49 @@ def backward_with_input(
             f"loss gradient shape {delta.shape} does not match output "
             f"shape {activations[-1].shape}"
         )
-    grads: list[np.ndarray] = [np.empty(0)] * (2 * len(net.layers))
+    grads = net.split(np.empty_like(net.flat) if out is None else out)
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
         a_out = activations[i + 1]
         a_in = activations[i]
         if a_in.shape[1] != layer.in_dim:
             raise ValueError(f"stale activations at layer {i}")
-        dz = delta * _activation_grad_from_output(a_out, layer.activation)
-        grads[2 * i] = dz.T @ a_in
-        grads[2 * i + 1] = dz.sum(axis=0)
-        delta = dz @ layer.weights
-    for g in grads:
-        if g.size:
-            _check_finite(g, "backward gradients")
+        # the activation's derivative, expressed through its output
+        if layer.activation == RELU:
+            dz = np.multiply(delta, a_out > 0.0)
+        elif layer.activation == SIGMOID:
+            dz = delta * (a_out * (1.0 - a_out))
+        else:
+            dz = delta
+        np.matmul(dz.T, a_in, out=grads[2 * i])
+        dz.sum(axis=0, out=grads[2 * i + 1])
+        # layer 0's input gradient is dLoss/dInput, which only the VAE uses
+        if i or input_gradient:
+            delta = dz @ layer.weights
     return grads, delta
+
+
+# Adam's moment decay rates and denominator guard: the published defaults
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
 
 
 @dataclass
 class AdamState:
-    """Adam moments and step counter for a flat list of parameter arrays."""
+    """Adam step counter and moments, one array each per parameter array (the
+    tier trainer has one: its network's ``flat`` vector)."""
 
     t: int
     m: list[np.ndarray]
     v: list[np.ndarray]
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-
-    def __post_init__(self):
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must lie in (0, 1)")
-        if self.t < 0:
-            raise ValueError("step counter must be >= 0")
 
     @classmethod
-    def create(
-        cls,
-        params: list[np.ndarray],
-        learning_rate: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-    ) -> "AdamState":
-        return cls(
-            t=0,
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-            learning_rate=learning_rate,
-            beta1=beta1,
-            beta2=beta2,
-            epsilon=epsilon,
-        )
+    def create(cls, params: list[np.ndarray], learning_rate: float) -> "AdamState":
+        m = [np.zeros_like(p) for p in params]
+        return cls(0, m, [np.zeros_like(p) for p in params], learning_rate)
 
 
-def adam_step(
-    state: AdamState, params: list[np.ndarray], grads: list[np.ndarray]
-) -> tuple[list[np.ndarray], AdamState]:
+def adam_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
     """One Adam update, in place, with bias-corrected moments.
 
     t is incremented before the update; the applied step is
@@ -299,18 +308,16 @@ def adam_step(
         if p.shape != m.shape or p.shape != v.shape:
             raise ValueError("Adam state shape does not mirror parameters")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1**state.t
-    bc2 = 1.0 - b2**state.t
+    bc1 = 1.0 - BETA1**state.t
+    bc2 = 1.0 - BETA2**state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        p -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + EPSILON)
         if p.size:
             _check_finite(p, "parameters after Adam step")
-    return params, state
 
 
 @dataclass
@@ -331,11 +338,8 @@ class WeightSnapshot:
 
 
 def take_snapshot(net: DenseNetwork, tag: str) -> WeightSnapshot:
-    return WeightSnapshot(
-        tag,
-        [layer.weights.copy() for layer in net.layers],
-        [layer.biases.copy() for layer in net.layers],
-    )
+    params = net.split(net.flat.copy())
+    return WeightSnapshot(tag, params[0::2], params[1::2])
 
 
 def accuracy(predictions: np.ndarray, labels: np.ndarray, threshold: float = 0.5) -> float:

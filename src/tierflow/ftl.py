@@ -15,7 +15,6 @@ of the schedule are bit-identical over that prefix.
 from __future__ import annotations
 
 import copy
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -38,6 +37,7 @@ from .engine import (
     adam_step,
     backward,
     bce_loss,
+    check_sizes_and_rate,
     forward,
     init_network,
     take_snapshot,
@@ -74,14 +74,7 @@ class TrainSchedule:
             raise ValueError("schedule needs at least one step")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(
-                f"learning_rate must be finite and > 0, got {self.learning_rate}"
-            )
-        if any(size < 1 for size in self.hidden_layers):
-            raise ValueError(
-                f"hidden layer sizes must be >= 1, got {list(self.hidden_layers)}"
-            )
+        check_sizes_and_rate("hidden layer", self.hidden_layers, self.learning_rate)
         for step in self.steps:
             if step.tier.overlaps(self.validation_tier):
                 raise ValueError(
@@ -223,7 +216,7 @@ def evaluate(net: DenseNetwork, x: np.ndarray, y: np.ndarray) -> tuple[float, fl
     """Mean BCE and threshold-0.5 accuracy over the rows of ``x``; pure function."""
     if not len(y):
         raise ValueError("evaluate needs a non-empty example set")
-    out = forward(net, x)[-1].reshape(-1)
+    out = forward(net, x, chain=False)[-1].reshape(-1)
     loss, _ = bce_loss(out, y)
     return loss, accuracy(out, y)
 
@@ -256,12 +249,12 @@ def train_ftl(
             list(schedule.hidden_layers) + [1], ctx.feature_dim, None,
             RngStream(derive_seed(schedule.seed, "init")),
         )
-        adam = AdamState.create(net.parameters(), schedule.learning_rate)
+        adam = AdamState.create([net.flat], schedule.learning_rate)
     else:
         val_pos, val_negs = start.validation_positives, start.validation_negatives
         val_x, val_y = start.validation
-        net, adam = copy.deepcopy((start.network, start.adam))
-    params = net.parameters()
+        net, adam = start.network.copy(), copy.deepcopy(start.adam)
+    params, grad = [net.flat], np.empty_like(net.flat)
     val_keys = np.concatenate([val_pos, val_negs])
     forbidden = np.union1d(ctx.positive_keys, val_negs)
     stop_step, stop_epoch = stop or (len(schedule.steps), schedule.steps[-1].epochs)
@@ -297,9 +290,9 @@ def train_ftl(
             for at in range(0, n, schedule.batch_size):
                 idx = order[at:at + schedule.batch_size]
                 acts = forward(net, x[idx])
-                _, grad = bce_loss(acts[-1], y[idx])
-                grads = backward(net, acts, grad)
-                adam_step(adam, params, grads)
+                _, loss_grad = bce_loss(acts[-1], y[idx])
+                backward(net, acts, loss_grad, grad)
+                adam_step(adam, params, [grad])
             train_loss, train_acc = evaluate(net, x, y)
             val_loss, val_acc = evaluate(net, val_x, val_y)
             log.append(k, epoch, "train", train_loss, train_acc)
@@ -399,8 +392,12 @@ def run_experiment(
         outcomes = [_run_arm(name, schedule, ctx) for name, schedule in arms.items()]
     else:
         from concurrent.futures import ProcessPoolExecutor
+        from functools import partial
 
-        with ProcessPoolExecutor(max_workers=min(jobs, len(arms))) as pool:
+        # workers take the caller's floating-point error policy, which only a
+        # forked worker would inherit
+        initializer = partial(np.seterr, **np.geterr())
+        with ProcessPoolExecutor(min(jobs, len(arms)), initializer=initializer) as pool:
             outcomes = list(
                 pool.map(_run_arm, arms.keys(), arms.values(), [ctx] * len(arms))
             )

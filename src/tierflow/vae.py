@@ -23,10 +23,10 @@ from .engine import (
     RELU,
     SIGMOID,
     AdamState,
-    DenseLayer,
     DenseNetwork,
     adam_step,
     backward_with_input,
+    check_sizes_and_rate,
     forward,
     init_network,
 )
@@ -49,6 +49,7 @@ class VaeConfig:
             raise ValueError(f"latent_dim must be >= 1, got {self.latent_dim}")
         if not self.encoder_hidden:
             raise ValueError("encoder_hidden must be non-empty")
+        check_sizes_and_rate("encoder_hidden", self.encoder_hidden, self.learning_rate)
         if self.input_dim < 1 or self.batch_size < 1 or self.epochs < 0:
             raise ValueError("input_dim and batch_size must be >= 1, epochs >= 0")
 
@@ -63,16 +64,20 @@ def chemical_preset() -> VaeConfig:
     return VaeConfig(1024, (256, 128), 64, 500, 1000, 1e-4)
 
 
+# a model's networks, in checkpoint and parameter order
+_PARTS = ("encoder_trunk", "mu_head", "logvar_head", "decoder")
+
+
 @dataclass
 class VaeModel:
     encoder_trunk: DenseNetwork
-    mu_head: DenseLayer
-    logvar_head: DenseLayer
+    mu_head: DenseNetwork
+    logvar_head: DenseNetwork
     decoder: DenseNetwork
 
     def __post_init__(self):
-        latent = self.mu_head.out_dim
-        if self.logvar_head.out_dim != latent:
+        latent = self.mu_head.output_dim
+        if self.logvar_head.output_dim != latent:
             raise ValueError("mu and logvar heads must share the latent width")
         if self.decoder.input_dim != latent:
             raise ValueError("decoder input width must equal the latent width")
@@ -85,15 +90,10 @@ class VaeModel:
 
     @property
     def latent_dim(self) -> int:
-        return self.mu_head.out_dim
+        return self.mu_head.output_dim
 
     def parameters(self) -> list[np.ndarray]:
-        return (
-            self.encoder_trunk.parameters()
-            + self.mu_head.parameters()
-            + self.logvar_head.parameters()
-            + self.decoder.parameters()
-        )
+        return [p for part in _PARTS for p in getattr(self, part).parameters()]
 
 
 def build_vae(config: VaeConfig, rng: RngStream) -> VaeModel:
@@ -105,19 +105,12 @@ def build_vae(config: VaeConfig, rng: RngStream) -> VaeModel:
         )
     hidden = list(config.encoder_hidden)
     trunk = init_network(hidden, config.input_dim, [RELU] * len(hidden), rng)
-    head_in = hidden[-1]
-    mu_head = _init_head(config.latent_dim, head_in, rng)
-    logvar_head = _init_head(config.latent_dim, head_in, rng)
+    mu_head = init_network([config.latent_dim], hidden[-1], [IDENTITY], rng)
+    logvar_head = init_network([config.latent_dim], hidden[-1], [IDENTITY], rng)
     decoder_sizes = hidden[::-1] + [config.input_dim]
     decoder_acts = [RELU] * (len(decoder_sizes) - 1) + [SIGMOID]
     decoder = init_network(decoder_sizes, config.latent_dim, decoder_acts, rng)
     return VaeModel(trunk, mu_head, logvar_head, decoder)
-
-
-def _init_head(out_dim: int, in_dim: int, rng: RngStream) -> DenseLayer:
-    limit = np.sqrt(6.0 / (in_dim + out_dim))
-    w = rng.uniform(-limit, limit, size=out_dim * in_dim).reshape(out_dim, in_dim)
-    return DenseLayer(w, np.zeros(out_dim), IDENTITY)
 
 
 def reparameterize(mu: np.ndarray, logvar: np.ndarray, rng: RngStream) -> np.ndarray:
@@ -157,16 +150,11 @@ def vae_loss(
     return recon + kl, recon, kl
 
 
-def _head_forward(layer: DenseLayer, h: np.ndarray) -> np.ndarray:
-    return h @ layer.weights.T + layer.biases
-
-
 @dataclass
 class _VaeCache:
     trunk_acts: list[np.ndarray]
     mu: np.ndarray
     logvar: np.ndarray
-    z: np.ndarray
     eta: np.ndarray
     decoder_acts: list[np.ndarray]
 
@@ -174,11 +162,11 @@ class _VaeCache:
 def _vae_forward(model: VaeModel, batch: np.ndarray, eta: np.ndarray) -> _VaeCache:
     trunk_acts = forward(model.encoder_trunk, batch)
     h = trunk_acts[-1]
-    mu = _head_forward(model.mu_head, h)
-    logvar = _head_forward(model.logvar_head, h)
+    mu = forward(model.mu_head, h)[-1]
+    logvar = forward(model.logvar_head, h)[-1]
     z = mu + np.exp(0.5 * logvar) * eta
     decoder_acts = forward(model.decoder, z)
-    return _VaeCache(trunk_acts, mu, logvar, z, eta, decoder_acts)
+    return _VaeCache(trunk_acts, mu, logvar, eta, decoder_acts)
 
 
 def _vae_backward(
@@ -199,14 +187,12 @@ def _vae_backward(
     d_logvar += 0.5 * np.expm1(cache.logvar) / n
 
     h = cache.trunk_acts[-1]
-    mu_w_grad = d_mu.T @ h
-    mu_b_grad = d_mu.sum(axis=0)
-    lv_w_grad = d_logvar.T @ h
-    lv_b_grad = d_logvar.sum(axis=0)
-    d_h = d_mu @ model.mu_head.weights + d_logvar @ model.logvar_head.weights
+    mu_grads, d_h = backward_with_input(model.mu_head, [h, cache.mu], d_mu)
+    lv_grads, d_h_lv = backward_with_input(model.logvar_head, [h, cache.logvar], d_logvar)
+    d_h += d_h_lv
     trunk_grads, _ = backward_with_input(model.encoder_trunk, cache.trunk_acts, d_h)
 
-    return trunk_grads + [mu_w_grad, mu_b_grad, lv_w_grad, lv_b_grad] + dec_grads
+    return trunk_grads + mu_grads + lv_grads + dec_grads
 
 
 @dataclass
@@ -286,38 +272,21 @@ def embed(model: VaeModel, store: BitVectorStore) -> LatentStore:
     for at in range(0, len(keys), 4096):
         chunk = keys[at:at + 4096]
         batch = np.stack([store.entries[k] for k in chunk]).astype(np.float64)
-        h = forward(model.encoder_trunk, batch)[-1]
-        mu = _head_forward(model.mu_head, h)
+        h = forward(model.encoder_trunk, batch, chain=False)[-1]
+        mu = forward(model.mu_head, h)[-1]
         for k, row in zip(chunk, mu):
             out[k] = row.copy()
     return LatentStore(out)
 
 
-def _layer_doc(layer: DenseLayer) -> dict:
-    return ckpt.network_to_dict(DenseNetwork([layer], layer.in_dim))
-
-
 def save_vae(model: VaeModel, path) -> None:
-    doc = {
-        "vae": {
-            "encoder_trunk": ckpt.network_to_dict(model.encoder_trunk),
-            "mu_head": _layer_doc(model.mu_head),
-            "logvar_head": _layer_doc(model.logvar_head),
-            "decoder": ckpt.network_to_dict(model.decoder),
-        }
-    }
+    doc = {"vae": {part: ckpt.network_to_dict(getattr(model, part)) for part in _PARTS}}
     Path(path).write_text(ckpt.dumps(doc) + "\n", encoding="utf-8")
 
 
 def load_vae(path) -> VaeModel:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        body = doc["vae"]
-        return VaeModel(
-            encoder_trunk=ckpt.network_from_dict(body["encoder_trunk"]),
-            mu_head=ckpt.network_from_dict(body["mu_head"]).layers[0],
-            logvar_head=ckpt.network_from_dict(body["logvar_head"]).layers[0],
-            decoder=ckpt.network_from_dict(body["decoder"]),
-        )
+        body = json.loads(Path(path).read_text(encoding="utf-8"))["vae"]
+        return VaeModel(**{part: ckpt.network_from_dict(body[part]) for part in _PARTS})
     except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise DataError(f"malformed VAE checkpoint {path}: {exc}") from exc

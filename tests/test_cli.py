@@ -284,13 +284,17 @@ def test_diagnose_without_two_step_arm_exit_1(tmp_path):
     assert main(["diagnose", "--config", config, "--out", str(tmp_path / "o")]) == 1
 
 
-def run_cli(*argv):
+def run_python(*args):
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "tierflow", *argv], capture_output=True, text=True,
+        [sys.executable, *args], capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=path), timeout=120,
     )
+
+
+def run_cli(*argv):
+    return run_python("-m", "tierflow", *argv)
 
 
 def missing_data_doc():
@@ -400,8 +404,12 @@ def test_bad_feature_file_exit_2(tmp_path, compounds, proteins, bad):
     ("synth", with_field(SYNTH_DOC, ["tiers", 0, "count"], 400.7),
      "synth.tiers[0].count: expected an integer, got 400.7"),
     ("synth", {**SYNTH_DOC, "seed": "7"}, "synth.seed: expected an integer, got '7'"),
+    ("embed", {**VAE_DOC, "encoder_hidden": [0]},
+     "vae: encoder_hidden sizes must be >= 1, got [0]"),
+    ("embed", {"preset": "chemical", "learning_rate": -1},
+     "vae: learning_rate must be finite and > 0, got -1.0"),
 ], ids=["preset-epochs-string", "preset-batch-0", "preset-lr-string", "vae-seed-float",
-        "synth-count-float", "synth-seed-string"])
+        "synth-count-float", "synth-seed-string", "vae-hidden-0", "preset-lr-negative"])
 def test_invalid_synth_or_vae_document_exit_1(tmp_path, command, doc, message, dry_run):
     config = write_json(tmp_path / "config.json", doc)
     out = tmp_path / "o"
@@ -414,24 +422,96 @@ def test_invalid_synth_or_vae_document_exit_1(tmp_path, command, doc, message, d
     assert not (out / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("ghost_score, code", [(800, 2), (100, 0)],
-                         ids=["in-trained-tier", "below-every-tier"])
-def test_unknown_compound_id(tmp_path, ghost_score, code):
-    # 10 x 10 grid of 2-wide latents, three positives per compound
+def write_grid_data(root, compound_rows=None, protein_rows=None, extra_rows=()):
+    """A 10 x 10 grid of 2-wide latents, three positives per compound, as a data doc.
+
+    ``compound_rows``/``protein_rows`` replace the latent values of some ids.
+    """
     rows = [f"C{i}\tP{(i + shift) % 10}\t{score}\n"
             for i in range(10) for shift, score in ((0, 950), (1, 800), (2, 500))]
-    rows.append(f"GHOST\tP0\t{ghost_score}\n")
-    (tmp_path / "interactions.tsv").write_text("".join(rows), encoding="utf-8")
-    for prefix, name in (("C", "compounds.tsv"), ("P", "proteins.tsv")):
-        (tmp_path / name).write_text(
-            "".join(f"{prefix}{i}\t{i / 10},{1 - i / 10}\n" for i in range(10)),
-            encoding="utf-8",
-        )
-    doc = {**missing_data_doc(), "data": {
+    rows += extra_rows
+    (root / "interactions.tsv").write_text("".join(rows), encoding="utf-8")
+    for prefix, name, special in (("C", "compounds.tsv", compound_rows or {}),
+                                  ("P", "proteins.tsv", protein_rows or {})):
+        (root / name).write_text("".join(
+            f"{prefix}{i}\t{special.get(i, f'{i / 10},{1 - i / 10}')}\n" for i in range(10)
+        ), encoding="utf-8")
+    return {**missing_data_doc(), "data": {
         "interactions": "interactions.tsv",
         "compound_features": "compounds.tsv",
         "protein_features": "proteins.tsv",
     }}
+
+
+@pytest.mark.parametrize("dry_run", [True, False])
+def test_non_utf8_config_exit_1(tmp_path, dry_run):
+    config = tmp_path / "exp.json"
+    config.write_bytes(b'{"seed": 3, "note": "\xff"}')
+    out = tmp_path / "o"
+    proc = run_cli("train", "--config", str(config), "--out", str(out),
+                   *(["--dry-run"] if dry_run else []))
+    assert proc.returncode == 1
+    [line] = proc.stderr.splitlines()
+    assert line.startswith(f"ERROR: config error: cannot read config {config}: ")
+    assert "can't decode byte 0xff" in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["interactions.tsv", "compounds.tsv"])
+def test_non_utf8_data_file_exit_2(tmp_path, bad):
+    doc = write_grid_data(tmp_path)
+    path = tmp_path / bad
+    path.write_bytes(path.read_bytes().replace(b"C7", b"C\xff"))
+    out = tmp_path / "o"
+    proc = run_cli("train", "--config", write_json(tmp_path / "exp.json", doc),
+                   "--out", str(out))
+    assert proc.returncode == 2
+    [line] = proc.stderr.splitlines()
+    assert line.startswith(f"ERROR: data error: {path}: not UTF-8 text: ")
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("dry_run", [True, False])
+@pytest.mark.parametrize("nested", [False, True])
+def test_out_naming_a_file_exit_1(tmp_path, synth_config, dry_run, nested):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n", encoding="utf-8")
+    out = taken / "sub" if nested else taken
+    proc = run_cli("synth", "--config", synth_config, "--out", str(out),
+                   *(["--dry-run"] if dry_run else []))
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        f"ERROR: config error: --out {out}: {taken} is not a writable directory"
+    ]
+    assert taken.read_text(encoding="utf-8") == "not a directory\n"
+
+
+@pytest.mark.parametrize("start_method", [None, "spawn"])
+def test_overflow_in_training_exit_3(tmp_path, start_method):
+    # C3 and P4 form a [700, 900) positive; with seed 3 the first layer's
+    # pre-activations overflow on that pair.  Arms run in spawned workers,
+    # which do not inherit the parent's floating-point error state, must
+    # fail the same way.
+    doc = write_grid_data(tmp_path, {3: "1e308,1e308"}, {4: "1e308,1e308"})
+    out = tmp_path / "o"
+    argv = ["train", "--config", write_json(tmp_path / "exp.json", doc), "--out", str(out)]
+    if start_method is None:
+        proc = run_cli(*argv)
+    else:
+        script = ("import multiprocessing, sys; multiprocessing.set_start_method(sys.argv[1]);"
+                  " from tierflow.cli import main; sys.exit(main(sys.argv[2:]))")
+        proc = run_python("-c", script, start_method, *argv, "--jobs", "2")
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == [
+        "ERROR: numeric failure: overflow encountered in matmul"
+    ]
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("ghost_score, code", [(800, 2), (100, 0)],
+                         ids=["in-trained-tier", "below-every-tier"])
+def test_unknown_compound_id(tmp_path, ghost_score, code):
+    doc = write_grid_data(tmp_path, extra_rows=[f"GHOST\tP0\t{ghost_score}\n"])
     out = tmp_path / "o"
     proc = run_cli("train", "--config", write_json(tmp_path / "exp.json", doc),
                    "--out", str(out))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tierflow.checkpoint import network_from_dict, network_to_dict
 from tierflow.engine import (
     IDENTITY,
     RELU,
@@ -15,6 +16,7 @@ from tierflow.engine import (
     accuracy,
     adam_step,
     backward,
+    backward_with_input,
     bce_loss,
     forward,
     init_network,
@@ -64,6 +66,34 @@ def test_network_width_chaining_enforced():
     bad = DenseLayer(np.zeros((2, 4)), np.zeros(2), RELU)
     with pytest.raises(ValueError):
         DenseNetwork([good, bad], 2)
+
+
+def assert_views_alias_flat(net):
+    """Every layer's arrays are views into ``net.flat``, in ``parameters()`` order."""
+    params = net.parameters()
+    assert np.array_equal(np.concatenate([p.ravel() for p in params]), net.flat)
+    for p in params:
+        assert p.base is net.flat
+    net.flat += 1.0  # a write through the vector shows in every layer
+    assert np.array_equal(np.concatenate([p.ravel() for p in params]), net.flat)
+    net.flat -= 1.0
+
+
+def test_layers_alias_flat_vector():
+    net = init_network([5, 3, 1], 4, rng=RngStream(7))
+    assert net.flat.size == 4 * 5 + 5 + 5 * 3 + 3 + 3 + 1
+    assert_views_alias_flat(net)
+    assert_views_alias_flat(network_from_dict(network_to_dict(net)))
+    copied = net.copy()
+    assert_views_alias_flat(copied)
+    assert not np.shares_memory(copied.flat, net.flat)
+
+
+def test_network_does_not_rehome_callers_layers():
+    layer = DenseLayer(np.ones((2, 3)), np.zeros(2), IDENTITY)
+    weights = layer.weights
+    net = DenseNetwork([layer], 3)
+    assert layer.weights is weights and not np.shares_memory(weights, net.flat)
 
 
 # ---------------------------------------------------------------- forward
@@ -199,6 +229,24 @@ def test_backward_matches_finite_differences():
     x = rng.uniform(-1, 1, size=40).reshape(8, 5)
     y = (rng.uniform(size=8) < 0.5).astype(float)
     assert _finite_difference_check(net, x, y) < 1e-4
+
+
+def test_backward_matches_backward_with_input_bitwise():
+    rng = RngStream(41)
+    net = init_network([9, 6, 4, 1], 7, [RELU, SIGMOID, RELU, SIGMOID], rng)
+    x = rng.uniform(-2, 2, size=35 * 7).reshape(35, 7)
+    y = (rng.uniform(size=35) < 0.5).astype(float)
+    acts = forward(net, x)
+    _, g = bce_loss(acts[-1], y)
+    out = np.full_like(net.flat, np.nan)
+    grads = backward(net, acts, g, out)
+    reference, _ = backward_with_input(net, acts, g)
+    assert all(a.base is out for a in grads)
+    assert np.concatenate([r.ravel() for r in reference]).tobytes() == out.tobytes()
+    # the chain-free forward gives the same output bits
+    lean = forward(net, x, chain=False)
+    assert len(lean) == 2 and lean[0] is acts[0]
+    assert lean[-1].tobytes() == acts[-1].tobytes()
 
 
 def test_backward_stale_activations_rejected():

@@ -233,3 +233,7 @@ def test_forked_run_resumes_bit_identical(tiny_ctx, fork_at):
     # the fork itself is left untouched by the continuation
     again = train_ftl(sched, tiny_ctx, start=head)
     assert again.log.records == tail.log.records
+    for net in (head.network, tail.network, again.network):
+        for p in net.parameters():
+            assert p.base is net.flat
+    assert not np.shares_memory(tail.network.flat, head.network.flat)

@@ -84,3 +84,15 @@ def test_spawn_independent_of_parent_state():
     parent.uniform(size=100)
     child_b = parent.spawn("x")
     assert np.array_equal(child_a.uniform(size=8), child_b.uniform(size=8))
+
+
+@given(
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.integers(min_value=0, max_value=20_000),
+    st.integers(min_value=0, max_value=1_000),
+)
+def test_permutation_equals_stable_argsort(seed, n, skip):
+    # draws within a block are distinct, so the sort's stability cannot matter
+    a, b = RngStream(seed), RngStream(seed)
+    a.uniform(size=skip), b.uniform(size=skip)
+    assert np.array_equal(a.permutation(n), np.argsort(b._raw(n), kind="stable"))

@@ -39,8 +39,8 @@ def random_store(n, width, seed=0, density=0.5):
 def test_build_protein_preset_shapes():
     model = build_vae(protein_preset(), RngStream(0))
     assert [l.out_dim for l in model.encoder_trunk.layers] == [2048, 512]
-    assert model.mu_head.out_dim == 128
-    assert model.logvar_head.out_dim == 128
+    assert model.mu_head.output_dim == 128
+    assert model.logvar_head.output_dim == 128
     assert [l.out_dim for l in model.decoder.layers] == [512, 2048, 5508]
     assert model.decoder.layers[-1].activation == "sigmoid"
     latents = embed(model, random_store(3, 5508, seed=1))
