@@ -26,9 +26,17 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def format_floats(arr: np.ndarray, sep: str) -> str:
+    """``sep.join(map(format_float, arr.ravel()))`` in one formatting call."""
+    values = arr.ravel().tolist()
+    return sep.join(["%.17g"] * len(values)) % tuple(values)
+
+
 def _render(obj, pieces: list[str]) -> None:
     # Minimal JSON writer so float rendering stays under our control.
-    if isinstance(obj, dict):
+    if isinstance(obj, np.ndarray):
+        pieces.append("[" + format_floats(obj, ", ") + "]")
+    elif isinstance(obj, dict):
         pieces.append("{")
         for i, (k, v) in enumerate(obj.items()):
             if i:
@@ -65,6 +73,11 @@ def dumps(obj) -> str:
 
 
 def network_to_dict(net: DenseNetwork) -> dict:
+    """The checkpoint document of ``net``, for immediate rendering only.
+
+    Its ``weights`` and ``biases`` are views of the live parameters, not
+    copies: a later training step changes them.
+    """
     return {
         "input_dim": net.input_dim,
         "layers": [
@@ -72,8 +85,8 @@ def network_to_dict(net: DenseNetwork) -> dict:
                 "rows": layer.weights.shape[0],
                 "cols": layer.weights.shape[1],
                 "activation": layer.activation,
-                "weights": [float(x) for x in layer.weights.ravel()],
-                "biases": [float(x) for x in layer.biases],
+                "weights": layer.weights,
+                "biases": layer.biases,
             }
             for layer in net.layers
         ],

@@ -5,7 +5,7 @@ File formats (UTF-8, LF):
 * bit-vector store: first line ``#width=<int>``, then ``id<TAB><01-string>``
 * interaction table: ``compound_id<TAB>protein_id<TAB>score`` with integer
   scores in [0, 1000], no header
-* latent store: ``id<TAB>v1,v2,...`` with 17-significant-digit floats
+* latent store: ``id<TAB>v1,v2,...`` with finite 17-significant-digit floats
 * synthetic oracle: ``compound_id<TAB>protein_id<TAB>true_label``
 """
 
@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import format_float
+from .checkpoint import format_floats
 from .errors import ConfigError, DataError
 from .rng import RngStream
 
@@ -128,7 +128,8 @@ def load_bitvectors(path: str | Path) -> BitVectorStore:
 def save_bitvectors(store: BitVectorStore, path: str | Path) -> None:
     lines = [f"#width={store.width}"]
     for key, vec in store.entries.items():
-        lines.append(key + "\t" + "".join("1" if b else "0" for b in vec))
+        bits = ((vec != 0).view(np.uint8) + ord("0")).tobytes().decode("ascii")
+        lines.append(key + "\t" + bits)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -147,9 +148,13 @@ def load_latents(path: str | Path) -> LatentStore:
             if key in entries:
                 raise DataError(f"{path}:{lineno}: duplicate id {key!r}")
             try:
-                entries[key] = np.array([float(v) for v in values.split(",")])
+                vec = list(map(float, values.split(",")))
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: bad float: {exc}") from exc
+            # a nan or inf makes the sum non-finite; so can finite values that overflow
+            if not math.isfinite(sum(vec)) and not all(map(math.isfinite, vec)):
+                raise DataError(f"{path}:{lineno}: non-finite value in vector for {key!r}")
+            entries[key] = np.array(vec)
     try:
         return LatentStore(entries)
     except ValueError as exc:
@@ -158,7 +163,7 @@ def load_latents(path: str | Path) -> LatentStore:
 
 def save_latents(store: LatentStore, path: str | Path) -> None:
     lines = [
-        key + "\t" + ",".join(format_float(x) for x in vec)
+        key + "\t" + format_floats(vec, ",")
         for key, vec in store.entries.items()
     ]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")

@@ -25,6 +25,7 @@ from .engine import (
     AdamState,
     DenseNetwork,
     adam_step,
+    backward,
     backward_with_input,
     check_sizes_and_rate,
     forward,
@@ -190,7 +191,7 @@ def _vae_backward(
     mu_grads, d_h = backward_with_input(model.mu_head, [h, cache.mu], d_mu)
     lv_grads, d_h_lv = backward_with_input(model.logvar_head, [h, cache.logvar], d_logvar)
     d_h += d_h_lv
-    trunk_grads, _ = backward_with_input(model.encoder_trunk, cache.trunk_acts, d_h)
+    trunk_grads = backward(model.encoder_trunk, cache.trunk_acts, d_h)
 
     return trunk_grads + mu_grads + lv_grads + dec_grads
 

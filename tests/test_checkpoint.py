@@ -1,17 +1,25 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from tierflow.checkpoint import (
     dumps,
     format_float,
+    format_floats,
     load_network,
     network_from_dict,
     network_to_dict,
     save_network,
 )
+from tierflow.data import LatentStore, save_latents
 from tierflow.engine import init_network
 from tierflow.errors import DataError
 from tierflow.rng import RngStream
+from tierflow.vae import VaeConfig, build_vae, save_vae
 
 
 def test_format_float_round_trips_exactly():
@@ -62,7 +70,106 @@ def test_load_rejects_invalid_json(tmp_path):
 
 
 def test_dumps_matches_stdlib_structure():
-    import json
-
     doc = {"a": 1, "b": [0.5, "x", None, True], "c": {"d": -2}}
     assert json.loads(dumps(doc)) == doc
+
+
+def test_dumps_rejects_unsupported_type():
+    with pytest.raises(TypeError, match="cannot serialize set"):
+        dumps({"a": [1.0, {2.0}]})
+
+
+# ---------------------------------------------------------------- array writer
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308,
+                  float("nan"), float("inf"), float("-inf"), 1 / 3]
+
+
+@given(
+    arr=arrays(np.float64, array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=6),
+               elements=st.floats(allow_nan=True, allow_infinity=True)
+               | st.sampled_from(SPECIAL_FLOATS)),
+    sep=st.sampled_from([", ", ","]),
+)
+@example(arr=np.array([]), sep=", ")
+@example(arr=np.array(SPECIAL_FLOATS), sep=",")
+@example(arr=np.array([[1.0, 2.0], [3.0, 4.5]]), sep=", ")
+def test_format_floats_equals_per_float_join(arr, sep):
+    assert format_floats(arr, sep) == sep.join(map(format_float, arr.ravel()))
+
+
+def reference_render(obj, pieces):
+    """The per-float JSON writer the array writer replaced, kept as the oracle."""
+    if isinstance(obj, dict):
+        pieces.append("{")
+        for i, (k, v) in enumerate(obj.items()):
+            if i:
+                pieces.append(", ")
+            pieces.append(json.dumps(k))
+            pieces.append(": ")
+            reference_render(v, pieces)
+        pieces.append("}")
+    elif isinstance(obj, (list, tuple)):
+        pieces.append("[")
+        for i, v in enumerate(obj):
+            if i:
+                pieces.append(", ")
+            reference_render(v, pieces)
+        pieces.append("]")
+    elif isinstance(obj, bool):
+        pieces.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        pieces.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        pieces.append(format_float(obj))
+    elif isinstance(obj, str):
+        pieces.append(json.dumps(obj))
+    elif obj is None:
+        pieces.append("null")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def reference_dumps(obj) -> str:
+    pieces = []
+    reference_render(obj, pieces)
+    return "".join(pieces)
+
+
+def reference_network_doc(net):
+    return {
+        "input_dim": net.input_dim,
+        "layers": [
+            {
+                "rows": layer.weights.shape[0],
+                "cols": layer.weights.shape[1],
+                "activation": layer.activation,
+                "weights": [float(x) for x in layer.weights.ravel()],
+                "biases": [float(x) for x in layer.biases],
+            }
+            for layer in net.layers
+        ],
+    }
+
+
+def test_writers_match_per_float_reference_bytes(tmp_path):
+    net = init_network([5, 3, 1], 4, rng=RngStream(17))
+    finite = [x for x in SPECIAL_FLOATS if np.isfinite(x)]
+    net.flat[:len(finite)] = finite
+    save_network(net, tmp_path / "net.json")
+    assert (tmp_path / "net.json").read_text(encoding="utf-8") == (
+        reference_dumps(reference_network_doc(net)) + "\n"
+    )
+
+    model = build_vae(VaeConfig(12, (6, 4), 3, 1, 4, 1e-3), RngStream(5))
+    save_vae(model, tmp_path / "vae.json")
+    parts = ("encoder_trunk", "mu_head", "logvar_head", "decoder")
+    doc = {"vae": {part: reference_network_doc(getattr(model, part)) for part in parts}}
+    assert (tmp_path / "vae.json").read_text(encoding="utf-8") == reference_dumps(doc) + "\n"
+
+    rows = {"a": np.array(SPECIAL_FLOATS[:5]), "b": np.array(SPECIAL_FLOATS[5:])}
+    save_latents(LatentStore(rows), tmp_path / "latents.tsv")
+    assert (tmp_path / "latents.tsv").read_text(encoding="utf-8") == "".join(
+        key + "\t" + ",".join(format_float(x) for x in vec) + "\n"
+        for key, vec in rows.items()
+    )

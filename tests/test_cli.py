@@ -471,6 +471,20 @@ def test_non_utf8_data_file_exit_2(tmp_path, bad):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_latent_exit_2(tmp_path, value):
+    doc = write_grid_data(tmp_path, {3: f"{value},0.5"})
+    out = tmp_path / "o"
+    proc = run_cli("train", "--config", write_json(tmp_path / "exp.json", doc),
+                   "--out", str(out))
+    assert proc.returncode == 2
+    [line] = proc.stderr.splitlines()
+    assert line.startswith(
+        f"ERROR: data error: {tmp_path / 'compounds.tsv'}:4: non-finite value "
+    )
+    assert not (out / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("dry_run", [True, False])
 @pytest.mark.parametrize("nested", [False, True])
 def test_out_naming_a_file_exit_1(tmp_path, synth_config, dry_run, nested):

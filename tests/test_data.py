@@ -104,6 +104,13 @@ def test_bitvector_round_trip(tmp_path):
         assert np.array_equal(loaded.entries[key], store.entries[key])
 
 
+def test_bitvector_writer_marks_every_nonzero_byte(tmp_path):
+    vec = np.arange(256, dtype=np.uint8)
+    path = tmp_path / "vecs.bits"
+    save_bitvectors(BitVectorStore(256, {"a": vec}), path)
+    assert path.read_text(encoding="ascii") == "#width=256\na\t0" + "1" * 255 + "\n"
+
+
 def test_bitvector_wrong_width_names_line(tmp_path):
     path = tmp_path / "bad.bits"
     path.write_text("#width=4\nok\t1010\nbad\t10101\n", encoding="utf-8")
@@ -378,6 +385,14 @@ def test_latents_round_trip(tmp_path):
     loaded = load_latents(path)
     for key in store.entries:
         assert np.array_equal(loaded.entries[key], store.entries[key])
+
+
+@pytest.mark.parametrize("value", ["nan", "-inf", "1e999"])
+def test_latents_non_finite_value_names_line(tmp_path, value):
+    path = tmp_path / "latents.tsv"
+    path.write_text(f"a\t0.5,1\nb\t0.5,{value}\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"latents\.tsv:2: non-finite value"):
+        load_latents(path)
 
 
 def test_latents_width_consistency():
