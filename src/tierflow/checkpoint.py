@@ -14,12 +14,29 @@ with keys ``encoder_trunk``, ``mu_head``, ``logvar_head``, ``decoder``.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 
 from .engine import ACTIVATIONS, DenseLayer, DenseNetwork
 from .errors import DataError
+
+
+def write_atomic(path: str | Path, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path`` through a temporary file and ``os.replace``.
+
+    A crash or a failed write never leaves a partial file under ``path``; a
+    failure removes the temporary file.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def format_float(x: float) -> str:
@@ -115,7 +132,7 @@ def network_from_dict(doc: dict) -> DenseNetwork:
 
 
 def save_network(net: DenseNetwork, path: str | Path) -> None:
-    Path(path).write_text(dumps(network_to_dict(net)) + "\n", encoding="utf-8")
+    write_atomic(path, dumps(network_to_dict(net)) + "\n")
 
 
 def load_network(path: str | Path) -> DenseNetwork:

@@ -1,10 +1,12 @@
 """Command-line entry point: synth, embed, train, and diagnose subcommands.
 
 Every command reads a JSON config, writes its artifacts under --out, and
-finishes by atomically writing a manifest (config digest, seed, output
-checksums, wall-clock duration).  Exit codes: 0 success, 1 config error,
-2 data error, 3 runtime numeric failure.  Verbosity comes from the
-TIERFLOW_LOG environment variable (error, info, debug).
+finishes with a manifest (config digest, seed, output checksums, wall-clock
+duration).  Every file is written atomically (``checkpoint.write_atomic``),
+so a failed run leaves no partial artifact under its final name.  Exit
+codes: 0 success, 1 config error, 2 data error, 3 runtime numeric failure.
+Verbosity comes from the TIERFLOW_LOG environment variable (error, info,
+debug).
 """
 
 from __future__ import annotations
@@ -68,9 +70,8 @@ def _write_manifest(
         "outputs": {p.name: _file_digest(p) for p in sorted(outputs)},
         "duration_seconds": round(time.monotonic() - started, 3),
     }
-    tmp = out_dir / "manifest.json.tmp"
-    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    os.replace(tmp, out_dir / "manifest.json")
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    ckpt.write_atomic(out_dir / "manifest.json", text)
 
 
 def _safe_name(name: str) -> str:
@@ -146,7 +147,7 @@ def cmd_embed(args) -> int:
             f"{r.epoch},{r.recon_loss:.9g},{r.kl_loss:.9g},"
             f"{r.total_loss:.9g},{r.total_change:.9g}"
         )
-    (out / "metrics.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    ckpt.write_atomic(out / "metrics.csv", "\n".join(lines) + "\n")
     outputs = [out / "vae.json", out / "latents.tsv", out / "metrics.csv"]
     log.info("embed: %d latent vectors of width %d", len(latents), config.latent_dim)
     _write_manifest(out, "embed", doc, seed, outputs, started)
@@ -196,9 +197,7 @@ def cmd_train(args) -> int:
     for name, outcome in result.arms.items():
         stem = _safe_name(name)
         csv_path = out / f"metrics_{stem}.csv"
-        csv_path.write_text(
-            "\n".join(metrics_csv_lines(outcome.log, name)) + "\n", encoding="utf-8"
-        )
+        ckpt.write_atomic(csv_path, "\n".join(metrics_csv_lines(outcome.log, name)) + "\n")
         net_path = out / f"checkpoint_{stem}.json"
         ckpt.save_network(outcome.network, net_path)
         outputs += [csv_path, net_path]
@@ -207,7 +206,7 @@ def cmd_train(args) -> int:
             name, outcome.best_val_loss, outcome.best_val_accuracy,
         )
     report_path = out / "report.json"
-    report_path.write_text(ckpt.dumps(result.report_dict()) + "\n", encoding="utf-8")
+    ckpt.write_atomic(report_path, ckpt.dumps(result.report_dict()) + "\n")
     outputs.append(report_path)
     _write_manifest(out, "train", doc, doc["seed"], outputs, started)
     return 0
@@ -240,7 +239,7 @@ def cmd_diagnose(args) -> int:
     comparison = weight_drift_protocol(schedule, ctx, delta=args.delta)
     out = _out_dir(args)
     csv_path = out / "weight_drift.csv"
-    csv_path.write_text("\n".join(drift_csv_lines(comparison)) + "\n", encoding="utf-8")
+    ckpt.write_atomic(csv_path, "\n".join(drift_csv_lines(comparison)) + "\n")
     log.info("diagnose: wrote %s", csv_path)
     _write_manifest(out, "diagnose", doc, doc["seed"], [csv_path], started)
     return 0

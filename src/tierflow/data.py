@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import format_floats
+from .checkpoint import format_floats, write_atomic
 from .errors import ConfigError, DataError
 from .rng import RngStream
 
@@ -130,7 +130,7 @@ def save_bitvectors(store: BitVectorStore, path: str | Path) -> None:
     for key, vec in store.entries.items():
         bits = ((vec != 0).view(np.uint8) + ord("0")).tobytes().decode("ascii")
         lines.append(key + "\t" + bits)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_latents(path: str | Path) -> LatentStore:
@@ -166,7 +166,7 @@ def save_latents(store: LatentStore, path: str | Path) -> None:
         key + "\t" + format_floats(vec, ",")
         for key, vec in store.entries.items()
     ]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 @dataclass(frozen=True)
@@ -260,7 +260,7 @@ def save_interactions(table: InteractionTable, path: str | Path) -> None:
         table.compound_ids.tolist(), table.protein_ids.tolist(), table.scores.astype(str)
     )
     lines = "\n".join(map("\t".join, rows))
-    Path(path).write_text(lines + ("\n" if len(table) else ""), encoding="utf-8")
+    write_atomic(path, lines + ("\n" if len(table) else ""))
 
 
 def tier_filter(table: InteractionTable, tier: TierSpec) -> np.ndarray:
@@ -486,7 +486,7 @@ def synth_generate(config: SynthConfig) -> SynthData:
 
 def save_oracle(oracle: dict[tuple[str, str], int], path: str | Path) -> None:
     lines = [f"{c}\t{p}\t{label}" for (c, p), label in sorted(oracle.items())]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def load_oracle(path: str | Path) -> dict[tuple[str, str], int]:

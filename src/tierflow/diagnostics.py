@@ -79,8 +79,8 @@ def fold_change(
 class DriftComparison:
     """Both arms' per-layer drift from the shared (1, E1) snapshot, and fold changes.
 
-    ``ftl_result`` ends at (2, delta) and ``baseline_result`` at (1, E1 + delta);
-    each log holds only the epochs its own call trained.
+    ``ftl_result`` ends at (2, delta) and ``baseline_result`` at (1, E1 + delta).
+    Both were trained without per-epoch evaluation, so their logs are empty.
     """
 
     ftl_report: LayerDistanceReport
@@ -99,6 +99,9 @@ def weight_drift_protocol(
     least ``delta``.  Step 1 is trained once for E1 epochs and forked: the FTL
     arm enters step 2 and stops at (step 2, delta); the baseline arm continues
     step 1, on the same data and shuffle streams, through epoch E1 + delta.
+    Only weight snapshots are compared, so no epoch is evaluated: the
+    validation set is built (and checked against every step) but never scored,
+    and both results carry empty logs.
     """
     if len(schedule.steps) != 2:
         raise ValueError(
@@ -108,10 +111,12 @@ def weight_drift_protocol(
     if not 0 <= delta <= e2:
         raise ValueError(f"delta must lie in [0, {e2}], got {delta}")
 
-    prefix = train_ftl(schedule, ctx, frozenset({(1, e1)}), stop=(1, e1))
+    prefix = train_ftl(schedule, ctx, frozenset({(1, e1)}), stop=(1, e1), metrics=False)
     ftl_end, base_end = (2, delta), (1, e1 + delta)
-    ftl_result = train_ftl(schedule, ctx, frozenset({ftl_end}), start=prefix, stop=ftl_end)
-    base_result = train_ftl(schedule, ctx, frozenset({base_end}), start=prefix, stop=base_end)
+    ftl_result, base_result = (
+        train_ftl(schedule, ctx, frozenset({end}), start=prefix, stop=end, metrics=False)
+        for end in (ftl_end, base_end)
+    )
     at_e1 = prefix.snapshots[f"step1_epoch{e1}"]
     ftl_report = layer_distance(at_e1, ftl_result.snapshots[f"step2_epoch{delta}"])
     base_report = layer_distance(at_e1, base_result.snapshots[f"step1_epoch{e1 + delta}"])

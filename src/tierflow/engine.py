@@ -198,22 +198,37 @@ def forward(net: DenseNetwork, batch: np.ndarray, chain: bool = True) -> list[np
     return acts if chain else [batch, a]
 
 
-def bce_loss(predictions: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean binary cross-entropy and its gradient w.r.t. the predictions.
-
-    Predictions are clamped to [1e-12, 1 - 1e-12] before the logs; the
-    gradient is evaluated at the clamped values.
-    """
+def _clamped_bce_inputs(predictions, labels) -> tuple[np.ndarray, np.ndarray]:
+    # flat predictions clamped to [1e-12, 1 - 1e-12], and flat labels
     p = np.asarray(predictions, dtype=np.float64).reshape(-1)
     y = np.asarray(labels, dtype=np.float64).reshape(-1)
     if p.shape != y.shape:
         raise ValueError(f"length mismatch: {p.shape[0]} predictions, {y.shape[0]} labels")
     if p.size == 0:
         raise ValueError("bce_loss needs at least one prediction")
-    pc = np.clip(p, 1e-12, 1.0 - 1e-12)
+    return np.clip(p, 1e-12, 1.0 - 1e-12), y
+
+
+def bce_gradient(predictions: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Gradient of the mean binary cross-entropy w.r.t. the predictions.
+
+    Evaluated at the predictions clamped to [1e-12, 1 - 1e-12], and shaped
+    like ``predictions``; the training loop needs nothing else.
+    """
+    pc, y = _clamped_bce_inputs(predictions, labels)
+    grad = (-(y / pc) + (1.0 - y) / (1.0 - pc)) / pc.size
+    return grad.reshape(np.shape(predictions))
+
+
+def bce_loss(predictions: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean binary cross-entropy and its gradient (:func:`bce_gradient`).
+
+    Predictions are clamped to [1e-12, 1 - 1e-12] before the logs.
+    """
+    grad = bce_gradient(predictions, labels)
+    pc, y = _clamped_bce_inputs(predictions, labels)
     loss = float(-np.mean(y * np.log(pc) + (1.0 - y) * np.log1p(-pc)))
-    grad = (-(y / pc) + (1.0 - y) / (1.0 - pc)) / p.size
-    return loss, grad.reshape(np.asarray(predictions).shape)
+    return loss, grad
 
 
 def backward(

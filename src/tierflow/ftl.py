@@ -4,7 +4,8 @@ A schedule is an ordered list of (tier, epochs) steps.  Step 1 starts from a
 fresh initialization; every later step continues from the previous step's
 weights and, unless told otherwise, its Adam moments.  Each step trains on
 that tier's positives plus an equal number of freshly sampled negatives; the
-validation tier is held out entirely and scored after every epoch.
+validation tier is held out entirely and scored after every epoch (the drift
+protocol, which compares weights only, asks for no scores).
 
 Randomness is split into independent streams derived from the schedule seed
 (init / validation negatives / per-step negatives / per-epoch shuffles), so
@@ -36,6 +37,7 @@ from .engine import (
     accuracy,
     adam_step,
     backward,
+    bce_gradient,
     bce_loss,
     check_sizes_and_rate,
     forward,
@@ -227,6 +229,8 @@ def train_ftl(
     snapshot_points: frozenset[tuple[int, int]] = frozenset(),
     start: FtlResult | None = None,
     stop: tuple[int, int] | None = None,
+    *,
+    metrics: bool = True,
 ) -> FtlResult:
     """Run the stepwise schedule; returns the net, metrics, snapshots and fork.
 
@@ -237,6 +241,8 @@ def train_ftl(
     snapshots reused, and training resumes after its ``at`` (step, epoch).
     ``stop=(k, e)`` ends the run after epoch ``e`` of step ``k``, which may pass
     that step's budget.  The log holds only the epochs this call trained.
+    With ``metrics=False`` no epoch is evaluated and the log stays empty;
+    evaluation is a pure function of the net, so everything else is the same.
     """
     if start is None:
         val_pos = ctx.tier_keys(schedule.validation_tier, "validation")
@@ -290,13 +296,11 @@ def train_ftl(
             for at in range(0, n, schedule.batch_size):
                 idx = order[at:at + schedule.batch_size]
                 acts = forward(net, x[idx])
-                _, loss_grad = bce_loss(acts[-1], y[idx])
-                backward(net, acts, loss_grad, grad)
+                backward(net, acts, bce_gradient(acts[-1], y[idx]), grad)
                 adam_step(adam, params, [grad])
-            train_loss, train_acc = evaluate(net, x, y)
-            val_loss, val_acc = evaluate(net, val_x, val_y)
-            log.append(k, epoch, "train", train_loss, train_acc)
-            log.append(k, epoch, "validation", val_loss, val_acc)
+            if metrics:
+                log.append(k, epoch, "train", *evaluate(net, x, y))
+                log.append(k, epoch, "validation", *evaluate(net, val_x, val_y))
             if (k, epoch) in snapshot_points:
                 tag = f"step{k}_epoch{epoch}"
                 snapshots[tag] = take_snapshot(net, tag)

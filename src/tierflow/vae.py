@@ -124,6 +124,16 @@ def reparameterize(mu: np.ndarray, logvar: np.ndarray, rng: RngStream) -> np.nda
     return mu + np.exp(0.5 * logvar) * eta
 
 
+def _check_binary(x: np.ndarray) -> None:
+    if not np.isin(x, (0.0, 1.0)).all():
+        raise DataError("vae_loss input must be binary (0/1 entries)")
+
+
+def _clip(reconstruction: np.ndarray) -> np.ndarray:
+    # keeps the logs and the gradient's divisions finite
+    return np.clip(reconstruction, 1e-12, 1.0 - 1e-12)
+
+
 def vae_loss(
     reconstruction: np.ndarray,
     batch: np.ndarray,
@@ -134,17 +144,23 @@ def vae_loss(
 
     Reconstruction is per-bit Bernoulli cross-entropy summed within a sample;
     KL is the closed form against a standard-normal prior,
-    0.5 * sum(mu^2 + e^logvar - 1 - logvar).
+    0.5 * sum(mu^2 + e^logvar - 1 - logvar).  The batch must be binary; the
+    reconstruction is clipped to [1e-12, 1 - 1e-12].
     """
     x = np.asarray(batch, dtype=np.float64)
     r = np.asarray(reconstruction, dtype=np.float64)
     if r.shape != x.shape:
         raise ValueError(f"reconstruction shape {r.shape} != input shape {x.shape}")
-    if not np.isin(x, (0.0, 1.0)).all():
-        raise DataError("vae_loss input must be binary (0/1 entries)")
+    _check_binary(x)
+    return _loss_terms(_clip(r), x, mu, logvar)
+
+
+def _loss_terms(
+    clipped: np.ndarray, x: np.ndarray, mu: np.ndarray, logvar: np.ndarray
+) -> tuple[float, float, float]:
+    # vae_loss on a checked batch and an already clipped reconstruction
     n = x.shape[0]
-    rc = np.clip(r, 1e-12, 1.0 - 1e-12)
-    recon = float(-np.sum(x * np.log(rc) + (1.0 - x) * np.log1p(-rc)) / n)
+    recon = float(-np.sum(x * np.log(clipped) + (1.0 - x) * np.log1p(-clipped)) / n)
     # expm1 keeps e^lv - 1 - lv >= 0 even for tiny logvar, where exp() would
     # round to 1.0 and drop below zero
     kl = float(0.5 * np.sum(mu**2 + (np.expm1(logvar) - logvar)) / n)
@@ -158,6 +174,7 @@ class _VaeCache:
     logvar: np.ndarray
     eta: np.ndarray
     decoder_acts: list[np.ndarray]
+    clipped: np.ndarray  # the reconstruction clipped as in vae_loss
 
 
 def _vae_forward(model: VaeModel, batch: np.ndarray, eta: np.ndarray) -> _VaeCache:
@@ -167,7 +184,7 @@ def _vae_forward(model: VaeModel, batch: np.ndarray, eta: np.ndarray) -> _VaeCac
     logvar = forward(model.logvar_head, h)[-1]
     z = mu + np.exp(0.5 * logvar) * eta
     decoder_acts = forward(model.decoder, z)
-    return _VaeCache(trunk_acts, mu, logvar, eta, decoder_acts)
+    return _VaeCache(trunk_acts, mu, logvar, eta, decoder_acts, _clip(decoder_acts[-1]))
 
 
 def _vae_backward(
@@ -176,8 +193,7 @@ def _vae_backward(
     """Analytic gradients of the total loss, aligned with model.parameters()."""
     x = np.asarray(batch, dtype=np.float64)
     n = x.shape[0]
-    recon = cache.decoder_acts[-1]
-    rc = np.clip(recon, 1e-12, 1.0 - 1e-12)
+    rc = cache.clipped
     d_recon = (-(x / rc) + (1.0 - x) / (1.0 - rc)) / n
 
     dec_grads, d_z = backward_with_input(model.decoder, cache.decoder_acts, d_recon)
@@ -213,6 +229,21 @@ class VaeTrainLog:
         return np.array([r.total_loss for r in self.records])
 
 
+def _train_batch(
+    model: VaeModel, adam: AdamState, params: list[np.ndarray], batch: np.ndarray,
+    eta: np.ndarray,
+) -> tuple[float, float]:
+    """One Adam step on a checked batch; returns its reconstruction and KL terms.
+
+    A function of its own so that the batch, its activations and its gradients
+    are freed before the next batch's forward pass allocates its own.
+    """
+    cache = _vae_forward(model, batch, eta)
+    _, recon, kl = _loss_terms(cache.clipped, batch, cache.mu, cache.logvar)
+    adam_step(adam, params, _vae_backward(model, cache, batch))
+    return recon, kl
+
+
 def train_vae(
     config: VaeConfig, store: BitVectorStore, rng: RngStream
 ) -> tuple[VaeModel, VaeTrainLog]:
@@ -234,6 +265,7 @@ def train_vae(
     if config.epochs == 0:
         return model, log
 
+    _check_binary(x_all)
     params = model.parameters()
     adam = AdamState.create(params, config.learning_rate)
     prev_total = None
@@ -243,16 +275,12 @@ def train_vae(
         ep_recon = ep_kl = 0.0
         for at in range(0, n, config.batch_size):
             idx = order[at:at + config.batch_size]
-            batch = x_all[idx]
-            eta = noise.normal(batch.shape[0] * config.latent_dim).reshape(
-                batch.shape[0], config.latent_dim
+            eta = noise.normal(len(idx) * config.latent_dim).reshape(
+                len(idx), config.latent_dim
             )
-            cache = _vae_forward(model, batch, eta)
-            _, recon, kl = vae_loss(cache.decoder_acts[-1], batch, cache.mu, cache.logvar)
-            grads = _vae_backward(model, cache, batch)
-            adam_step(adam, params, grads)
-            ep_recon += recon * batch.shape[0]
-            ep_kl += kl * batch.shape[0]
+            recon, kl = _train_batch(model, adam, params, x_all[idx], eta)
+            ep_recon += recon * len(idx)
+            ep_kl += kl * len(idx)
         total = (ep_recon + ep_kl) / n
         change = 0.0 if prev_total is None else total - prev_total
         log.records.append(
@@ -282,7 +310,7 @@ def embed(model: VaeModel, store: BitVectorStore) -> LatentStore:
 
 def save_vae(model: VaeModel, path) -> None:
     doc = {"vae": {part: ckpt.network_to_dict(getattr(model, part)) for part in _PARTS}}
-    Path(path).write_text(ckpt.dumps(doc) + "\n", encoding="utf-8")
+    ckpt.write_atomic(path, ckpt.dumps(doc) + "\n")
 
 
 def load_vae(path) -> VaeModel:

@@ -500,15 +500,21 @@ def test_out_naming_a_file_exit_1(tmp_path, synth_config, dry_run, nested):
     assert taken.read_text(encoding="utf-8") == "not a directory\n"
 
 
-@pytest.mark.parametrize("start_method", [None, "spawn"])
-def test_overflow_in_training_exit_3(tmp_path, start_method):
+@pytest.mark.parametrize("start_method, command", [
+    (None, "train"), ("spawn", "train"), (None, "diagnose"),
+], ids=["None", "spawn", "diagnose"])
+def test_overflow_in_training_exit_3(tmp_path, start_method, command):
     # C3 and P4 form a [700, 900) positive; with seed 3 the first layer's
     # pre-activations overflow on that pair.  Arms run in spawned workers,
     # which do not inherit the parent's floating-point error state, must
-    # fail the same way.
+    # fail the same way.  The drift protocol trains without evaluating, so
+    # its case shows that the training forward alone catches the overflow
+    # (the pair enters with step 2 of the ftl arm).
     doc = write_grid_data(tmp_path, {3: "1e308,1e308"}, {4: "1e308,1e308"})
     out = tmp_path / "o"
-    argv = ["train", "--config", write_json(tmp_path / "exp.json", doc), "--out", str(out)]
+    argv = [command, "--config", write_json(tmp_path / "exp.json", doc), "--out", str(out)]
+    if command == "diagnose":
+        argv += ["--delta", "2"]
     if start_method is None:
         proc = run_cli(*argv)
     else:
@@ -557,6 +563,39 @@ def test_dry_run_rejects_what_real_run_rejects(path, value):
         real = main(["train", "--config", config, "--out", str(root / "real")])
     assert dry in (0, 1) and real in (0, 1, 2, 3)
     assert (dry == 1) == (real == 1)
+
+
+@pytest.mark.parametrize("command, artifact", [
+    ("synth", "compounds.bits"), ("synth", "interactions.tsv"), ("synth", "oracle.tsv"),
+    ("embed", "vae.json"), ("embed", "latents.tsv"), ("embed", "metrics.csv"),
+    ("train", "metrics_ftl.csv"), ("train", "checkpoint_baseline.json"),
+    ("train", "report.json"), ("diagnose", "weight_drift.csv"),
+    ("diagnose", "manifest.json"),
+])
+def test_failed_write_leaves_no_artifact(
+    monkeypatch, tmp_path, synth_config, experiment_config, small_bits, command, artifact
+):
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if pathlib.Path(dst).name == artifact:
+            assert pathlib.Path(src).exists()  # the temporary file was written
+            raise OSError(28, "No space left on device")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    config = {"synth": synth_config, "embed": write_json(tmp_path / "vae.json", VAE_DOC),
+              "train": experiment_config, "diagnose": experiment_config}[command]
+    out = tmp_path / "o"
+    argv = [command, "--config", config, "--out", str(out)]
+    argv += {"embed": ["--bitvectors", small_bits], "diagnose": ["--delta", "1"]}.get(
+        command, []
+    )
+    with pytest.raises(OSError, match="No space left"):
+        main(argv)
+    assert not (out / artifact).exists()
+    assert not (out / "manifest.json").exists()
+    assert not list(out.glob("*.tmp"))
 
 
 def test_train_reset_optimizer_flag_changes_metrics(experiment_config, tmp_path):

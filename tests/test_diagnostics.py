@@ -181,9 +181,9 @@ def test_protocol_fork_matches_independent_runs(tiny_ctx, reset, delta):
         assert_same_snapshot(ftl.snapshots[tag], full.snapshots[tag])
     for tag in ("step1_epoch3", f"step1_epoch{3 + delta}"):
         assert_same_snapshot(base.snapshots[tag], single.snapshots[tag])
-    # each arm logs only the epochs it trained after the fork
-    assert ftl.log.records == [r for r in full.log.records if r.step == 2 and r.epoch <= delta]
-    assert base.log.records == [r for r in single.log.records if r.epoch > 3]
+    # the protocol trains without per-epoch evaluation; the logs of forked
+    # continuations are checked in test_ftl.py
+    assert ftl.log.records == base.log.records == []
     assert ftl.at == (2, delta) and base.at == (1, 3 + delta)
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tierflow.checkpoint import network_from_dict, network_to_dict
@@ -17,6 +17,7 @@ from tierflow.engine import (
     adam_step,
     backward,
     backward_with_input,
+    bce_gradient,
     bce_loss,
     forward,
     init_network,
@@ -176,6 +177,40 @@ def test_bce_nonnegative(ps, data):
     loss, grad = bce_loss(np.array(ps), np.array(ys))
     assert loss >= 0.0
     assert np.isfinite(grad).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 20000),
+    seed=st.integers(0, 2**32 - 1),
+    column=st.booleans(),
+    edges=st.lists(
+        st.tuples(st.floats(0, 1, exclude_max=True), st.sampled_from([0.0, 1.0])),
+        min_size=1, max_size=8,
+    ),
+)
+def test_bce_gradient_equals_bce_loss_gradient(n, seed, column, edges):
+    rng = RngStream(seed)
+    p = rng.uniform(size=n)
+    for where, value in edges:  # exact 0s and 1s exercise the clamp
+        p[int(where * n)] = value
+    y = (rng.uniform(size=n) < 0.5).astype(np.float64)
+    if column:
+        p = p.reshape(n, 1)
+    grad = bce_gradient(p, y)
+    _, from_loss = bce_loss(p, y)
+    # the gradient as bce_loss computed it before bce_gradient existed
+    pc = np.clip(p.reshape(-1), 1e-12, 1.0 - 1e-12)
+    reference = ((-(y / pc) + (1.0 - y) / (1.0 - pc)) / n).reshape(p.shape)
+    assert grad.shape == from_loss.shape == p.shape
+    assert grad.tobytes() == from_loss.tobytes() == reference.tobytes()
+
+
+def test_bce_gradient_rejects_what_bce_loss_rejects():
+    with pytest.raises(ValueError, match="length mismatch"):
+        bce_gradient(np.array([[0.5], [0.5]]), np.array([1.0]))
+    with pytest.raises(ValueError, match="at least one prediction"):
+        bce_gradient(np.zeros((0, 1)), np.zeros(0))
 
 
 # ---------------------------------------------------------------- backward

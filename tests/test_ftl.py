@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tierflow.data import TierSpec, tier_filter
 from tierflow.engine import DenseLayer, DenseNetwork
@@ -237,3 +239,61 @@ def test_forked_run_resumes_bit_identical(tiny_ctx, fork_at):
         for p in net.parameters():
             assert p.base is net.flat
     assert not np.shares_memory(tail.network.flat, head.network.flat)
+
+
+@pytest.mark.parametrize("reset", [False, True])
+@pytest.mark.parametrize("delta", [0, 1, 2])
+def test_forked_continuations_log_like_independent_runs(tiny_ctx, reset, delta):
+    # the drift protocol's forks with metrics on: step 2 entered at (1, 3), and
+    # step 1 continued past its 3-epoch budget on the same data and streams
+    sched = fast_schedule(
+        [TrainStep(LOW, 3), TrainStep(HIGH, 2)], seed=2, reset_optimizer_between_steps=reset
+    )
+    prefix = train_ftl(sched, tiny_ctx, stop=(1, 3))
+    ftl = train_ftl(sched, tiny_ctx, start=prefix, stop=(2, delta))
+    base = train_ftl(sched, tiny_ctx, start=prefix, stop=(1, 3 + delta))
+    full = train_ftl(sched, tiny_ctx)
+    single = train_ftl(
+        fast_schedule([TrainStep(LOW, 3 + delta)], seed=2, reset_optimizer_between_steps=reset),
+        tiny_ctx,
+    )
+    assert ftl.at == (2, delta) and base.at == (1, 3 + delta)
+    assert prefix.log.records == [r for r in single.log.records if r.epoch <= 3]
+    assert prefix.log.records == [r for r in full.log.records if r.step == 1]
+    assert ftl.log.records == [r for r in full.log.records if r.step == 2 and r.epoch <= delta]
+    assert base.log.records == [r for r in single.log.records if r.epoch > 3]
+    assert len(base.log.records) == 2 * delta
+
+
+def fork_state(result):
+    """Everything of a result that training, not evaluation, determines."""
+    adam = result.adam
+    return (
+        result.network.flat.tobytes(), adam.t, adam.m[0].tobytes(), adam.v[0].tobytes(),
+        {tag: b"".join(a.tobytes() for a in s.weights + s.biases)
+         for tag, s in result.snapshots.items()},
+        result.at,
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 50),
+    reset=st.booleans(),
+    fork=st.sampled_from([(1, 1), (1, 2), (1, 3), (2, 1)]),
+    end=st.sampled_from([(1, 4), (2, 1), (2, 2)]),
+)
+def test_metrics_off_trains_the_same_bits(tiny_ctx, seed, reset, fork, end):
+    assume(end > fork)
+    sched = fast_schedule(
+        [TrainStep(LOW, 3), TrainStep(HIGH, 2)], seed=seed,
+        reset_optimizer_between_steps=reset,
+    )
+    points = frozenset({(1, 2), (1, 4), (2, 0), (2, 1)})
+    states = {}
+    for metrics in (True, False):
+        head = train_ftl(sched, tiny_ctx, points, stop=fork, metrics=metrics)
+        tail = train_ftl(sched, tiny_ctx, points, start=head, stop=end, metrics=metrics)
+        assert bool(head.log.records) == bool(tail.log.records) == metrics
+        states[metrics] = (fork_state(head), fork_state(tail))
+    assert states[True] == states[False]

@@ -226,6 +226,16 @@ def test_train_vae_width_mismatch_rejected():
         train_vae(TINY, random_store(5, 9, seed=1), RngStream(0))
 
 
+def test_train_vae_rejects_non_binary_store_before_training(monkeypatch):
+    store = random_store(30, 8, seed=3)
+    store.add("late", np.array([0, 1, 2, 0, 1, 0, 0, 1], dtype=np.uint8))
+    steps = []
+    monkeypatch.setattr("tierflow.vae.adam_step", lambda *args: steps.append(args))
+    with pytest.raises(DataError, match=r"vae_loss input must be binary \(0/1 entries\)"):
+        train_vae(TINY, store, RngStream(9))
+    assert steps == []
+
+
 def test_train_vae_kl_logged_nonnegative():
     store = random_store(40, 8, seed=4)
     _, log = train_vae(TINY, store, RngStream(5))
