@@ -20,20 +20,24 @@ from pathlib import Path
 import numpy as np
 
 from .engine import ACTIVATIONS, DenseLayer, DenseNetwork
-from .errors import DataError
+from .errors import DataError, OutputError
 
 
 def write_atomic(path: str | Path, text: str) -> None:
     """Write ``text`` as UTF-8 to ``path`` through a temporary file and ``os.replace``.
 
     A crash or a failed write never leaves a partial file under ``path``; a
-    failure removes the temporary file.
+    failure removes the temporary file, and an ``OSError`` comes out as an
+    :class:`OutputError` naming ``path``.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
+    except OSError as exc:
+        tmp.unlink(missing_ok=True)
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

@@ -4,7 +4,8 @@ Every command reads a JSON config, writes its artifacts under --out, and
 finishes with a manifest (config digest, seed, output checksums, wall-clock
 duration).  Every file is written atomically (``checkpoint.write_atomic``),
 so a failed run leaves no partial artifact under its final name.  Exit
-codes: 0 success, 1 config error, 2 data error, 3 runtime numeric failure.
+codes: 0 success, 1 config error or an output that cannot be written, 2 data
+error, 3 runtime numeric failure.
 Verbosity comes from the TIERFLOW_LOG environment variable (error, info,
 debug).
 """
@@ -35,7 +36,7 @@ from .config import (
 )
 from .data import load_bitvectors, save_bitvectors, save_interactions, save_oracle
 from .diagnostics import drift_csv_lines, weight_drift_protocol
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, OutputError
 from .ftl import metrics_csv_lines, run_experiment
 from .rng import RngStream
 from .vae import embed, save_vae, train_vae
@@ -316,6 +317,9 @@ def main(argv: list[str] | None = None) -> int:
     except (NumericError, FloatingPointError) as exc:
         log.error("numeric failure: %s", exc)
         return 3
+    except OutputError as exc:
+        log.error("output error: %s", exc)
+        return 1
 
 
 if __name__ == "__main__":

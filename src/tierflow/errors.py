@@ -1,4 +1,4 @@
-"""Exception classes mapped to CLI exit codes (config=1, data=2, numeric=3)."""
+"""Exception classes mapped to CLI exit codes (config=1, output=1, data=2, numeric=3)."""
 
 
 class ConfigError(ValueError):
@@ -11,3 +11,7 @@ class DataError(ValueError):
 
 class NumericError(ArithmeticError):
     """Non-finite values produced where the engine guarantees finiteness."""
+
+
+class OutputError(OSError):
+    """An artifact that could not be written (disk full, permission lost, ...)."""

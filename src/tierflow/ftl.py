@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import copy
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -133,25 +133,32 @@ def metrics_csv_lines(log: MetricsLog, arm: str) -> list[str]:
     return lines
 
 
+# rows per block of a feature gather: a block's index and feature temporaries
+# stay a few MB, while the per-block overhead stays negligible
+_GATHER_ROWS = 4096
+
+
 @dataclass
 class DataContext:
     """Everything a training run consumes: positives, features, id universes.
 
-    Built once from the three fields: ``compounds`` and ``proteins`` are the
-    sorted id lists, ``compound_matrix`` and ``protein_matrix`` the feature
-    rows in that order, and ``ci``/``pi`` each table row's compound and
-    protein row (-1 for an id with no features).  A pair is the int64 key
-    ``ci * len(proteins) + pi``; ``row_keys`` holds each table row's key, or
-    ``-1 - row`` for a row with an unknown id so that ``feature_matrix`` can
-    name it, and ``positive_keys`` the sorted keys of the rows with known ids.
+    Built once from the three fields and kept as arrays, so the feature stores
+    are not held (nor pickled into ``--jobs`` workers): ``compounds`` and
+    ``proteins`` are the sorted id lists, ``compound_matrix`` and
+    ``protein_matrix`` the feature rows in that order, and ``ci``/``pi`` each
+    table row's compound and protein row (-1 for an id with no features).  A
+    pair is the int64 key ``ci * len(proteins) + pi``; ``row_keys`` holds each
+    table row's key, or ``-1 - row`` for a row with an unknown id so that
+    ``feature_matrix`` can name it, and ``positive_keys`` the sorted keys of
+    the rows with known ids.
     """
 
     interactions: InteractionTable
-    compound_features: LatentStore
-    protein_features: LatentStore
+    compound_features: InitVar[LatentStore]
+    protein_features: InitVar[LatentStore]
 
-    def __post_init__(self):
-        by_compound, by_protein = self.compound_features.entries, self.protein_features.entries
+    def __post_init__(self, compound_features: LatentStore, protein_features: LatentStore):
+        by_compound, by_protein = compound_features.entries, protein_features.entries
         self.compounds, self.proteins = sorted(by_compound), sorted(by_protein)
         self.compound_matrix = np.array([by_compound[c] for c in self.compounds])
         self.protein_matrix = np.array([by_protein[p] for p in self.proteins])
@@ -165,7 +172,7 @@ class DataContext:
 
     @property
     def feature_dim(self) -> int:
-        return self.protein_features.width + self.compound_features.width
+        return self.protein_matrix.shape[1] + self.compound_matrix.shape[1]
 
     def tier_keys(self, tier: TierSpec, role: str) -> np.ndarray:
         """Keys of the table's positives in ``tier``, in table order."""
@@ -177,17 +184,30 @@ class DataContext:
     def feature_matrix(
         self, positive_keys: np.ndarray, negative_keys: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """[protein features || compound features] rows, positives first, and labels."""
-        keys = np.concatenate([positive_keys, negative_keys])
-        unknown = keys[keys < 0]
-        if unknown.size:
-            row, rows = -1 - unknown[0], self.interactions
-            if self.pi[row] < 0:
-                raise DataError(f"unknown protein id {str(rows.protein_ids[row])!r}")
-            raise DataError(f"unknown compound id {str(rows.compound_ids[row])!r}")
-        ci, pi = np.divmod(keys, len(self.proteins))
-        x = np.hstack([self.protein_matrix[pi], self.compound_matrix[ci]])
-        y = np.repeat([1.0, 0.0], [len(positive_keys), len(negative_keys)])
+        """[protein features || compound features] rows, positives first, and labels.
+
+        ``x`` is allocated once and filled ``_GATHER_ROWS`` rows at a time, so
+        no full-size temporary exists beside ``x`` and ``y``.
+        """
+        for keys in (positive_keys, negative_keys):
+            if keys.size and keys.min() < 0:
+                row, rows = -1 - keys[keys < 0][0], self.interactions
+                if self.pi[row] < 0:
+                    raise DataError(f"unknown protein id {str(rows.protein_ids[row])!r}")
+                raise DataError(f"unknown compound id {str(rows.compound_ids[row])!r}")
+        proteins, compounds = self.protein_matrix, self.compound_matrix
+        wp, n_pos = proteins.shape[1], len(positive_keys)
+        x = np.empty(
+            (n_pos + len(negative_keys), wp + compounds.shape[1]),
+            np.result_type(proteins, compounds),
+        )
+        for offset, keys in ((0, positive_keys), (n_pos, negative_keys)):
+            for at in range(0, len(keys), _GATHER_ROWS):
+                ci, pi = np.divmod(keys[at:at + _GATHER_ROWS], len(self.proteins))
+                block = x[offset + at:offset + at + len(ci)]
+                block[:, :wp] = proteins[pi]
+                block[:, wp:] = compounds[ci]
+        y = np.repeat([1.0, 0.0], [n_pos, len(negative_keys)])
         return x, y
 
 
@@ -307,6 +327,8 @@ def train_ftl(
         if last == step.epochs:
             snapshots[f"step{k}_end"] = take_snapshot(net, f"step{k}_end")
         stopped = (k, last)
+        # freed before the next step gathers its own matrix
+        del x, y
 
     return FtlResult(
         net, log, snapshots, steps_out, val_pos, val_negs, (val_x, val_y), adam, stopped

@@ -284,17 +284,17 @@ def test_diagnose_without_two_step_arm_exit_1(tmp_path):
     assert main(["diagnose", "--config", config, "--out", str(tmp_path / "o")]) == 1
 
 
-def run_python(*args):
+def run_python(*args, **env):
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=path), timeout=120,
+        env=dict(os.environ, PYTHONPATH=path, **env), timeout=120,
     )
 
 
-def run_cli(*argv):
-    return run_python("-m", "tierflow", *argv)
+def run_cli(*argv, **env):
+    return run_python("-m", "tierflow", *argv, **env)
 
 
 def missing_data_doc():
@@ -471,6 +471,63 @@ def test_non_utf8_data_file_exit_2(tmp_path, bad):
     assert not (out / "manifest.json").exists()
 
 
+def corrupt(data: bytes, kind: str, line: int, at: int, byte: bytes, latent: bool) -> bytes:
+    """``data`` (LF-terminated lines) with one line damaged in the way ``kind`` names."""
+    lines = data.split(b"\n")[:-1]
+    i = line % len(lines)
+    row = lines[i]
+    cut = at % (len(row) + 1)
+    if kind == "truncated line":
+        lines[i] = row[:cut]
+    elif kind == "truncated file":
+        lines, tail = lines[:i], row[:cut]
+        return b"".join(ln + b"\n" for ln in lines) + tail
+    elif kind == "bad byte":
+        lines[i] = row[:cut] + byte + row[cut:]
+    elif kind == "wrong width":
+        extra = b",0.5" if latent else b"\t1"
+        lines[i] = row + extra if at % 2 else row[:row.rfind(b"," if latent else b"\t")]
+    elif kind == "duplicate id":
+        lines.insert(i, row)
+    return b"".join(ln + b"\n" for ln in lines)
+
+
+# the grid's scores, one per tier of the experiment: 500 trains step 1, 800
+# step 2 and the baseline, 950 is validation
+TIER_SCORES = (b"500", b"800", b"950")
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    target=st.sampled_from(["interactions.tsv", "compounds.tsv", "proteins.tsv"]),
+    kind=st.sampled_from(["truncated line", "truncated file", "bad byte",
+                          "wrong width", "duplicate id", "empty tier"]),
+    line=st.integers(0, 100), at=st.integers(0, 100),
+    byte=st.sampled_from([b"\xff", b"\x00", b"\t", b",", b"\r", b" ", b"-", b"e"]),
+)
+def test_corrupted_data_files_fail_cleanly(target, kind, line, at, byte):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = pathlib.Path(tmp)
+        doc = write_grid_data(root)
+        if kind == "empty tier":
+            # every record of one tier rescored below all tiers
+            score = TIER_SCORES[line % 3]
+            path = root / "interactions.tsv"
+            path.write_bytes(path.read_bytes().replace(b"\t" + score + b"\n", b"\t100\n"))
+        else:
+            path = root / target
+            path.write_bytes(corrupt(path.read_bytes(), kind, line, at, byte,
+                                     latent=target != "interactions.tsv"))
+        out = root / "o"
+        proc = run_cli("train", "--config", write_json(root / "exp.json", doc),
+                       "--out", str(out), TIERFLOW_LOG="error")
+        manifest = (out / "manifest.json").exists()
+    assert proc.returncode in (0, 1, 2, 3), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == (proc.returncode != 0), proc.stderr
+    assert manifest == (proc.returncode == 0)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_latent_exit_2(tmp_path, value):
     doc = write_grid_data(tmp_path, {3: f"{value},0.5"})
@@ -565,6 +622,23 @@ def test_dry_run_rejects_what_real_run_rejects(path, value):
     assert (dry == 1) == (real == 1)
 
 
+# runs the CLI with os.replace failing for one artifact name, after the
+# temporary file was written
+FAILING_REPLACE = """
+import os, pathlib, sys
+real_replace = os.replace
+def replace(src, dst):
+    if pathlib.Path(dst).name == sys.argv[1]:
+        if not pathlib.Path(src).exists():
+            raise SystemExit("the temporary file was not written")
+        raise OSError(28, "No space left on device")
+    real_replace(src, dst)
+os.replace = replace
+from tierflow.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
 @pytest.mark.parametrize("command, artifact", [
     ("synth", "compounds.bits"), ("synth", "interactions.tsv"), ("synth", "oracle.tsv"),
     ("embed", "vae.json"), ("embed", "latents.tsv"), ("embed", "metrics.csv"),
@@ -573,17 +647,8 @@ def test_dry_run_rejects_what_real_run_rejects(path, value):
     ("diagnose", "manifest.json"),
 ])
 def test_failed_write_leaves_no_artifact(
-    monkeypatch, tmp_path, synth_config, experiment_config, small_bits, command, artifact
+    tmp_path, synth_config, experiment_config, small_bits, command, artifact
 ):
-    real_replace = os.replace
-
-    def replace(src, dst):
-        if pathlib.Path(dst).name == artifact:
-            assert pathlib.Path(src).exists()  # the temporary file was written
-            raise OSError(28, "No space left on device")
-        real_replace(src, dst)
-
-    monkeypatch.setattr(os, "replace", replace)
     config = {"synth": synth_config, "embed": write_json(tmp_path / "vae.json", VAE_DOC),
               "train": experiment_config, "diagnose": experiment_config}[command]
     out = tmp_path / "o"
@@ -591,8 +656,11 @@ def test_failed_write_leaves_no_artifact(
     argv += {"embed": ["--bitvectors", small_bits], "diagnose": ["--delta", "1"]}.get(
         command, []
     )
-    with pytest.raises(OSError, match="No space left"):
-        main(argv)
+    proc = run_python("-c", FAILING_REPLACE, artifact, *argv, TIERFLOW_LOG="error")
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        f"ERROR: output error: cannot write {out / artifact}: No space left on device"
+    ]
     assert not (out / artifact).exists()
     assert not (out / "manifest.json").exists()
     assert not list(out.glob("*.tmp"))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from tierflow.data import (
     tier_filter,
 )
 from tierflow.errors import ConfigError, DataError
+from tierflow.ftl import _GATHER_ROWS as GATHER_ROWS
 from tierflow.ftl import DataContext
 from tierflow.rng import RngStream
 from conftest import tiny_synth_config
@@ -373,6 +375,63 @@ def test_feature_matrix_unknown_id_named():
     keys = ctx.tier_keys(TierSpec(900, 1000), "validation")
     with pytest.raises(DataError, match="unknown compound id 'ghost'"):
         ctx.feature_matrix(keys, np.array([], dtype=np.int64))
+
+
+def random_context(rng, n_compounds, n_proteins, wc, wp):
+    """Latent stores of the given sizes and widths, with -0.0, inf and nan among
+    the values so that a gather has to copy bits, not just values."""
+    specials = np.array([-0.0, np.inf, -np.inf, np.nan, 5e-324])
+
+    def store(prefix, count, width):
+        values = rng.standard_normal((count, width))
+        hit = rng.random(values.shape) < 0.1
+        values[hit] = rng.choice(specials, size=hit.sum())
+        return {f"{prefix}{i}": values[i] for i in rng.permutation(count)}
+
+    return context_of(store("c", n_compounds, wc), store("p", n_proteins, wp))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.sampled_from([0, 1, GATHER_ROWS - 1, GATHER_ROWS, GATHER_ROWS + 1,
+                          2 * GATHER_ROWS + 7]),
+    negatives=st.sampled_from([0, 1, GATHER_ROWS - 1, GATHER_ROWS + 1]),
+    wc=st.integers(1, 6),
+    wp=st.integers(1, 6),
+)
+def test_feature_matrix_equals_hstack_reference(seed, rows, negatives, wc, wp):
+    rng = np.random.default_rng(seed)
+    ctx = random_context(rng, 30, 20, wc, wp)
+    grid = len(ctx.compounds) * len(ctx.proteins)
+    pos = rng.integers(0, grid, rows)
+    neg = rng.integers(0, grid, negatives)
+    x, y = ctx.feature_matrix(pos, neg)
+    ci, pi = np.divmod(np.concatenate([pos, neg]), len(ctx.proteins))
+    reference = np.hstack([ctx.protein_matrix[pi], ctx.compound_matrix[ci]])
+    assert x.dtype == reference.dtype and x.shape == reference.shape == (
+        rows + negatives, wp + wc)
+    assert x.tobytes() == reference.tobytes()
+    assert x.flags.c_contiguous
+    assert y.tolist() == [1.0] * rows + [0.0] * negatives
+
+
+def test_feature_matrix_allocates_only_its_outputs():
+    # 48k rows x 96 columns: x is 37 MB, a full-size temporary would be 12 MB
+    # or more, and a block's temporaries stay under 3 MB
+    rng = np.random.default_rng(4)
+    ctx = random_context(rng, 400, 300, 32, 64)
+    pos = rng.integers(0, 400 * 300, 30_000)
+    neg = rng.integers(0, 400 * 300, 18_000)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        x, y = ctx.feature_matrix(pos, neg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= x.nbytes + y.nbytes + 4_000_000
 
 
 # ---------------------------------------------------------------- latent store io

@@ -1,11 +1,11 @@
 import importlib.util
 import pathlib
 
-SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "run_demo.py"
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 
-def load_demo():
-    spec = importlib.util.spec_from_file_location("run_demo", SCRIPT)
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -22,10 +22,24 @@ def artifacts(root):
 
 
 def test_demo_runs_and_reruns_byte_identical(tmp_path, capsys):
-    demo = load_demo()
+    demo = load_script("run_demo")
     assert demo.run(tmp_path / "a") == 0
     assert demo.run(tmp_path / "b") == 0
     capsys.readouterr()
     first = artifacts(tmp_path / "a")
     assert "diagnose/weight_drift.csv" in first and "train/report.json" in first
     assert first == artifacts(tmp_path / "b")
+
+
+def test_scale_data_path_smoke(tmp_path):
+    scale = load_script("scale_data_path")
+    report = scale.run(2_000, 1, tmp_path, compounds=400, proteins=100)
+    assert list(report["stages"]) == [
+        "generate", "load_interactions", "load_latents", "data_context",
+        "tier_mask", "negatives", "feature_gather", "train_one_epoch",
+    ]
+    assert all(stage["s"] >= 0 for stage in report["stages"].values())
+    # the step's rows are its positives and as many negatives, 64 + 128 wide
+    assert report["step_rows"] > 0 and report["step_rows"] % 2 == 0
+    assert report["x_mb"] == round(report["step_rows"] * 192 * 8 / 2**20, 1)
+    assert report["peak_rss_mb"] >= max(s["peak_rss_mb"] for s in report["stages"].values())

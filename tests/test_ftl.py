@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from tierflow.data import TierSpec, tier_filter
 from tierflow.engine import DenseLayer, DenseNetwork
 from tierflow.errors import DataError
 from tierflow.ftl import (
+    DataContext,
     MetricsLog,
     TrainSchedule,
     TrainStep,
@@ -135,6 +137,29 @@ def test_metrics_log_complete_audit_trail(tiny_ctx):
 def test_empty_step_tier_rejected(tiny_ctx):
     with pytest.raises(DataError, match="no positives"):
         train_ftl(fast_schedule([TrainStep(TierSpec(0, 5), 1)], seed=1), tiny_ctx)
+
+
+@pytest.mark.parametrize("metrics", [True, False])
+def test_step_matrix_freed_before_next_gather(tiny_ctx, monkeypatch, metrics):
+    # weak references to each gathered x, and which of them were still alive
+    # when each later gather began
+    gathered, alive = [], []
+    gather = DataContext.feature_matrix
+
+    def tracked(ctx, positives, negatives):
+        alive.append([ref() is not None for ref in gathered])
+        x, y = gather(ctx, positives, negatives)
+        gathered.append(weakref.ref(x))
+        return x, y
+
+    monkeypatch.setattr(DataContext, "feature_matrix", tracked)
+    result = train_ftl(
+        fast_schedule([TrainStep(LOW, 1), TrainStep(HIGH, 1)], seed=4), tiny_ctx,
+        metrics=metrics,
+    )
+    # the validation matrix lives on in the result; step 1's is gone by step 2
+    assert alive == [[], [True], [True, False]]
+    assert gathered[0]() is result.validation[0]
 
 
 def test_evaluate_constant_half_predictor(tiny_ctx):
