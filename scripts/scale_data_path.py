@@ -1,6 +1,8 @@
 """Time and peak memory of tierflow's training data path at a given record count.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/scale_data_path.py --records 1000000
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/scale_data_path.py \
+        --vae-entries 5000 --vae-bits 5508
 
 Generates ``--records`` interaction records on a 20k x 2k id grid, with the
 low-skewed score distribution and the latent widths (64 compound, 128
@@ -12,6 +14,13 @@ mask, the step's negatives, the step's feature gather, and one epoch of a
 ``[128, 64, 32, 16, 8]`` classifier (a one-step, one-epoch ``train_ftl`` call
 with metrics off, which samples and gathers its own step and validation sets).
 
+With ``--vae-entries N --vae-bits W`` it measures the VAE front end instead:
+it writes N random W-bit vectors as a bit-vector file, loads them, and trains
+one epoch of a VAE shaped like the preset whose input width is nearest W
+(``chemical``, 1024 bits, or ``protein``, 5508 bits: its hidden and latent
+widths and batch size, with input width W).  So the memory of the protein
+preset is measured, not extrapolated from the chemical one.
+
 Each stage reports its wall seconds and the process's peak RSS after it
 (``getrusage``, MiB), so the stage that sets the peak shows.  The last line of
 standard output is one JSON object.  One BLAS thread, as above, matches the
@@ -21,6 +30,7 @@ benchmark's children.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import resource
 import sys
@@ -30,9 +40,16 @@ from pathlib import Path
 
 import numpy as np
 
-from tierflow.data import TierSpec, load_interactions, load_latents, sample_negatives
+from tierflow.data import (
+    TierSpec,
+    load_bitvectors,
+    load_interactions,
+    load_latents,
+    sample_negatives,
+)
 from tierflow.ftl import DataContext, TrainSchedule, TrainStep, train_ftl
 from tierflow.rng import RngStream
+from tierflow.vae import chemical_preset, protein_preset, train_vae
 
 WIDTHS = (64, 128)  # compound, protein
 STEP = TierSpec(319, 700)
@@ -73,11 +90,10 @@ def generate(records: int, seed: int, work: Path, compounds: int, proteins: int)
                 fh.write(prefix % i + "\t" + ",".join(map(repr, row.tolist())) + "\n")
 
 
-def run(records: int, seed: int, work: Path,
-        compounds: int = 20_000, proteins: int = 2_000) -> dict:
-    """Generate the files under ``work``, run every stage, and return the report."""
-    report: dict = {"records": records, "seed": seed, "grid": [compounds, proteins],
-                    "stages": {}}
+def stager(report: dict):
+    """A ``stage(name, fn, *args)`` that runs ``fn(*args)`` and records its
+    seconds and the peak RSS after it under ``report["stages"][name]``."""
+    report["stages"] = {}
 
     def stage(name, fn, *args):
         started = time.perf_counter()
@@ -88,6 +104,14 @@ def run(records: int, seed: int, work: Path,
         }
         return result
 
+    return stage
+
+
+def run(records: int, seed: int, work: Path,
+        compounds: int = 20_000, proteins: int = 2_000) -> dict:
+    """Generate the files under ``work``, run every stage, and return the report."""
+    report: dict = {"records": records, "seed": seed, "grid": [compounds, proteins]}
+    stage = stager(report)
     stage("generate", generate, records, seed, work, compounds, proteins)
     table = stage("load_interactions", load_interactions, work / "interactions.tsv")
     stores = stage("load_latents", lambda: [
@@ -112,13 +136,52 @@ def run(records: int, seed: int, work: Path,
     return report
 
 
+def generate_bits(entries: int, width: int, seed: int, path: Path) -> None:
+    """``entries`` random vectors of ``width`` bits, written 256 rows at a time."""
+    rng = np.random.default_rng(seed)
+    with path.open("w", encoding="ascii") as fh:
+        fh.write(f"#width={width}\n")
+        for at in range(0, entries, 256):
+            chars = rng.integers(0, 2, (min(256, entries - at), width), dtype=np.uint8)
+            chars += ord("0")
+            fh.writelines(f"V{at + i:07d}\t{row.tobytes().decode()}\n"
+                          for i, row in enumerate(chars))
+
+
+def run_vae(entries: int, width: int, seed: int, work: Path) -> dict:
+    """Generate ``entries`` ``width``-bit vectors under ``work``, load them, train
+    one epoch of the nearest preset's shape on them, and return the report."""
+    preset = min((chemical_preset(), protein_preset()),
+                 key=lambda config: abs(config.input_dim - width))
+    config = dataclasses.replace(preset, input_dim=width, epochs=1)
+    report: dict = {"vae_entries": entries, "vae_bits": width, "seed": seed,
+                    "hidden": list(config.encoder_hidden), "latent": config.latent_dim,
+                    "batch_size": config.batch_size}
+    stage = stager(report)
+    path = work / "vectors.bits"
+    stage("generate", generate_bits, entries, width, seed, path)
+    store = stage("load_bitvectors", load_bitvectors, path)
+    report["store_mb"] = round(store.matrix.nbytes / 2**20, 1)
+    stage("train_vae_one_epoch", train_vae, config, store, RngStream(seed))
+    report["peak_rss_mb"] = round(peak_rss_mb(), 1)
+    return report
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--records", type=int, required=True)
+    parser.add_argument("--records", type=int)
+    parser.add_argument("--vae-entries", type=int)
+    parser.add_argument("--vae-bits", type=int)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
+    vae = [args.vae_entries is not None, args.vae_bits is not None]
+    if vae[0] != vae[1] or (args.records is not None) == vae[0]:
+        parser.error("give either --records, or both --vae-entries and --vae-bits")
     with tempfile.TemporaryDirectory() as tmp:
-        report = run(args.records, args.seed, Path(tmp))
+        if args.records is None:
+            report = run_vae(args.vae_entries, args.vae_bits, args.seed, Path(tmp))
+        else:
+            report = run(args.records, args.seed, Path(tmp))
     for name, entry in report["stages"].items():
         print(f"{name:>18}  {entry['s']:8.3f} s  peak {entry['peak_rss_mb']:8.1f} MiB")
     print(json.dumps(report))

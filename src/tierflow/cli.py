@@ -111,7 +111,7 @@ def cmd_synth(args) -> int:
     save_bitvectors(data.compounds, out / "compounds.bits")
     save_bitvectors(data.proteins, out / "proteins.bits")
     save_interactions(data.interactions, out / "interactions.tsv")
-    save_oracle(data.oracle, out / "oracle.tsv")
+    save_oracle(data.compounds.ids, data.proteins.ids, data.truth, out / "oracle.tsv")
     outputs = [
         out / "compounds.bits", out / "proteins.bits",
         out / "interactions.tsv", out / "oracle.tsv",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,61 +25,66 @@ from .errors import ConfigError, DataError
 from .rng import RngStream
 
 
+def _check_ids(ids: list[str], rows: int, what: str) -> None:
+    """ValueError unless there is one id per matrix row and no id repeats."""
+    if len(ids) != rows:
+        raise ValueError(f"{len(ids)} ids for {rows} rows in {what}")
+    if len(set(ids)) < len(ids):
+        key = next(k for k, count in Counter(ids).items() if count > 1)
+        raise ValueError(f"duplicate id {key!r} in {what}")
+
+
 @dataclass
 class BitVectorStore:
-    """Fixed-width binary feature vectors keyed by entity id."""
+    """Fixed-width binary feature vectors: ids in insertion order, one uint8 row each."""
 
     width: int
-    entries: dict[str, np.ndarray] = field(default_factory=dict)
+    ids: list[str] = field(default_factory=list)
+    matrix: np.ndarray | None = None  # (len(ids), width) uint8; no rows when omitted
 
     def __post_init__(self):
         if self.width < 1:
             raise ValueError(f"width must be >= 1, got {self.width}")
-        for key, vec in self.entries.items():
-            self._check_entry(key, vec)
-
-    def _check_entry(self, key: str, vec: np.ndarray) -> None:
-        if not key:
-            raise ValueError("empty id in bit-vector store")
-        if vec.shape != (self.width,):
+        self.ids = list(self.ids)
+        if self.matrix is None:
+            self.matrix = np.zeros((0, self.width), dtype=np.uint8)
+        self.matrix = np.asarray(self.matrix, dtype=np.uint8)
+        if self.matrix.ndim != 2 or self.matrix.shape[1] != self.width:
             raise ValueError(
-                f"vector for {key!r} has width {vec.shape}, store width is {self.width}"
+                f"bit matrix has shape {self.matrix.shape}, store width is {self.width}"
             )
-
-    def add(self, key: str, vec: np.ndarray) -> None:
-        vec = np.asarray(vec, dtype=np.uint8)
-        self._check_entry(key, vec)
-        if key in self.entries:
-            raise ValueError(f"duplicate id {key!r}")
-        self.entries[key] = vec
+        if "" in self.ids:
+            raise ValueError("empty id in bit-vector store")
+        _check_ids(self.ids, len(self.matrix), "bit-vector store")
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.ids)
 
     def as_float_features(self) -> "LatentStore":
         """View the raw bits as float feature vectors (for no-VAE training)."""
-        return LatentStore({k: v.astype(np.float64) for k, v in self.entries.items()})
+        return LatentStore(self.ids, self.matrix.astype(np.float64))
 
 
 @dataclass
 class LatentStore:
-    """Float feature vectors keyed by entity id, all the same length."""
+    """Float feature vectors: ids in insertion order, one float64 row each."""
 
-    entries: dict[str, np.ndarray] = field(default_factory=dict)
+    ids: list[str]
+    matrix: np.ndarray  # (len(ids), width) float64
 
     def __post_init__(self):
-        widths = {v.shape for v in self.entries.values()}
-        if len(widths) > 1:
-            raise ValueError(f"inconsistent vector widths in latent store: {widths}")
+        self.ids = list(self.ids)
+        self.matrix = np.asarray(self.matrix, dtype=np.float64)
+        if self.matrix.ndim != 2:
+            raise ValueError(f"latent matrix must be 2-D, got shape {self.matrix.shape}")
+        _check_ids(self.ids, len(self.matrix), "latent store")
 
     @property
     def width(self) -> int:
-        if not self.entries:
-            raise ValueError("empty latent store has no width")
-        return next(iter(self.entries.values())).shape[0]
+        return self.matrix.shape[1]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.ids)
 
 
 @contextmanager
@@ -93,9 +99,102 @@ def _open_for_read(path: Path):
         raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
+# lines per parse block: a block's Python strings stay a few MB, and the
+# per-block numpy calls cost little beside the parsing
+_BLOCK_LINES = 4096
+
+
+def _line_blocks(fh, start: int):
+    """``(number of the first line, lines)`` for blocks of ``_BLOCK_LINES`` lines.
+
+    A decode error is raised only after the lines read before it have been
+    yielded, so an error on one of those lines is reported first, as a
+    line-at-a-time reader would report it.
+    """
+    block: list[str] = []
+    try:
+        for line in fh:
+            block.append(line)
+            if len(block) == _BLOCK_LINES:
+                yield start, block
+                start, block = start + _BLOCK_LINES, []
+    except UnicodeDecodeError:
+        yield start, block
+        raise
+    yield start, block
+
+
+def _columns(lines: list[str], count: int) -> tuple[list[str], ...] | None:
+    """The tab-separated fields of the lines as ``count`` columns, or None
+    unless every line has ``count`` fields and none is blank."""
+    if not lines:
+        return ([],) * count
+    text = "".join(lines)
+    tabs = set(map(str.count, lines, itertools.repeat("\t")))
+    if tabs != {count - 1} or text[0] == "\n" or "\n\n" in text:
+        return None
+    fields = text.replace("\n", "\t").split("\t")
+    if text[-1] == "\n":
+        fields.pop()
+    return tuple(fields[i::count] for i in range(count))
+
+
+def _fresh(keys: list[str], seen: set[str]) -> bool:
+    """Whether the ids are distinct and none of them is in ``seen``."""
+    return len(set(keys)) == len(keys) and seen.isdisjoint(keys)
+
+
+def _bit_block(keys: list[str], bits: list[str], width: int, seen: set[str]):
+    """The uint8 matrix of a block's ids and bit strings, or None unless every
+    string is ``width`` 0s and 1s and every id is new and not empty."""
+    if set(map(len, bits)) - {width} or "" in keys or not _fresh(keys, seen):
+        return None
+    # a character other than 0 or 1 becomes a byte above 1
+    text = "".join(bits).encode("ascii", "replace")
+    matrix = np.frombuffer(text, dtype=np.uint8).reshape(len(keys), width) - np.uint8(ord("0"))
+    return None if matrix.size and matrix.max() > 1 else matrix
+
+
+def _bit_lines(path: Path, start: int, lines: list[str], width: int, seen: set[str]):
+    """Per-line parse of a block of a bit-vector file: its ids and uint8 matrix,
+    or the first bad line's DataError.  ``seen`` holds the ids of earlier
+    lines and gains this block's."""
+    keys, rows = [], []
+    for lineno, line in enumerate(lines, start):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise DataError(f"{path}:{lineno}: expected 'id<TAB>bits'")
+        key, bits = parts
+        if len(bits) != width:
+            raise DataError(
+                f"{path}:{lineno}: vector width {len(bits)} != header width {width}"
+            )
+        if bits.strip("01"):
+            raise DataError(f"{path}:{lineno}: non-01 character in bit vector")
+        if key in seen:
+            raise DataError(f"{path}:{lineno}: duplicate id {key!r}")
+        if not key:
+            raise DataError(f"{path}:{lineno}: empty id in bit-vector store")
+        seen.add(key)
+        keys.append(key)
+        rows.append(np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0"))
+    return keys, np.array(rows, dtype=np.uint8).reshape(len(rows), width)
+
+
 def load_bitvectors(path: str | Path) -> BitVectorStore:
-    """Parse a bit-vector file; errors carry the offending line number."""
+    """Parse a bit-vector file; errors carry the offending line number.
+
+    Lines are parsed ``_BLOCK_LINES`` at a time into one uint8 matrix; a block
+    that is not plainly well formed is parsed again line by line, which
+    raises the error of its first bad line.
+    """
     path = Path(path)
+    ids: list[str] = []
+    blocks: list[np.ndarray] = []
+    seen: set[str] = set()
     with _open_for_read(path) as fh:
         header = fh.readline().rstrip("\n")
         if not header.startswith("#width="):
@@ -104,67 +203,119 @@ def load_bitvectors(path: str | Path) -> BitVectorStore:
             width = int(header[len("#width="):])
         except ValueError as exc:
             raise DataError(f"{path}:1: bad width in header {header!r}") from exc
-        store = BitVectorStore(width)
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{path}:{lineno}: expected 'id<TAB>bits'")
-            key, bits = parts
-            if len(bits) != width:
-                raise DataError(
-                    f"{path}:{lineno}: vector width {len(bits)} != header width {width}"
-                )
-            if bits.strip("01"):
-                raise DataError(f"{path}:{lineno}: non-01 character in bit vector")
-            if key in store.entries:
-                raise DataError(f"{path}:{lineno}: duplicate id {key!r}")
-            store.add(key, np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0"))
-    return store
+        if width < 1:
+            raise DataError(f"{path}:1: bad width in header {header!r}")
+        for start, lines in _line_blocks(fh, 2):
+            columns = _columns(lines, 2)
+            bits = None if columns is None else _bit_block(*columns, width, seen)
+            if bits is None:
+                keys, bits = _bit_lines(path, start, lines, width, seen)
+            else:
+                keys = columns[0]
+                seen.update(keys)
+            ids += keys
+            blocks.append(bits)
+    return BitVectorStore(width, ids, np.concatenate(blocks))
 
 
 def save_bitvectors(store: BitVectorStore, path: str | Path) -> None:
     lines = [f"#width={store.width}"]
-    for key, vec in store.entries.items():
+    for key, vec in zip(store.ids, store.matrix):
         bits = ((vec != 0).view(np.uint8) + ord("0")).tobytes().decode("ascii")
         lines.append(key + "\t" + bits)
     write_atomic(path, "\n".join(lines) + "\n")
 
 
-def load_latents(path: str | Path) -> LatentStore:
-    path = Path(path)
-    entries: dict[str, np.ndarray] = {}
-    with _open_for_read(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{path}:{lineno}: expected 'id<TAB>v1,v2,...'")
-            key, values = parts
-            if key in entries:
-                raise DataError(f"{path}:{lineno}: duplicate id {key!r}")
-            try:
-                vec = list(map(float, values.split(",")))
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad float: {exc}") from exc
-            # a nan or inf makes the sum non-finite; so can finite values that overflow
-            if not math.isfinite(sum(vec)) and not all(map(math.isfinite, vec)):
-                raise DataError(f"{path}:{lineno}: non-finite value in vector for {key!r}")
-            entries[key] = np.array(vec)
+# the bytes of printable ASCII, which np.loadtxt and float() read alike
+_PRINTABLE = bytes(range(0x20, 0x7F))
+
+
+def _latent_block(keys: list[str], values: list[str], seen: set[str]):
+    """The float64 matrix of a block's ids and value strings, or None unless
+    ``np.loadtxt`` reads them as finite rows of one width and every id is new.
+
+    ``np.loadtxt`` and ``float()`` read printable ASCII to the same bits, but
+    not every other character (``np.loadtxt`` takes ``"\\x1c1"`` for 1.0, say):
+    a block holding any other character is left to ``float()``.
+    """
+    if not keys or not _fresh(keys, seen):
+        return None
+    text = ",".join(values)
+    if not (all(values) and text.isascii()) or text.encode().translate(None, _PRINTABLE):
+        return None
     try:
-        return LatentStore(entries)
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+        vecs = np.loadtxt(values, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return vecs if len(vecs) == len(keys) and np.isfinite(vecs).all() else None
+
+
+def _latent_lines(path: Path, start: int, lines: list[str], seen: set[str]):
+    """Per-line parse of a block of a latent file: its ids and vectors, or the
+    first bad line's DataError.  ``seen`` holds the ids of earlier lines and
+    gains this block's."""
+    keys, vecs = [], []
+    for lineno, line in enumerate(lines, start):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise DataError(f"{path}:{lineno}: expected 'id<TAB>v1,v2,...'")
+        key, values = parts
+        if key in seen:
+            raise DataError(f"{path}:{lineno}: duplicate id {key!r}")
+        try:
+            vec = list(map(float, values.split(",")))
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: bad float: {exc}") from exc
+        # a nan or inf makes the sum non-finite; so can finite values that overflow
+        if not math.isfinite(sum(vec)) and not all(map(math.isfinite, vec)):
+            raise DataError(f"{path}:{lineno}: non-finite value in vector for {key!r}")
+        seen.add(key)
+        keys.append(key)
+        vecs.append(np.array(vec))
+    return keys, vecs
+
+
+def load_latents(path: str | Path) -> LatentStore:
+    """Parse a latent file; errors carry the offending line number.
+
+    Lines are parsed ``_BLOCK_LINES`` at a time into one float64 matrix by
+    ``np.loadtxt``.  A block :func:`_latent_block` does not take is parsed
+    again line by line with ``float()``, which raises the error of its first
+    bad line; rows of unequal widths are an error once every line has been read.
+    """
+    path = Path(path)
+    ids: list[str] = []
+    blocks: list[np.ndarray] = []
+    seen: set[str] = set()
+    shapes: set[tuple[int, ...]] = set()  # row shapes, added in file order
+    with _open_for_read(path) as fh:
+        for start, lines in _line_blocks(fh, 1):
+            columns = _columns(lines, 2)
+            vecs = None if columns is None else _latent_block(*columns, seen)
+            if vecs is None:
+                keys, vecs = _latent_lines(path, start, lines, seen)
+                shapes.update(vec.shape for vec in vecs)
+                if not keys or len(shapes) > 1:  # unequal widths fail at the end
+                    continue
+                vecs = np.array(vecs)
+            else:
+                keys = columns[0]
+                seen.update(keys)
+                shapes.add(vecs.shape[1:])
+            ids += keys
+            blocks.append(vecs)
+    if len(shapes) > 1:
+        raise DataError(f"{path}: inconsistent vector widths in latent store: {shapes}")
+    return LatentStore(ids, np.concatenate(blocks) if blocks else np.empty((0, 0)))
 
 
 def save_latents(store: LatentStore, path: str | Path) -> None:
     lines = [
         key + "\t" + format_floats(vec, ",")
-        for key, vec in store.entries.items()
+        for key, vec in zip(store.ids, store.matrix)
     ]
     write_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
 
@@ -220,39 +371,76 @@ class InteractionTable:
         return len(self.scores)
 
 
-def _line_of_row(path: Path, row: int) -> int:
-    """Line number of the ``row``-th (0-based) non-blank line of a file."""
-    with _open_for_read(path) as fh:
-        lines = (n for n, line in enumerate(fh, start=1) if line.rstrip("\n"))
-        return next(itertools.islice(lines, row, None))
+def _line_of_row(lines: list[str], start: int, row: int) -> int:
+    """Line number of the ``row``-th (0-based) non-blank line of a block that
+    starts at line ``start``."""
+    numbers = (n for n, line in enumerate(lines, start) if line.rstrip("\n"))
+    return next(itertools.islice(numbers, row, None))
+
+
+def _interaction_block(compounds, proteins, scores):
+    """A block's columns with the scores as ints, or None unless every score
+    parses."""
+    try:
+        return compounds, proteins, list(map(int, scores))
+    except ValueError:
+        return None
+
+
+def _interaction_lines(path: Path, start: int, lines: list[str]):
+    """Per-line parse of a block of an interaction table: its columns, or the
+    first bad line's DataError."""
+    compounds, proteins, scores = [], [], []
+    for lineno, line in enumerate(lines, start):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
+        try:
+            scores.append(int(parts[2]))
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
+        compounds.append(parts[0])
+        proteins.append(parts[1])
+    return compounds, proteins, scores
 
 
 def load_interactions(path: str | Path) -> InteractionTable:
+    """Parse an interaction table; errors carry the offending line number.
+
+    Lines are parsed ``_BLOCK_LINES`` at a time into blocks of the three
+    columns; a block that does not parse is parsed again line by line, which
+    raises the error of its first bad line.  A score outside [0, 1000] is
+    reported once every line has parsed, with the line of the first one.
+    """
     path = Path(path)
-    compounds, proteins, scores = [], [], []
+    blocks: tuple[list[np.ndarray], ...] = ([], [], [])  # of each column
+    out_of_range = None  # (line, score) of the first score outside [0, 1000]
     with _open_for_read(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            try:
-                scores.append(int(parts[2]))
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-            compounds.append(parts[0])
-            proteins.append(parts[1])
+        for start, lines in _line_blocks(fh, 1):
+            columns = _columns(lines, 3)
+            columns = None if columns is None else _interaction_block(*columns)
+            if columns is None:
+                columns = _interaction_lines(path, start, lines)
+            scores = columns[2]
+            if out_of_range is None and scores and (min(scores) < 0 or max(scores) > 1000):
+                row = next(i for i, score in enumerate(scores) if not 0 <= score <= 1000)
+                out_of_range = (_line_of_row(lines, start, row), scores[row])
+            if out_of_range is None:
+                for column, values, dtype in zip(blocks, columns, (str, str, np.int64)):
+                    column.append(np.array(values, dtype=dtype))
+    if out_of_range is not None:
+        raise DataError(f"{path}:{out_of_range[0]}: score {out_of_range[1]} outside [0, 1000]")
+    joined = []
+    for column in blocks:  # each column's blocks are freed once it is joined
+        joined.append(np.concatenate(column))
+        column.clear()
     try:
-        return InteractionTable(compounds, proteins, scores)
-    except (ValueError, OverflowError) as exc:
-        row = next((i for i, s in enumerate(scores) if not 0 <= s <= 1000), None)
-        if row is None:
-            raise DataError(f"{path}: {exc}") from exc
-        raise DataError(
-            f"{path}:{_line_of_row(path, row)}: score {scores[row]} outside [0, 1000]"
-        ) from exc
+        return InteractionTable(*joined)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def save_interactions(table: InteractionTable, path: str | Path) -> None:
@@ -399,7 +587,7 @@ class SynthData:
     compounds: BitVectorStore
     proteins: BitVectorStore
     interactions: InteractionTable
-    oracle: dict[tuple[str, str], int]
+    truth: np.ndarray  # bool; [i, j] when compound i truly binds protein j
 
 
 def _random_bits(rng: RngStream, n: int, width: int, density: float) -> np.ndarray:
@@ -468,25 +656,32 @@ def synth_generate(config: SynthConfig) -> SynthData:
         np.asarray(protein_ids)[flat % config.n_proteins],
         np.concatenate(scores),
     )
-
-    oracle = {
-        (compound_ids[i], protein_ids[j]): int(truth[i, j])
-        for i in range(config.n_compounds)
-        for j in range(config.n_proteins)
-    }
     return SynthData(
-        compounds=BitVectorStore(
-            config.compound_bits, dict(zip(compound_ids, cbits))
-        ),
-        proteins=BitVectorStore(config.protein_bits, dict(zip(protein_ids, pbits))),
+        compounds=BitVectorStore(config.compound_bits, compound_ids, cbits),
+        proteins=BitVectorStore(config.protein_bits, protein_ids, pbits),
         interactions=interactions,
-        oracle=oracle,
+        truth=truth,
     )
 
 
-def save_oracle(oracle: dict[tuple[str, str], int], path: str | Path) -> None:
-    lines = [f"{c}\t{p}\t{label}" for (c, p), label in sorted(oracle.items())]
-    write_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
+def save_oracle(
+    compound_ids: list[str], protein_ids: list[str], truth: np.ndarray, path: str | Path
+) -> None:
+    """``compound<TAB>protein<TAB>0|1`` for every pair of the grid, sorted by
+    compound id, then protein id; ``truth[i, j]`` labels the i-th compound and
+    the j-th protein."""
+    p_order = sorted(range(len(protein_ids)), key=protein_ids.__getitem__)
+    # each protein's line ending for either label, in protein order
+    zeros, ones = (
+        np.array([protein_ids[j] + label for j in p_order], dtype=object)
+        for label in ("\t0\n", "\t1\n")
+    )
+    truth = np.asarray(truth, dtype=bool)[:, p_order]
+    rows = []
+    for i in sorted(range(len(compound_ids)), key=compound_ids.__getitem__):
+        prefix = compound_ids[i] + "\t"
+        rows.append("".join([prefix + end for end in np.where(truth[i], ones, zeros)]))
+    write_atomic(path, "".join(rows))
 
 
 def load_oracle(path: str | Path) -> dict[tuple[str, str], int]:

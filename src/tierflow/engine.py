@@ -39,6 +39,19 @@ def _apply_activation(z: np.ndarray, tag: str) -> np.ndarray:
     raise ValueError(f"unknown activation {tag!r}")
 
 
+def _activation_gradient(delta: np.ndarray, a_out: np.ndarray, tag: str) -> np.ndarray:
+    """dLoss/dPre-activation from dLoss/dOutput, through the activation's output."""
+    if tag == RELU:
+        return np.multiply(delta, a_out > 0.0)
+    if tag == SIGMOID:
+        # delta * (a_out * (1 - a_out)), in one array
+        dz = np.subtract(1.0, a_out)
+        dz *= a_out
+        dz *= delta
+        return dz
+    return delta
+
+
 def _check_finite(arr: np.ndarray, what: str) -> None:
     if not np.isfinite(arr).all():
         raise NumericError(f"non-finite values in {what}")
@@ -274,13 +287,7 @@ def _backpropagate(net, activations, loss_gradient, out, input_gradient: bool):
         a_in = activations[i]
         if a_in.shape[1] != layer.in_dim:
             raise ValueError(f"stale activations at layer {i}")
-        # the activation's derivative, expressed through its output
-        if layer.activation == RELU:
-            dz = np.multiply(delta, a_out > 0.0)
-        elif layer.activation == SIGMOID:
-            dz = delta * (a_out * (1.0 - a_out))
-        else:
-            dz = delta
+        dz = _activation_gradient(delta, a_out, layer.activation)
         np.matmul(dz.T, a_in, out=grads[2 * i])
         dz.sum(axis=0, out=grads[2 * i + 1])
         # layer 0's input gradient is dLoss/dInput, which only the VAE uses

@@ -138,13 +138,20 @@ def metrics_csv_lines(log: MetricsLog, arm: str) -> list[str]:
 _GATHER_ROWS = 4096
 
 
+def _sorted_rows(store: LatentStore) -> tuple[np.ndarray, np.ndarray]:
+    """The store's ids sorted, and its matrix rows in that order."""
+    ids = np.array(store.ids, dtype=str)
+    order = np.argsort(ids, kind="stable")
+    return ids[order], store.matrix[order]
+
+
 @dataclass
 class DataContext:
     """Everything a training run consumes: positives, features, id universes.
 
     Built once from the three fields and kept as arrays, so the feature stores
     are not held (nor pickled into ``--jobs`` workers): ``compounds`` and
-    ``proteins`` are the sorted id lists, ``compound_matrix`` and
+    ``proteins`` are the sorted id arrays, ``compound_matrix`` and
     ``protein_matrix`` the feature rows in that order, and ``ci``/``pi`` each
     table row's compound and protein row (-1 for an id with no features).  A
     pair is the int64 key ``ci * len(proteins) + pi``; ``row_keys`` holds each
@@ -158,10 +165,8 @@ class DataContext:
     protein_features: InitVar[LatentStore]
 
     def __post_init__(self, compound_features: LatentStore, protein_features: LatentStore):
-        by_compound, by_protein = compound_features.entries, protein_features.entries
-        self.compounds, self.proteins = sorted(by_compound), sorted(by_protein)
-        self.compound_matrix = np.array([by_compound[c] for c in self.compounds])
-        self.protein_matrix = np.array([by_protein[p] for p in self.proteins])
+        self.compounds, self.compound_matrix = _sorted_rows(compound_features)
+        self.proteins, self.protein_matrix = _sorted_rows(protein_features)
         rows = self.interactions
         self.ci = index_of(self.compounds, rows.compound_ids)
         self.pi = index_of(self.proteins, rows.protein_ids)

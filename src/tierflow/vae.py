@@ -125,7 +125,11 @@ def reparameterize(mu: np.ndarray, logvar: np.ndarray, rng: RngStream) -> np.nda
 
 
 def _check_binary(x: np.ndarray) -> None:
-    if not np.isin(x, (0.0, 1.0)).all():
+    if x.dtype == np.uint8:
+        binary = x.max(initial=0) <= 1  # needs no temporary the size of the bits
+    else:
+        binary = np.isin(x, (0.0, 1.0)).all()
+    if not binary:
         raise DataError("vae_loss input must be binary (0/1 entries)")
 
 
@@ -158,13 +162,32 @@ def vae_loss(
 def _loss_terms(
     clipped: np.ndarray, x: np.ndarray, mu: np.ndarray, logvar: np.ndarray
 ) -> tuple[float, float, float]:
-    # vae_loss on a checked batch and an already clipped reconstruction
+    # vae_loss on a checked batch and an already clipped reconstruction; the
+    # sum of x * log(c) + (1 - x) * log1p(-c), two batch-sized arrays at a time
     n = x.shape[0]
-    recon = float(-np.sum(x * np.log(clipped) + (1.0 - x) * np.log1p(-clipped)) / n)
+    misses = np.negative(clipped)
+    np.log1p(misses, out=misses)
+    misses *= 1.0 - x
+    hits = np.log(clipped)
+    hits *= x
+    hits += misses
+    recon = float(-np.sum(hits) / n)
     # expm1 keeps e^lv - 1 - lv >= 0 even for tiny logvar, where exp() would
     # round to 1.0 and drop below zero
     kl = float(0.5 * np.sum(mu**2 + (np.expm1(logvar) - logvar)) / n)
     return recon + kl, recon, kl
+
+
+def _recon_gradient(clipped: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Gradient of the reconstruction term w.r.t. the clipped reconstruction:
+    ``(-(x / c) + (1 - x) / (1 - c)) / n``, two batch-sized arrays at a time."""
+    misses = np.subtract(1.0, clipped)
+    np.divide(1.0 - x, misses, out=misses)
+    grad = np.divide(x, clipped)
+    np.negative(grad, out=grad)
+    grad += misses
+    grad /= x.shape[0]
+    return grad
 
 
 @dataclass
@@ -193,10 +216,9 @@ def _vae_backward(
     """Analytic gradients of the total loss, aligned with model.parameters()."""
     x = np.asarray(batch, dtype=np.float64)
     n = x.shape[0]
-    rc = cache.clipped
-    d_recon = (-(x / rc) + (1.0 - x) / (1.0 - rc)) / n
-
-    dec_grads, d_z = backward_with_input(model.decoder, cache.decoder_acts, d_recon)
+    dec_grads, d_z = backward_with_input(
+        model.decoder, cache.decoder_acts, _recon_gradient(cache.clipped, x)
+    )
 
     # KL contributions (mean over batch)
     d_mu = d_z + cache.mu / n
@@ -250,7 +272,8 @@ def train_vae(
     """Train with Adam over shuffled mini-batches; the short final batch is kept.
 
     Logs the sample-weighted epoch mean of the total loss, its two terms, and
-    the epoch-over-epoch change (0.0 for the first epoch).
+    the epoch-over-epoch change (0.0 for the first epoch).  The store's bits
+    stay uint8: only the batch in hand is widened to float64.
     """
     if len(store) == 0:
         raise DataError("cannot train a VAE on an empty store")
@@ -258,14 +281,14 @@ def train_vae(
         raise DataError(
             f"store width {store.width} does not match config input_dim {config.input_dim}"
         )
-    x_all = np.stack([store.entries[k] for k in store.entries]).astype(np.float64)
-    n = x_all.shape[0]
+    bits = store.matrix
+    n = len(bits)
     model = build_vae(config, rng.spawn("init"))
     log = VaeTrainLog()
     if config.epochs == 0:
         return model, log
 
-    _check_binary(x_all)
+    _check_binary(bits)
     params = model.parameters()
     adam = AdamState.create(params, config.learning_rate)
     prev_total = None
@@ -278,7 +301,9 @@ def train_vae(
             eta = noise.normal(len(idx) * config.latent_dim).reshape(
                 len(idx), config.latent_dim
             )
-            recon, kl = _train_batch(model, adam, params, x_all[idx], eta)
+            recon, kl = _train_batch(
+                model, adam, params, bits[idx].astype(np.float64), eta
+            )
             ep_recon += recon * len(idx)
             ep_kl += kl * len(idx)
         total = (ep_recon + ep_kl) / n
@@ -296,16 +321,12 @@ def embed(model: VaeModel, store: BitVectorStore) -> LatentStore:
         raise DataError(
             f"store width {store.width} does not match model input_dim {model.input_dim}"
         )
-    keys = list(store.entries)
-    out: dict[str, np.ndarray] = {}
-    for at in range(0, len(keys), 4096):
-        chunk = keys[at:at + 4096]
-        batch = np.stack([store.entries[k] for k in chunk]).astype(np.float64)
+    means = np.empty((len(store), model.latent_dim))
+    for at in range(0, len(store), 4096):
+        batch = store.matrix[at:at + 4096].astype(np.float64)
         h = forward(model.encoder_trunk, batch, chain=False)[-1]
-        mu = forward(model.mu_head, h)[-1]
-        for k, row in zip(chunk, mu):
-            out[k] = row.copy()
-    return LatentStore(out)
+        means[at:at + 4096] = forward(model.mu_head, h)[-1]
+    return LatentStore(store.ids, means)
 
 
 def save_vae(model: VaeModel, path) -> None:

@@ -1,7 +1,27 @@
+import numpy as np
 import pytest
 
-from tierflow.data import SynthConfig, SynthTier, TierSpec, synth_generate
+from tierflow.data import (
+    BitVectorStore,
+    LatentStore,
+    SynthConfig,
+    SynthTier,
+    TierSpec,
+    synth_generate,
+)
 from tierflow.ftl import DataContext
+
+
+def latent_store(rows: dict) -> LatentStore:
+    """A latent store holding the ``{id: vector}`` rows in their order."""
+    matrix = np.array(list(rows.values()), dtype=np.float64)
+    return LatentStore(list(rows), matrix.reshape(len(rows), -1) if rows else np.empty((0, 0)))
+
+
+def bit_store(width: int, rows: dict) -> BitVectorStore:
+    """A bit-vector store holding the ``{id: bits}`` rows in their order."""
+    matrix = np.array(list(rows.values()), dtype=np.uint8).reshape(len(rows), width)
+    return BitVectorStore(width, list(rows), matrix)
 
 
 def tiny_synth_config(seed: int = 5) -> SynthConfig:

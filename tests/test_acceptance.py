@@ -14,9 +14,7 @@ import scipy.stats
 from tierflow.checkpoint import load_network, save_network
 from tierflow.cli import main as cli_main
 from tierflow.data import (
-    BitVectorStore,
     InteractionTable,
-    LatentStore,
     SynthConfig,
     SynthTier,
     TierSpec,
@@ -50,6 +48,7 @@ from tierflow.ftl import (
 )
 from tierflow.rng import RngStream
 from tierflow.vae import VaeConfig, train_vae
+from conftest import bit_store, latent_store
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -277,9 +276,7 @@ def test_c04_negative_sampler_safety():
 def test_c05_vae_sanity():
     started = time.monotonic()
     rng = RngStream(505)
-    store = BitVectorStore(32)
-    for i in range(500):
-        store.add(f"v{i:04d}", (rng.uniform(size=32) < 0.5).astype(np.uint8))
+    store = bit_store(32, {f"v{i:04d}": rng.uniform(size=32) < 0.5 for i in range(500)})
     config = VaeConfig(input_dim=32, encoder_hidden=(16,), latent_dim=4,
                        epochs=100, batch_size=100, learning_rate=1e-2)
     _, log = train_vae(config, store, RngStream(55))
@@ -470,9 +467,7 @@ def test_c10_format_round_trips(tmp_path):
     rng = RngStream(1010)
     results = {}
 
-    store = BitVectorStore(24)
-    for i in range(40):
-        store.add(f"id{i:03d}", (rng.uniform(size=24) < 0.4).astype(np.uint8))
+    store = bit_store(24, {f"id{i:03d}": rng.uniform(size=24) < 0.4 for i in range(40)})
     p1, p2 = tmp_path / "bits1", tmp_path / "bits2"
     save_bitvectors(store, p1)
     save_bitvectors(load_bitvectors(p1), p2)
@@ -493,9 +488,7 @@ def test_c10_format_round_trips(tmp_path):
     save_network(load_network(c1), c2)
     results["checkpoint"] = c1.read_bytes() == c2.read_bytes()
 
-    latents = LatentStore(
-        {f"z{i}": rng.uniform(-3, 3, size=7) for i in range(25)}
-    )
+    latents = latent_store({f"z{i}": rng.uniform(-3, 3, size=7) for i in range(25)})
     l1, l2 = tmp_path / "lat1", tmp_path / "lat2"
     save_latents(latents, l1)
     save_latents(load_latents(l1), l2)

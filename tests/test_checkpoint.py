@@ -15,11 +15,12 @@ from tierflow.checkpoint import (
     network_to_dict,
     save_network,
 )
-from tierflow.data import LatentStore, save_latents
+from tierflow.data import save_latents
 from tierflow.engine import init_network
 from tierflow.errors import DataError
 from tierflow.rng import RngStream
 from tierflow.vae import VaeConfig, build_vae, save_vae
+from conftest import latent_store
 
 
 def test_format_float_round_trips_exactly():
@@ -168,7 +169,7 @@ def test_writers_match_per_float_reference_bytes(tmp_path):
     assert (tmp_path / "vae.json").read_text(encoding="utf-8") == reference_dumps(doc) + "\n"
 
     rows = {"a": np.array(SPECIAL_FLOATS[:5]), "b": np.array(SPECIAL_FLOATS[5:])}
-    save_latents(LatentStore(rows), tmp_path / "latents.tsv")
+    save_latents(latent_store(rows), tmp_path / "latents.tsv")
     assert (tmp_path / "latents.tsv").read_text(encoding="utf-8") == "".join(
         key + "\t" + ",".join(format_float(x) for x in vec) + "\n"
         for key, vec in rows.items()

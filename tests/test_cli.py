@@ -121,16 +121,20 @@ def test_synth_seed_override_changes_output(synth_config, tmp_path):
 # ---------------------------------------------------------------- embed
 
 
-@pytest.fixture
-def small_bits(tmp_path):
+def write_small_bits(path):
+    """30 random 16-bit vectors as a bit-vector file."""
     rng = RngStream(4)
     lines = ["#width=16"]
     for i in range(30):
         bits = "".join("1" if b else "0" for b in rng.uniform(size=16) < 0.5)
         lines.append(f"e{i:03d}\t{bits}")
-    path = tmp_path / "vectors.bits"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(path)
+
+
+@pytest.fixture
+def small_bits(tmp_path):
+    return write_small_bits(tmp_path / "vectors.bits")
 
 
 VAE_DOC = {
@@ -471,8 +475,9 @@ def test_non_utf8_data_file_exit_2(tmp_path, bad):
     assert not (out / "manifest.json").exists()
 
 
-def corrupt(data: bytes, kind: str, line: int, at: int, byte: bytes, latent: bool) -> bytes:
-    """``data`` (LF-terminated lines) with one line damaged in the way ``kind`` names."""
+def corrupt(data: bytes, kind: str, line: int, at: int, byte: bytes, sep: bytes) -> bytes:
+    """``data`` (LF-terminated lines) with one line damaged in the way ``kind``
+    names; ``sep`` separates a line's values (empty for the characters of bits)."""
     lines = data.split(b"\n")[:-1]
     i = line % len(lines)
     row = lines[i]
@@ -485,8 +490,8 @@ def corrupt(data: bytes, kind: str, line: int, at: int, byte: bytes, latent: boo
     elif kind == "bad byte":
         lines[i] = row[:cut] + byte + row[cut:]
     elif kind == "wrong width":
-        extra = b",0.5" if latent else b"\t1"
-        lines[i] = row + extra if at % 2 else row[:row.rfind(b"," if latent else b"\t")]
+        extra = {b",": b",0.5", b"\t": b"\t1", b"": b"1"}[sep]
+        lines[i] = row + extra if at % 2 else row[:row.rfind(sep) if sep else -1]
     elif kind == "duplicate id":
         lines.insert(i, row)
     return b"".join(ln + b"\n" for ln in lines)
@@ -497,9 +502,10 @@ def corrupt(data: bytes, kind: str, line: int, at: int, byte: bytes, latent: boo
 TIER_SCORES = (b"500", b"800", b"950")
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=32, deadline=None)
 @given(
-    target=st.sampled_from(["interactions.tsv", "compounds.tsv", "proteins.tsv"]),
+    target=st.sampled_from(["interactions.tsv", "compounds.tsv", "proteins.tsv",
+                            "vectors.bits"]),
     kind=st.sampled_from(["truncated line", "truncated file", "bad byte",
                           "wrong width", "duplicate id", "empty tier"]),
     line=st.integers(0, 100), at=st.integers(0, 100),
@@ -509,6 +515,11 @@ def test_corrupted_data_files_fail_cleanly(target, kind, line, at, byte):
     with tempfile.TemporaryDirectory() as tmp:
         root = pathlib.Path(tmp)
         doc = write_grid_data(root)
+        # the bits are embedded, the other files trained on
+        argv = ["train", "--config", write_json(root / "exp.json", doc)]
+        if target == "vectors.bits" and kind != "empty tier":
+            argv = ["embed", "--config", write_json(root / "vae.json", VAE_DOC),
+                    "--bitvectors", write_small_bits(root / target)]
         if kind == "empty tier":
             # every record of one tier rescored below all tiers
             score = TIER_SCORES[line % 3]
@@ -516,11 +527,10 @@ def test_corrupted_data_files_fail_cleanly(target, kind, line, at, byte):
             path.write_bytes(path.read_bytes().replace(b"\t" + score + b"\n", b"\t100\n"))
         else:
             path = root / target
-            path.write_bytes(corrupt(path.read_bytes(), kind, line, at, byte,
-                                     latent=target != "interactions.tsv"))
+            sep = {"interactions.tsv": b"\t", "vectors.bits": b""}.get(target, b",")
+            path.write_bytes(corrupt(path.read_bytes(), kind, line, at, byte, sep))
         out = root / "o"
-        proc = run_cli("train", "--config", write_json(root / "exp.json", doc),
-                       "--out", str(out), TIERFLOW_LOG="error")
+        proc = run_cli(*argv, "--out", str(out), TIERFLOW_LOG="error")
         manifest = (out / "manifest.json").exists()
     assert proc.returncode in (0, 1, 2, 3), proc.stderr
     assert "Traceback" not in proc.stderr

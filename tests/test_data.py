@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tierflow.data import _BLOCK_LINES as BLOCK_LINES
 from tierflow.data import (
     BitVectorStore,
     InteractionTable,
@@ -21,14 +22,16 @@ from tierflow.data import (
     save_bitvectors,
     save_interactions,
     save_latents,
+    save_oracle,
     synth_generate,
     tier_filter,
+    _open_for_read,
 )
 from tierflow.errors import ConfigError, DataError
 from tierflow.ftl import _GATHER_ROWS as GATHER_ROWS
 from tierflow.ftl import DataContext
 from tierflow.rng import RngStream
-from conftest import tiny_synth_config
+from conftest import bit_store, latent_store, tiny_synth_config
 
 
 def table_of(scores, prefix="x"):
@@ -41,6 +44,13 @@ def table_of(scores, prefix="x"):
 def pairs_of(table, mask=slice(None)):
     """The (compound, protein) pairs of the table's rows, in row order."""
     return list(zip(table.compound_ids[mask].tolist(), table.protein_ids[mask].tolist()))
+
+
+def truth_of(data, pairs):
+    """The synthetic ground truth (0/1) of each (compound, protein) pair."""
+    ci = {c: i for i, c in enumerate(data.compounds.ids)}
+    pi = {p: j for j, p in enumerate(data.proteins.ids)}
+    return [int(data.truth[ci[c], pi[p]]) for c, p in pairs]
 
 
 def same_table(a, b):
@@ -93,23 +103,20 @@ def reference_sample_negatives(compounds, proteins, positives, count, rng):
 
 
 def test_bitvector_round_trip(tmp_path):
-    store = BitVectorStore(4)
-    store.add("a", np.array([1, 0, 1, 1]))
-    store.add("b", np.array([0, 0, 0, 0]))
-    store.add("c", np.array([1, 1, 1, 1]))
+    store = bit_store(4, {"b": [1, 0, 1, 1], "a": [0, 0, 0, 0], "c": [1, 1, 1, 1]})
     path = tmp_path / "vecs.bits"
     save_bitvectors(store, path)
     loaded = load_bitvectors(path)
     assert loaded.width == 4
-    assert set(loaded.entries) == {"a", "b", "c"}
-    for key in store.entries:
-        assert np.array_equal(loaded.entries[key], store.entries[key])
+    assert loaded.ids == ["b", "a", "c"]
+    assert loaded.matrix.dtype == np.uint8
+    assert np.array_equal(loaded.matrix, store.matrix)
 
 
 def test_bitvector_writer_marks_every_nonzero_byte(tmp_path):
     vec = np.arange(256, dtype=np.uint8)
     path = tmp_path / "vecs.bits"
-    save_bitvectors(BitVectorStore(256, {"a": vec}), path)
+    save_bitvectors(BitVectorStore(256, ["a"], vec[None]), path)
     assert path.read_text(encoding="ascii") == "#width=256\na\t0" + "1" * 255 + "\n"
 
 
@@ -135,6 +142,8 @@ def test_bitvector_empty_body(tmp_path):
         "#width=3\na\t101\na\t111\n",  # duplicate id
         "#width=3\na 101\n",  # missing tab
         "width=3\n",  # bad header
+        "#width=0\n",  # width below 1
+        "#width=3\n\t101\n",  # empty id
     ],
 )
 def test_bitvector_parse_errors(tmp_path, body):
@@ -351,8 +360,8 @@ def context_of(compounds, proteins, interactions=None):
     """A DataContext over float feature stores, with no positives unless given."""
     return DataContext(
         interactions=interactions or InteractionTable([], [], []),
-        compound_features=LatentStore(compounds),
-        protein_features=LatentStore(proteins),
+        compound_features=latent_store(compounds),
+        protein_features=latent_store(proteins),
     )
 
 
@@ -438,12 +447,12 @@ def test_feature_matrix_allocates_only_its_outputs():
 
 
 def test_latents_round_trip(tmp_path):
-    store = LatentStore({"a": np.array([1 / 3, -2.5]), "b": np.array([0.0, 1e-17])})
+    store = latent_store({"b": np.array([1 / 3, -2.5]), "a": np.array([0.0, 1e-17])})
     path = tmp_path / "latents.tsv"
     save_latents(store, path)
     loaded = load_latents(path)
-    for key in store.entries:
-        assert np.array_equal(loaded.entries[key], store.entries[key])
+    assert loaded.ids == ["b", "a"]
+    assert loaded.matrix.tobytes() == store.matrix.tobytes()
 
 
 @pytest.mark.parametrize("value", ["nan", "-inf", "1e999"])
@@ -456,7 +465,265 @@ def test_latents_non_finite_value_names_line(tmp_path, value):
 
 def test_latents_width_consistency():
     with pytest.raises(ValueError):
-        LatentStore({"a": np.zeros(2), "b": np.zeros(3)})
+        LatentStore(["a", "b"], [np.zeros(2), np.zeros(3)])
+    with pytest.raises(ValueError, match="2 ids for 3 rows"):
+        LatentStore(["a", "b"], np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="duplicate id 'a'"):
+        LatentStore(["a", "b", "a"], np.zeros((3, 2)))
+
+
+# ---------------------------------------------------------------- block loaders
+
+
+def rows_of(path) -> list[int]:
+    """Line numbers of the non-blank lines of a file."""
+    with open(path, encoding="utf-8") as fh:
+        return [n for n, line in enumerate(fh, start=1) if line.rstrip("\n")]
+
+
+def reference_bitvectors(path):
+    """The per-line bit-vector parser the block loader replaced, as ids in file
+    order and row bytes.  It raised a ValueError for an empty id, which the
+    loader now reports as a DataError naming the line."""
+    with _open_for_read(path) as fh:
+        header = fh.readline().rstrip("\n")
+        if not header.startswith("#width="):
+            raise DataError(f"{path}:1: expected '#width=<int>' header, got {header!r}")
+        try:
+            width = int(header[len("#width="):])
+        except ValueError as exc:
+            raise DataError(f"{path}:1: bad width in header {header!r}") from exc
+        entries = {}
+        for lineno, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise DataError(f"{path}:{lineno}: expected 'id<TAB>bits'")
+            key, bits = parts
+            if len(bits) != width:
+                raise DataError(
+                    f"{path}:{lineno}: vector width {len(bits)} != header width {width}"
+                )
+            if bits.strip("01"):
+                raise DataError(f"{path}:{lineno}: non-01 character in bit vector")
+            if key in entries:
+                raise DataError(f"{path}:{lineno}: duplicate id {key!r}")
+            if not key:
+                raise DataError(f"{path}:{lineno}: empty id in bit-vector store")
+            entries[key] = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
+    return list(entries), [v.tobytes() for v in entries.values()]
+
+
+def reference_latents(path):
+    """The per-line latent parser the block loader replaced, as ids in file
+    order and row bytes."""
+    entries = {}
+    with _open_for_read(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise DataError(f"{path}:{lineno}: expected 'id<TAB>v1,v2,...'")
+            key, values = parts
+            if key in entries:
+                raise DataError(f"{path}:{lineno}: duplicate id {key!r}")
+            try:
+                vec = list(map(float, values.split(",")))
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: bad float: {exc}") from exc
+            if not math.isfinite(sum(vec)) and not all(map(math.isfinite, vec)):
+                raise DataError(f"{path}:{lineno}: non-finite value in vector for {key!r}")
+            entries[key] = np.array(vec)
+    widths = {v.shape for v in entries.values()}
+    if len(widths) > 1:
+        raise DataError(f"{path}: inconsistent vector widths in latent store: {widths}")
+    return list(entries), [v.tobytes() for v in entries.values()]
+
+
+def reference_interactions(path):
+    """The per-line interaction parser the block loader replaced, as its columns."""
+    compounds, proteins, scores = [], [], []
+    with _open_for_read(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
+            try:
+                scores.append(int(parts[2]))
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from exc
+            compounds.append(parts[0])
+            proteins.append(parts[1])
+    try:
+        table = InteractionTable(compounds, proteins, scores)
+    except (ValueError, OverflowError) as exc:
+        row = next((i for i, s in enumerate(scores) if not 0 <= s <= 1000), None)
+        if row is None:
+            raise DataError(f"{path}: {exc}") from exc
+        raise DataError(
+            f"{path}:{rows_of(path)[row]}: score {scores[row]} outside [0, 1000]"
+        ) from exc
+    return columns_of(table)
+
+
+def columns_of(table):
+    return (str(table.compound_ids.dtype), table.compound_ids.tolist(),
+            table.protein_ids.tolist(), table.scores.tobytes())
+
+
+def outcome(load, path):
+    """What a loader makes of a file: its data, or its DataError's message."""
+    try:
+        return load(path)
+    except DataError as exc:
+        return f"DataError: {exc}"
+
+
+def rows_of_store(store):
+    return store.ids, [row.tobytes() for row in store.matrix]
+
+
+# each format's block loader and its per-line reference, giving like results
+LOADERS = {
+    "bits": (lambda path: rows_of_store(load_bitvectors(path)), reference_bitvectors),
+    "latents": (lambda path: rows_of_store(load_latents(path)), reference_latents),
+    "interactions": (lambda path: columns_of(load_interactions(path)),
+                     reference_interactions),
+}
+
+# -0.0, subnormals, the smallest normal and 17-digit values
+SPECIAL_VALUES = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1 / 3,
+                  -1.2345678901234567e-300, 1.7976931348623157e308, 0.1]
+
+
+def data_lines(fmt: str, n: int, rng) -> tuple[list[str], str]:
+    """``n`` well-formed data lines of a format with ids in shuffled order, and
+    the header line (empty when the format has none)."""
+    order = rng.permutation(n)
+    if fmt == "bits":
+        width = int(rng.integers(1, 6))
+        bits = rng.integers(0, 2, (n, width))
+        return [f"b{order[i]}\t" + "".join(map(str, bits[i])) for i in range(n)], \
+            f"#width={width}"
+    if fmt == "latents":
+        width = int(rng.integers(1, 4))
+        values = rng.choice(SPECIAL_VALUES, (n, width)) * rng.choice([1.0, -1.0], (n, width))
+        return [f"z{order[i]}\t" + ",".join(format(v, ".17g") for v in values[i])
+                for i in range(n)], ""
+    scores = rng.integers(0, 1001, n)
+    return [f"c{order[i] // 7}\tp{order[i] % 7}\t{scores[i]}" for i in range(n)], ""
+
+
+def corrupt_line(fmt: str, kind: str, line: str, other_id: str) -> str:
+    """``line`` damaged as ``kind`` says; ``other_id`` is the id of another line."""
+    key, rest = line.split("\t", 1)
+    if kind == "duplicate id":
+        return other_id + "\t" + rest
+    if kind == "blank line after":
+        return line + "\n"
+    if kind == "extra field":
+        return line + "\tx"
+    if kind == "empty id":
+        return "\t" + rest
+    if kind == "bad byte":  # written as the byte 0xff, which is not UTF-8
+        return line[:1] + "\udcff" + line[1:]
+    if fmt == "interactions":
+        head = line.rsplit("\t", 1)[0]
+        return {"missing field": head, "bad int": head + "\tx", "underscore": head + "\t1_0",
+                "above range": head + "\t1001", "below range": head + "\t-1",
+                "huge": head + "\t" + "9" * 30, "space": head + "\t 12"}[kind]
+    if fmt == "bits":
+        return key + "\t" + {"longer": rest + "1", "shorter": rest[:-1],
+                             "non-01": "2" + rest[1:], "unicode digit": "١" + rest[1:],
+                             "space": " " + rest[1:]}[kind]
+    if kind == "width change":
+        return line + ",0.5"
+    if kind == "empty values":
+        return key + "\t"
+    # the other faults replace the first value only, so that the width holds
+    first, _, others = rest.partition(",")
+    first = {"bad float": "1.2.3", "hash": first + "#1", "nan": "nan", "inf": "-inf",
+             "overflow": "1e999", "underscore": "1_0", "unicode digit": "١",
+             "file separator": "\x1c" + first, "empty field": ""}[kind]
+    return key + "\t" + first + ("," + others if others else "")
+
+
+KINDS = {
+    "bits": ["longer", "shorter", "non-01", "unicode digit", "space"],
+    "latents": ["bad float", "hash", "nan", "inf", "overflow", "width change",
+                "underscore", "unicode digit", "file separator", "empty values",
+                "empty field"],
+    "interactions": ["missing field", "bad int", "underscore", "above range",
+                     "below range", "huge", "space"],
+}
+COMMON_KINDS = ["duplicate id", "blank line after", "extra field", "empty id", "bad byte"]
+
+
+def write_lines(path, header: str, lines: list[str], crlf: bool) -> None:
+    text = "".join(line + "\n" for line in ([header] if header else []) + lines)
+    text = text.replace("\n", "\r\n" if crlf else "\n")
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    fmt=st.sampled_from(sorted(LOADERS)),
+    n=st.sampled_from([0, 1, BLOCK_LINES - 1, BLOCK_LINES, BLOCK_LINES + 1]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_loaders_match_per_line_reference(tmp_path_factory, fmt, n, seed):
+    lines, header = data_lines(fmt, n, np.random.default_rng(seed))
+    path = tmp_path_factory.mktemp("blocks") / "data.txt"
+    write_lines(path, header, lines, crlf=False)
+    load, reference = LOADERS[fmt]
+    got = load(path)
+    assert got == reference(path)
+    if fmt != "interactions":
+        assert got[0] == [line.split("\t")[0] for line in lines]  # file order
+
+
+@pytest.mark.parametrize("fmt, kind", [
+    (fmt, kind) for fmt in sorted(LOADERS) for kind in KINDS[fmt] + COMMON_KINDS
+])
+@pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
+def test_corrupt_second_block_gives_the_per_line_error(tmp_path, fmt, kind, crlf):
+    lines, header = data_lines(fmt, BLOCK_LINES + 20, np.random.default_rng(3))
+    row = BLOCK_LINES + 3
+    lines[row] = corrupt_line(fmt, kind, lines[row], lines[0].split("\t")[0])
+    path = tmp_path / "data.txt"
+    write_lines(path, header, lines, crlf)
+    load, reference = LOADERS[fmt]
+    assert outcome(load, path) == outcome(reference, path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    fmt=st.sampled_from(sorted(LOADERS)),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+    crlf=st.booleans(),
+)
+def test_corrupt_blocks_give_the_per_line_error(tmp_path_factory, fmt, data, seed, crlf):
+    n = BLOCK_LINES + 20
+    lines, header = data_lines(fmt, n, np.random.default_rng(seed))
+    kinds = st.sampled_from(KINDS[fmt] + COMMON_KINDS)
+    # one fault in the second block, up to two more anywhere
+    faults = [data.draw(st.tuples(kinds, st.integers(BLOCK_LINES - 1, n - 1)))]
+    faults += data.draw(st.lists(st.tuples(kinds, st.integers(0, n - 1)), max_size=2))
+    for kind, row in faults:
+        other = lines[0 if row else 1].split("\t")[0]
+        lines[row] = corrupt_line(fmt, kind, lines[row].split("\n")[0], other)
+    path = tmp_path_factory.mktemp("corrupt") / "data.txt"
+    write_lines(path, header, lines, crlf)
+    load, reference = LOADERS[fmt]
+    assert outcome(load, path) == outcome(reference, path)
 
 
 # ---------------------------------------------------------------- synth
@@ -469,7 +736,7 @@ def test_synth_counts_and_validation_clean():
         got = tier_filter(data.interactions, synth_tier.tier)
         assert got.sum() == synth_tier.count
     val = tier_filter(data.interactions, config.validation_tier)
-    assert all(data.oracle[pair] == 1 for pair in pairs_of(data.interactions, val))
+    assert all(truth_of(data, pairs_of(data.interactions, val)))
 
 
 def test_synth_exact_flip_counts():
@@ -477,7 +744,7 @@ def test_synth_exact_flip_counts():
     data = synth_generate(config)
     for synth_tier in config.tiers:
         pairs = pairs_of(data.interactions, tier_filter(data.interactions, synth_tier.tier))
-        false_positives = sum(1 - data.oracle[pair] for pair in pairs)
+        false_positives = len(pairs) - sum(truth_of(data, pairs))
         assert false_positives == round(synth_tier.flip_rate * synth_tier.count)
 
 
@@ -488,14 +755,42 @@ def test_synth_zero_flip_everywhere_means_all_true():
         validation_tier=TierSpec(900, 1000), seed=4,
     )
     data = synth_generate(config)
-    assert all(data.oracle[pair] == 1 for pair in pairs_of(data.interactions))
+    assert all(truth_of(data, pairs_of(data.interactions)))
+
+
+def reference_save_oracle(oracle: dict, path) -> None:
+    """The writer of the per-pair oracle dict that the truth matrix replaced."""
+    lines = [f"{c}\t{p}\t{label}" for (c, p), label in sorted(oracle.items())]
+    path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+
+
+def check_oracle_bytes(tmp_path, compounds, proteins, truth):
+    oracle = {(c, p): int(truth[i, j])
+              for i, c in enumerate(compounds) for j, p in enumerate(proteins)}
+    reference_save_oracle(oracle, tmp_path / "reference.tsv")
+    save_oracle(compounds, proteins, truth, tmp_path / "oracle.tsv")
+    assert (tmp_path / "oracle.tsv").read_bytes() == (tmp_path / "reference.tsv").read_bytes()
+
+
+def test_oracle_file_equals_the_dict_writer(tmp_path):
+    data = synth_generate(tiny_synth_config(seed=9))
+    check_oracle_bytes(tmp_path, data.compounds.ids, data.proteins.ids, data.truth)
+    # ids whose string order is not their index order, as past C999999
+    compounds = ["C1000000", "C999999", "C100000", "C10", "C2", "B"]
+    proteins = ["P10", "P9", "P1", "P100"]
+    truth = np.random.default_rng(2).random((6, 4)) < 0.5
+    check_oracle_bytes(tmp_path, compounds, proteins, truth)
+    check_oracle_bytes(tmp_path, compounds, [], truth[:, :0])
 
 
 def test_synth_deterministic():
     a = synth_generate(tiny_synth_config(seed=7))
     b = synth_generate(tiny_synth_config(seed=7))
     assert same_table(a.interactions, b.interactions)
-    assert a.oracle == b.oracle
+    assert a.compounds.ids == b.compounds.ids and a.proteins.ids == b.proteins.ids
+    assert np.array_equal(a.truth, b.truth)
+    assert np.array_equal(a.compounds.matrix, b.compounds.matrix)
+    assert np.array_equal(a.proteins.matrix, b.proteins.matrix)
 
 
 def test_synth_scores_stay_in_tier():

@@ -1,6 +1,8 @@
 import importlib.util
 import pathlib
 
+import pytest
+
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -43,3 +45,16 @@ def test_scale_data_path_smoke(tmp_path):
     assert report["step_rows"] > 0 and report["step_rows"] % 2 == 0
     assert report["x_mb"] == round(report["step_rows"] * 192 * 8 / 2**20, 1)
     assert report["peak_rss_mb"] >= max(s["peak_rss_mb"] for s in report["stages"].values())
+
+
+def test_scale_data_path_vae_smoke(tmp_path):
+    scale = load_script("scale_data_path")
+    report = scale.run_vae(300, 96, 1, tmp_path)
+    assert list(report["stages"]) == ["generate", "load_bitvectors", "train_vae_one_epoch"]
+    # 96 bits is nearest the chemical preset, whose shape the VAE takes
+    assert (report["hidden"], report["latent"], report["batch_size"]) == ([256, 128], 64, 1000)
+    assert report["peak_rss_mb"] >= max(s["peak_rss_mb"] for s in report["stages"].values())
+    with pytest.raises(SystemExit):
+        scale.main(["--records", "10", "--vae-entries", "3", "--vae-bits", "4"])
+    with pytest.raises(SystemExit):
+        scale.main(["--vae-entries", "3"])

@@ -1,13 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tierflow.data import BitVectorStore
+from tierflow.engine import SIGMOID, _activation_gradient
 from tierflow.errors import DataError
 from tierflow.rng import RngStream
 from tierflow.vae import (
     VaeConfig,
+    _loss_terms,
+    _recon_gradient,
     _vae_backward,
     _vae_forward,
     build_vae,
@@ -20,6 +26,7 @@ from tierflow.vae import (
     train_vae,
     vae_loss,
 )
+from conftest import bit_store
 
 TINY = VaeConfig(input_dim=8, encoder_hidden=(4,), latent_dim=2,
                  epochs=5, batch_size=4, learning_rate=1e-3)
@@ -27,10 +34,9 @@ TINY = VaeConfig(input_dim=8, encoder_hidden=(4,), latent_dim=2,
 
 def random_store(n, width, seed=0, density=0.5):
     rng = RngStream(seed)
-    store = BitVectorStore(width)
-    for i in range(n):
-        store.add(f"v{i:04d}", (rng.uniform(size=width) < density).astype(np.uint8))
-    return store
+    return bit_store(width, {
+        f"v{i:04d}": rng.uniform(size=width) < density for i in range(n)
+    })
 
 
 # ---------------------------------------------------------------- build
@@ -183,6 +189,48 @@ def test_vae_gradient_matches_finite_differences():
                 assert abs(flat_g[i] - fd) / max(abs(fd), 1e-8) < 1e-4
 
 
+def bits_of(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+# reconstructions in [1e-12, 1 - 1e-12], the clip bounds drawn often
+clipped_values = st.one_of(
+    st.sampled_from([1e-12, 1.0 - 1e-12, 0.5]),
+    st.floats(min_value=1e-12, max_value=1.0 - 1e-12),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 6), cols=st.integers(1, 7))
+def test_in_place_loss_and_gradient_match_the_expressions_bitwise(data, rows, cols):
+    clipped = data.draw(arrays(np.float64, (rows, cols), elements=clipped_values))
+    x = data.draw(arrays(np.float64, (rows, cols), elements=st.sampled_from([0.0, 1.0])))
+    finite = st.floats(min_value=-30, max_value=30)
+    mu = data.draw(arrays(np.float64, (rows, 2), elements=finite))
+    logvar = data.draw(arrays(np.float64, (rows, 2), elements=finite))
+    n = rows
+    # the expressions the in-place code replaced, as they were written
+    recon = float(-np.sum(x * np.log(clipped) + (1.0 - x) * np.log1p(-clipped)) / n)
+    kl = float(0.5 * np.sum(mu**2 + (np.expm1(logvar) - logvar)) / n)
+    d_recon = (-(x / clipped) + (1.0 - x) / (1.0 - clipped)) / n
+    got = _loss_terms(clipped.copy(), x.copy(), mu, logvar)
+    assert list(map(bits_of, got)) == list(map(bits_of, (recon + kl, recon, kl)))
+    assert _recon_gradient(clipped.copy(), x.copy()).tobytes() == d_recon.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 4), width=st.integers(1, 9))
+def test_sigmoid_backward_matches_the_expression_bitwise(data, rows, width):
+    a_out = data.draw(arrays(np.float64, (rows, width), elements=st.one_of(
+        clipped_values, st.sampled_from([0.0, 1.0]),
+    )))
+    delta = data.draw(arrays(np.float64, (rows, width), elements=st.one_of(
+        st.floats(min_value=-1e12, max_value=1e12), st.sampled_from([-0.0, 5e-324]),
+    )))
+    got = _activation_gradient(delta.copy(), a_out.copy(), SIGMOID)
+    assert got.tobytes() == (delta * (a_out * (1.0 - a_out))).tobytes()
+
+
 # ---------------------------------------------------------------- training
 
 
@@ -228,12 +276,37 @@ def test_train_vae_width_mismatch_rejected():
 
 def test_train_vae_rejects_non_binary_store_before_training(monkeypatch):
     store = random_store(30, 8, seed=3)
-    store.add("late", np.array([0, 1, 2, 0, 1, 0, 0, 1], dtype=np.uint8))
+    store = BitVectorStore(8, store.ids + ["late"], np.vstack(
+        [store.matrix, np.array([0, 1, 2, 0, 1, 0, 0, 1], dtype=np.uint8)]
+    ))
     steps = []
     monkeypatch.setattr("tierflow.vae.adam_step", lambda *args: steps.append(args))
     with pytest.raises(DataError, match=r"vae_loss input must be binary \(0/1 entries\)"):
         train_vae(TINY, store, RngStream(9))
     assert steps == []
+
+
+def test_train_vae_holds_no_float_copy_of_the_store():
+    # 4000 x 512 bits: the store is 2 MB as uint8 and would be 16 MB as
+    # float64, while one batch of 64 rows is 0.26 MB as float64
+    config = VaeConfig(input_dim=512, encoder_hidden=(32,), latent_dim=8,
+                       epochs=1, batch_size=64, learning_rate=1e-3)
+    rng = np.random.default_rng(5)
+    store = BitVectorStore(512, [f"v{i}" for i in range(4000)],
+                           rng.random((4000, 512)) < 0.5)
+    n_params = sum(p.size for p in build_vae(config, RngStream(0)).parameters())
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        train_vae(config, store, RngStream(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the parameters, two Adam moments and a gradient, eight float64 batches,
+    # and the bits once more
+    batch_bytes = config.batch_size * config.input_dim * 8
+    assert peak - before <= 4 * n_params * 8 + 8 * batch_bytes + store.matrix.nbytes
 
 
 def test_train_vae_kl_logged_nonnegative():
@@ -252,16 +325,14 @@ def test_embed_shapes_and_purity():
     assert len(latents) == 25
     assert latents.width == 2
     again = embed(model, store)
-    for key in latents.entries:
-        assert np.array_equal(latents.entries[key], again.entries[key])
+    assert latents.ids == again.ids == store.ids
+    assert np.array_equal(latents.matrix, again.matrix)
 
 
 def test_embed_zero_vector_finite():
     model = build_vae(TINY, RngStream(0))
-    store = BitVectorStore(8)
-    store.add("zero", np.zeros(8, dtype=np.uint8))
-    latents = embed(model, store)
-    assert np.isfinite(latents.entries["zero"]).all()
+    latents = embed(model, bit_store(8, {"zero": np.zeros(8)}))
+    assert latents.ids == ["zero"] and np.isfinite(latents.matrix).all()
 
 
 def test_embed_width_mismatch():
