@@ -15,7 +15,7 @@ import itertools
 import math
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,15 +39,13 @@ class BitVectorStore:
     """Fixed-width binary feature vectors: ids in insertion order, one uint8 row each."""
 
     width: int
-    ids: list[str] = field(default_factory=list)
-    matrix: np.ndarray | None = None  # (len(ids), width) uint8; no rows when omitted
+    ids: list[str]
+    matrix: np.ndarray  # (len(ids), width) uint8
 
     def __post_init__(self):
         if self.width < 1:
             raise ValueError(f"width must be >= 1, got {self.width}")
         self.ids = list(self.ids)
-        if self.matrix is None:
-            self.matrix = np.zeros((0, self.width), dtype=np.uint8)
         self.matrix = np.asarray(self.matrix, dtype=np.uint8)
         if self.matrix.ndim != 2 or self.matrix.shape[1] != self.width:
             raise ValueError(
@@ -124,42 +122,12 @@ def _line_blocks(fh, start: int):
     yield start, block
 
 
-def _columns(lines: list[str], count: int) -> tuple[list[str], ...] | None:
-    """The tab-separated fields of the lines as ``count`` columns, or None
-    unless every line has ``count`` fields and none is blank."""
-    if not lines:
-        return ([],) * count
-    text = "".join(lines)
-    tabs = set(map(str.count, lines, itertools.repeat("\t")))
-    if tabs != {count - 1} or text[0] == "\n" or "\n\n" in text:
-        return None
-    fields = text.replace("\n", "\t").split("\t")
-    if text[-1] == "\n":
-        fields.pop()
-    return tuple(fields[i::count] for i in range(count))
-
-
-def _fresh(keys: list[str], seen: set[str]) -> bool:
-    """Whether the ids are distinct and none of them is in ``seen``."""
-    return len(set(keys)) == len(keys) and seen.isdisjoint(keys)
-
-
-def _bit_block(keys: list[str], bits: list[str], width: int, seen: set[str]):
-    """The uint8 matrix of a block's ids and bit strings, or None unless every
-    string is ``width`` 0s and 1s and every id is new and not empty."""
-    if set(map(len, bits)) - {width} or "" in keys or not _fresh(keys, seen):
-        return None
-    # a character other than 0 or 1 becomes a byte above 1
-    text = "".join(bits).encode("ascii", "replace")
-    matrix = np.frombuffer(text, dtype=np.uint8).reshape(len(keys), width) - np.uint8(ord("0"))
-    return None if matrix.size and matrix.max() > 1 else matrix
-
-
-def _bit_lines(path: Path, start: int, lines: list[str], width: int, seen: set[str]):
-    """Per-line parse of a block of a bit-vector file: its ids and uint8 matrix,
-    or the first bad line's DataError.  ``seen`` holds the ids of earlier
-    lines and gains this block's."""
-    keys, rows = [], []
+def _bit_lines(path: Path, start: int, lines: list[str], seen: set[str], out: np.ndarray):
+    """Parse a block of a bit-vector file into the first rows of ``out`` and
+    return its ids, or raise the first bad line's DataError.  ``seen`` holds
+    the ids of earlier lines and gains this block's."""
+    keys: list[str] = []
+    width = out.shape[1]
     for lineno, line in enumerate(lines, start):
         line = line.rstrip("\n")
         if not line:
@@ -179,21 +147,19 @@ def _bit_lines(path: Path, start: int, lines: list[str], width: int, seen: set[s
         if not key:
             raise DataError(f"{path}:{lineno}: empty id in bit-vector store")
         seen.add(key)
+        out[len(keys)] = np.frombuffer(bits.encode("ascii"), dtype=np.uint8)
         keys.append(key)
-        rows.append(np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0"))
-    return keys, np.array(rows, dtype=np.uint8).reshape(len(rows), width)
+    out[:len(keys)] -= np.uint8(ord("0"))
+    return keys
 
 
 def load_bitvectors(path: str | Path) -> BitVectorStore:
     """Parse a bit-vector file; errors carry the offending line number.
 
-    Lines are parsed ``_BLOCK_LINES`` at a time into one uint8 matrix; a block
-    that is not plainly well formed is parsed again line by line, which
-    raises the error of its first bad line.
+    Lines are parsed ``_BLOCK_LINES`` at a time into one uint8 matrix.
     """
     path = Path(path)
     ids: list[str] = []
-    blocks: list[np.ndarray] = []
     seen: set[str] = set()
     with _open_for_read(path) as fh:
         header = fh.readline().rstrip("\n")
@@ -205,17 +171,13 @@ def load_bitvectors(path: str | Path) -> BitVectorStore:
             raise DataError(f"{path}:1: bad width in header {header!r}") from exc
         if width < 1:
             raise DataError(f"{path}:1: bad width in header {header!r}")
+        # a row takes at least width + 2 bytes (a one-character id, a tab and
+        # the bits), so the file's size bounds the row count; the pages of
+        # rows that are never written are never touched
+        matrix = np.empty((path.stat().st_size // (width + 2), width), dtype=np.uint8)
         for start, lines in _line_blocks(fh, 2):
-            columns = _columns(lines, 2)
-            bits = None if columns is None else _bit_block(*columns, width, seen)
-            if bits is None:
-                keys, bits = _bit_lines(path, start, lines, width, seen)
-            else:
-                keys = columns[0]
-                seen.update(keys)
-            ids += keys
-            blocks.append(bits)
-    return BitVectorStore(width, ids, np.concatenate(blocks))
+            ids += _bit_lines(path, start, lines, seen, matrix[len(ids):])
+    return BitVectorStore(width, ids, matrix[:len(ids)])
 
 
 def save_bitvectors(store: BitVectorStore, path: str | Path) -> None:
@@ -224,6 +186,21 @@ def save_bitvectors(store: BitVectorStore, path: str | Path) -> None:
         bits = ((vec != 0).view(np.uint8) + ord("0")).tobytes().decode("ascii")
         lines.append(key + "\t" + bits)
     write_atomic(path, "\n".join(lines) + "\n")
+
+
+def _columns(lines: list[str]) -> tuple[list[str], list[str]] | None:
+    """The ids and value strings of the lines, or None unless every line has
+    exactly one tab and none is blank."""
+    if not lines:
+        return [], []
+    text = "".join(lines)
+    tabs = set(map(str.count, lines, itertools.repeat("\t")))
+    if tabs != {1} or text[0] == "\n" or "\n\n" in text:
+        return None
+    fields = text.replace("\n", "\t").split("\t")
+    if text[-1] == "\n":
+        fields.pop()
+    return fields[0::2], fields[1::2]
 
 
 # the bytes of printable ASCII, which np.loadtxt and float() read alike
@@ -238,7 +215,7 @@ def _latent_block(keys: list[str], values: list[str], seen: set[str]):
     not every other character (``np.loadtxt`` takes ``"\\x1c1"`` for 1.0, say):
     a block holding any other character is left to ``float()``.
     """
-    if not keys or not _fresh(keys, seen):
+    if not keys or len(set(keys)) < len(keys) or not seen.isdisjoint(keys):
         return None
     text = ",".join(values)
     if not (all(values) and text.isascii()) or text.encode().translate(None, _PRINTABLE):
@@ -293,7 +270,7 @@ def load_latents(path: str | Path) -> LatentStore:
     shapes: set[tuple[int, ...]] = set()  # row shapes, added in file order
     with _open_for_read(path) as fh:
         for start, lines in _line_blocks(fh, 1):
-            columns = _columns(lines, 2)
+            columns = _columns(lines)
             vecs = None if columns is None else _latent_block(*columns, seen)
             if vecs is None:
                 keys, vecs = _latent_lines(path, start, lines, seen)
@@ -371,26 +348,12 @@ class InteractionTable:
         return len(self.scores)
 
 
-def _line_of_row(lines: list[str], start: int, row: int) -> int:
-    """Line number of the ``row``-th (0-based) non-blank line of a block that
-    starts at line ``start``."""
-    numbers = (n for n, line in enumerate(lines, start) if line.rstrip("\n"))
-    return next(itertools.islice(numbers, row, None))
-
-
-def _interaction_block(compounds, proteins, scores):
-    """A block's columns with the scores as ints, or None unless every score
-    parses."""
-    try:
-        return compounds, proteins, list(map(int, scores))
-    except ValueError:
-        return None
-
-
 def _interaction_lines(path: Path, start: int, lines: list[str]):
-    """Per-line parse of a block of an interaction table: its columns, or the
-    first bad line's DataError."""
+    """A block of an interaction table: its three columns and the ``(line,
+    score)`` of its first score outside [0, 1000] (or None), or the first bad
+    line's DataError."""
     compounds, proteins, scores = [], [], []
+    out_of_range = None
     for lineno, line in enumerate(lines, start):
         line = line.rstrip("\n")
         if not line:
@@ -399,35 +362,31 @@ def _interaction_lines(path: Path, start: int, lines: list[str]):
         if len(parts) != 3:
             raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
         try:
-            scores.append(int(parts[2]))
+            score = int(parts[2])
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
+        if out_of_range is None and not 0 <= score <= 1000:
+            out_of_range = (lineno, score)
         compounds.append(parts[0])
         proteins.append(parts[1])
-    return compounds, proteins, scores
+        scores.append(score)
+    return (compounds, proteins, scores), out_of_range
 
 
 def load_interactions(path: str | Path) -> InteractionTable:
     """Parse an interaction table; errors carry the offending line number.
 
     Lines are parsed ``_BLOCK_LINES`` at a time into blocks of the three
-    columns; a block that does not parse is parsed again line by line, which
-    raises the error of its first bad line.  A score outside [0, 1000] is
-    reported once every line has parsed, with the line of the first one.
+    columns.  A score outside [0, 1000] is reported once every line has
+    parsed, with the line of the first one.
     """
     path = Path(path)
     blocks: tuple[list[np.ndarray], ...] = ([], [], [])  # of each column
     out_of_range = None  # (line, score) of the first score outside [0, 1000]
     with _open_for_read(path) as fh:
         for start, lines in _line_blocks(fh, 1):
-            columns = _columns(lines, 3)
-            columns = None if columns is None else _interaction_block(*columns)
-            if columns is None:
-                columns = _interaction_lines(path, start, lines)
-            scores = columns[2]
-            if out_of_range is None and scores and (min(scores) < 0 or max(scores) > 1000):
-                row = next(i for i, score in enumerate(scores) if not 0 <= score <= 1000)
-                out_of_range = (_line_of_row(lines, start, row), scores[row])
+            columns, bad = _interaction_lines(path, start, lines)
+            out_of_range = out_of_range or bad
             if out_of_range is None:
                 for column, values, dtype in zip(blocks, columns, (str, str, np.int64)):
                     column.append(np.array(values, dtype=dtype))

@@ -266,7 +266,7 @@ def test_train_vae_deterministic():
 
 def test_train_vae_empty_store_rejected():
     with pytest.raises(DataError):
-        train_vae(TINY, BitVectorStore(8), RngStream(0))
+        train_vae(TINY, BitVectorStore(8, [], np.zeros((0, 8), np.uint8)), RngStream(0))
 
 
 def test_train_vae_width_mismatch_rejected():
