@@ -97,25 +97,27 @@ def _open_for_read(path: Path):
         raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
-# lines per parse block: a block's Python strings stay a few MB, and the
-# per-block numpy calls cost little beside the parsing
-_BLOCK_LINES = 4096
+# lines and characters per parse block: a block's Python strings stay a few MB
+# however long its lines, and the per-block numpy calls cost little beside parsing
+_BLOCK_LINES, _BLOCK_CHARS = 4096, 1 << 22
 
 
 def _line_blocks(fh, start: int):
-    """``(number of the first line, lines)`` for blocks of ``_BLOCK_LINES`` lines.
+    """``(number of the first line, lines)`` for blocks of ``_BLOCK_LINES``
+    lines, or fewer once a block holds ``_BLOCK_CHARS`` characters.
 
     A decode error is raised only after the lines read before it have been
     yielded, so an error on one of those lines is reported first, as a
     line-at-a-time reader would report it.
     """
-    block: list[str] = []
+    block, chars = [], 0
     try:
         for line in fh:
             block.append(line)
-            if len(block) == _BLOCK_LINES:
+            chars += len(line)
+            if len(block) == _BLOCK_LINES or chars >= _BLOCK_CHARS:
                 yield start, block
-                start, block = start + _BLOCK_LINES, []
+                start, block, chars = start + len(block), [], 0
     except UnicodeDecodeError:
         yield start, block
         raise

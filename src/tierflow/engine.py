@@ -112,8 +112,13 @@ class DenseNetwork:
                     f"layer {i} expects input width {layer.in_dim}, previous width is {prev}"
                 )
             prev = layer.out_dim
-        self.flat = np.concatenate([p.ravel() for p in self.parameters()])
-        views = self.split(self.flat)
+        self.adopt(np.empty(sum(p.size for p in self.parameters())))
+
+    def adopt(self, vector: np.ndarray) -> None:
+        """Copy the parameters into ``vector``, laid out like ``flat``, as the new ``flat``."""
+        np.concatenate([p.ravel() for p in self.parameters()], out=vector)
+        self.flat = vector
+        views = self.split(vector)
         self.layers = [
             DenseLayer(w, b, layer.activation)
             for layer, w, b in zip(self.layers, views[0::2], views[1::2])
@@ -262,10 +267,10 @@ def backward(
 
 
 def backward_with_input(
-    net: DenseNetwork, activations: list[np.ndarray], loss_gradient: np.ndarray
+    net: DenseNetwork, activations: list[np.ndarray], loss_gradient: np.ndarray, out=None
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Like :func:`backward` but also returns dLoss/dInput (VAE chaining needs it)."""
-    return _backpropagate(net, activations, loss_gradient, None, True)
+    return _backpropagate(net, activations, loss_gradient, out, True)
 
 
 def _backpropagate(net, activations, loss_gradient, out, input_gradient: bool):
@@ -298,48 +303,51 @@ def _backpropagate(net, activations, loss_gradient, out, input_gradient: bool):
 
 # Adam's moment decay rates and denominator guard: the published defaults
 BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+# elements per block of an Adam update, whose two scratch blocks are all it allocates
+_ADAM_CHUNK = 65536
 
 
 @dataclass
 class AdamState:
-    """Adam step counter and moments, one array each per parameter array (the
-    tier trainer has one: its network's ``flat`` vector)."""
+    """Adam step counter and moments, each moment one vector like the parameters."""
 
     t: int
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     learning_rate: float
 
     @classmethod
-    def create(cls, params: list[np.ndarray], learning_rate: float) -> "AdamState":
-        m = [np.zeros_like(p) for p in params]
-        return cls(0, m, [np.zeros_like(p) for p in params], learning_rate)
+    def create(cls, size: int, learning_rate: float) -> "AdamState":
+        return cls(0, np.zeros(size), np.zeros(size), learning_rate)
 
 
-def adam_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-    """One Adam update, in place, with bias-corrected moments.
+def adam_step(state: AdamState, p: np.ndarray, g: np.ndarray) -> None:
+    """One Adam update of the parameter vector ``p`` by the gradient ``g``, in
+    place, with bias-corrected moments, ``_ADAM_CHUNK`` elements at a time.
 
     t is incremented before the update; the applied step is
-    -lr * m_hat / (sqrt(v_hat) + eps).
+    -lr * m_hat / (sqrt(v_hat) + eps), with its operations in this order.
     """
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ValueError("params, grads and Adam moments must have equal length")
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if p.shape != g.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match parameter {p.shape}")
-        if p.shape != m.shape or p.shape != v.shape:
-            raise ValueError("Adam state shape does not mirror parameters")
+    if p.ndim != 1 or not p.shape == g.shape == state.m.shape == state.v.shape:
+        raise ValueError("parameters, gradient and Adam moments must be equal-length vectors")
     state.t += 1
     bc1 = 1.0 - BETA1**state.t
     bc2 = 1.0 - BETA2**state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    scratch = np.empty((2, min(p.size, _ADAM_CHUNK)))
+    for at in range(0, p.size, _ADAM_CHUNK):
+        end = at + _ADAM_CHUNK
+        pc, gc, m, v = p[at:end], g[at:end], state.m[at:end], state.v[at:end]
+        a, b = scratch[0, :len(pc)], scratch[1, :len(pc)]
         m *= BETA1
-        m += (1.0 - BETA1) * g
+        m += np.multiply(gc, 1.0 - BETA1, out=a)
         v *= BETA2
-        v += (1.0 - BETA2) * g * g
-        p -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + EPSILON)
-        if p.size:
-            _check_finite(p, "parameters after Adam step")
+        np.multiply(gc, 1.0 - BETA2, out=a)
+        v += np.multiply(a, gc, out=a)
+        np.sqrt(np.divide(v, bc2, out=a), out=a)
+        a += EPSILON
+        np.multiply(np.divide(m, bc1, out=b), state.learning_rate, out=b)
+        pc -= np.divide(b, a, out=b)
+        _check_finite(pc, "parameters after Adam step")
 
 
 @dataclass

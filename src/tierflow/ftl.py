@@ -280,12 +280,12 @@ def train_ftl(
             list(schedule.hidden_layers) + [1], ctx.feature_dim, None,
             RngStream(derive_seed(schedule.seed, "init")),
         )
-        adam = AdamState.create([net.flat], schedule.learning_rate)
+        adam = AdamState.create(net.flat.size, schedule.learning_rate)
     else:
         val_pos, val_negs = start.validation_positives, start.validation_negatives
         val_x, val_y = start.validation
         net, adam = start.network.copy(), copy.deepcopy(start.adam)
-    params, grad = [net.flat], np.empty_like(net.flat)
+    grad = np.empty_like(net.flat)
     val_keys = np.concatenate([val_pos, val_negs])
     forbidden = np.union1d(ctx.positive_keys, val_negs)
     stop_step, stop_epoch = stop or (len(schedule.steps), schedule.steps[-1].epochs)
@@ -306,13 +306,13 @@ def train_ftl(
             RngStream(derive_seed(schedule.seed, "negatives", k)),
         )
         if np.intersect1d(np.concatenate([positives, negatives]), val_keys).size:
-            raise RuntimeError("validation pairs leaked into a training step")
+            raise DataError(f"step {k}: validation pairs leaked into a training step")
         steps_out.append(StepData(k, step.tier, positives, negatives))
 
         x, y = ctx.feature_matrix(positives, negatives)
         n = len(y)
         if first == 1 and schedule.reset_optimizer_between_steps and k > 1:
-            adam = AdamState.create(params, schedule.learning_rate)
+            adam = AdamState.create(net.flat.size, schedule.learning_rate)
         if first == 1 and (k, 0) in snapshot_points:
             snapshots[f"step{k}_epoch0"] = take_snapshot(net, f"step{k}_epoch0")
 
@@ -322,7 +322,7 @@ def train_ftl(
                 idx = order[at:at + schedule.batch_size]
                 acts = forward(net, x[idx])
                 backward(net, acts, bce_gradient(acts[-1], y[idx]), grad)
-                adam_step(adam, params, [grad])
+                adam_step(adam, net.flat, grad)
             if metrics:
                 log.append(k, epoch, "train", *evaluate(net, x, y))
                 log.append(k, epoch, "validation", *evaluate(net, val_x, val_y))

@@ -71,6 +71,8 @@ _PARTS = ("encoder_trunk", "mu_head", "logvar_head", "decoder")
 
 @dataclass
 class VaeModel:
+    """Four networks whose parameters are consecutive slices of one vector, ``flat``."""
+
     encoder_trunk: DenseNetwork
     mu_head: DenseNetwork
     logvar_head: DenseNetwork
@@ -84,6 +86,9 @@ class VaeModel:
             raise ValueError("decoder input width must equal the latent width")
         if self.decoder.layers[-1].activation != SIGMOID:
             raise ValueError("decoder must end in a Sigmoid output")
+        self.flat = np.empty(sum(getattr(self, part).flat.size for part in _PARTS))
+        for part, view in zip(_PARTS, self.split(self.flat)):
+            getattr(self, part).adopt(view)
 
     @property
     def input_dim(self) -> int:
@@ -93,8 +98,9 @@ class VaeModel:
     def latent_dim(self) -> int:
         return self.mu_head.output_dim
 
-    def parameters(self) -> list[np.ndarray]:
-        return [p for part in _PARTS for p in getattr(self, part).parameters()]
+    def split(self, vector: np.ndarray) -> list[np.ndarray]:
+        """Slices of a vector laid out like ``flat``, one per network in ``_PARTS`` order."""
+        return np.split(vector, np.cumsum([getattr(self, p).flat.size for p in _PARTS])[:-1])
 
 
 def build_vae(config: VaeConfig, rng: RngStream) -> VaeModel:
@@ -179,11 +185,11 @@ def _loss_terms(
 
 
 def _recon_gradient(clipped: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Gradient of the reconstruction term w.r.t. the clipped reconstruction:
-    ``(-(x / c) + (1 - x) / (1 - c)) / n``, two batch-sized arrays at a time."""
+    """Gradient of the reconstruction term w.r.t. the clipped reconstruction,
+    ``(-(x / c) + (1 - x) / (1 - c)) / n``, written over ``clipped``."""
     misses = np.subtract(1.0, clipped)
     np.divide(1.0 - x, misses, out=misses)
-    grad = np.divide(x, clipped)
+    grad = np.divide(x, clipped, out=clipped)
     np.negative(grad, out=grad)
     grad += misses
     grad /= x.shape[0]
@@ -197,7 +203,7 @@ class _VaeCache:
     logvar: np.ndarray
     eta: np.ndarray
     decoder_acts: list[np.ndarray]
-    clipped: np.ndarray  # the reconstruction clipped as in vae_loss
+    clipped: np.ndarray  # clipped as in vae_loss; _vae_backward overwrites it
 
 
 def _vae_forward(model: VaeModel, batch: np.ndarray, eta: np.ndarray) -> _VaeCache:
@@ -211,13 +217,14 @@ def _vae_forward(model: VaeModel, batch: np.ndarray, eta: np.ndarray) -> _VaeCac
 
 
 def _vae_backward(
-    model: VaeModel, cache: _VaeCache, batch: np.ndarray
-) -> list[np.ndarray]:
-    """Analytic gradients of the total loss, aligned with model.parameters()."""
+    model: VaeModel, cache: _VaeCache, batch: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Gradients of the total loss, written into ``out`` (laid out like ``model.flat``)."""
     x = np.asarray(batch, dtype=np.float64)
     n = x.shape[0]
-    dec_grads, d_z = backward_with_input(
-        model.decoder, cache.decoder_acts, _recon_gradient(cache.clipped, x)
+    trunk_out, mu_out, lv_out, dec_out = model.split(out)
+    _, d_z = backward_with_input(
+        model.decoder, cache.decoder_acts, _recon_gradient(cache.clipped, x), dec_out
     )
 
     # KL contributions (mean over batch)
@@ -226,12 +233,11 @@ def _vae_backward(
     d_logvar += 0.5 * np.expm1(cache.logvar) / n
 
     h = cache.trunk_acts[-1]
-    mu_grads, d_h = backward_with_input(model.mu_head, [h, cache.mu], d_mu)
-    lv_grads, d_h_lv = backward_with_input(model.logvar_head, [h, cache.logvar], d_logvar)
+    _, d_h = backward_with_input(model.mu_head, [h, cache.mu], d_mu, mu_out)
+    _, d_h_lv = backward_with_input(model.logvar_head, [h, cache.logvar], d_logvar, lv_out)
     d_h += d_h_lv
-    trunk_grads = backward(model.encoder_trunk, cache.trunk_acts, d_h)
-
-    return trunk_grads + mu_grads + lv_grads + dec_grads
+    backward(model.encoder_trunk, cache.trunk_acts, d_h, trunk_out)
+    return out
 
 
 @dataclass
@@ -252,17 +258,17 @@ class VaeTrainLog:
 
 
 def _train_batch(
-    model: VaeModel, adam: AdamState, params: list[np.ndarray], batch: np.ndarray,
+    model: VaeModel, adam: AdamState, grad: np.ndarray, batch: np.ndarray,
     eta: np.ndarray,
 ) -> tuple[float, float]:
     """One Adam step on a checked batch; returns its reconstruction and KL terms.
 
-    A function of its own so that the batch, its activations and its gradients
-    are freed before the next batch's forward pass allocates its own.
+    A function of its own so that the batch and its activations are freed
+    before the next batch's forward pass allocates its own.
     """
     cache = _vae_forward(model, batch, eta)
     _, recon, kl = _loss_terms(cache.clipped, batch, cache.mu, cache.logvar)
-    adam_step(adam, params, _vae_backward(model, cache, batch))
+    adam_step(adam, model.flat, _vae_backward(model, cache, batch, grad))
     return recon, kl
 
 
@@ -289,8 +295,8 @@ def train_vae(
         return model, log
 
     _check_binary(bits)
-    params = model.parameters()
-    adam = AdamState.create(params, config.learning_rate)
+    adam = AdamState.create(model.flat.size, config.learning_rate)
+    grad = np.empty_like(model.flat)
     prev_total = None
     for epoch in range(1, config.epochs + 1):
         order = rng.spawn("shuffle", epoch).permutation(n)
@@ -302,7 +308,7 @@ def train_vae(
                 len(idx), config.latent_dim
             )
             recon, kl = _train_batch(
-                model, adam, params, bits[idx].astype(np.float64), eta
+                model, adam, grad, bits[idx].astype(np.float64), eta
             )
             ep_recon += recon * len(idx)
             ep_kl += kl * len(idx)

@@ -152,12 +152,12 @@ def test_c02_adam_scalar_oracle():
         theta -= lr * (m / (1 - b1**t)) / (math.sqrt(v / (1 - b2**t)) + eps)
         oracle.append(theta)
 
-    p = [np.array([0.0])]
-    state = AdamState.create(p, lr)
+    p = np.array([0.0])
+    state = AdamState.create(1, lr)
     worst = 0.0
     for t in range(100):
-        adam_step(state, p, [np.array([grads[t]])])
-        worst = max(worst, abs(p[0][0] - oracle[t]))
+        adam_step(state, p, grads[t:t + 1])
+        worst = max(worst, abs(p[0] - oracle[t]))
     _report(
         "criterion 2 adam-oracle",
         worst < 1e-12,

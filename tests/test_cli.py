@@ -166,8 +166,7 @@ def test_embed_zero_epochs_checkpoint_is_initialization(tmp_path, small_bits):
     fresh = build_vae(
         VaeConfig(16, (8,), 3, 0, 10, 0.001), RngStream(11).spawn("init")
     )
-    for a, b in zip(loaded.parameters(), fresh.parameters()):
-        assert np.array_equal(a, b)
+    assert np.array_equal(loaded.flat, fresh.flat)
 
 
 def test_embed_same_seed_identical_latents(tmp_path, small_bits):
@@ -674,6 +673,35 @@ def test_failed_write_leaves_no_artifact(
     assert not (out / artifact).exists()
     assert not (out / "manifest.json").exists()
     assert not list(out.glob("*.tmp"))
+
+
+# runs the CLI with a negative sampler whose training-step negatives include a
+# validation negative, the first pair the run sampled
+LEAKING_SAMPLER = """
+import sys
+import numpy as np
+import tierflow.ftl
+real_sample = tierflow.ftl.sample_negatives
+drawn = []
+def sample_negatives(*args):
+    chosen = real_sample(*args)
+    drawn.append(chosen)
+    return chosen if len(drawn) == 1 else np.concatenate([drawn[0][:1], chosen[1:]])
+tierflow.ftl.sample_negatives = sample_negatives
+from tierflow.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_leaked_validation_pair_exit_2(tmp_path, experiment_config):
+    out = tmp_path / "o"
+    proc = run_python("-c", LEAKING_SAMPLER, "train", "--config", experiment_config,
+                      "--out", str(out), TIERFLOW_LOG="error")
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "ERROR: data error: step 1: validation pairs leaked into a training step"
+    ]
+    assert not (out / "manifest.json").exists()
 
 
 def test_train_reset_optimizer_flag_changes_metrics(experiment_config, tmp_path):

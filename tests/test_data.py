@@ -25,6 +25,7 @@ from tierflow.data import (
     save_oracle,
     synth_generate,
     tier_filter,
+    _line_blocks,
     _open_for_read,
 )
 from tierflow.errors import ConfigError, DataError
@@ -722,6 +723,26 @@ def test_corrupt_blocks_give_the_per_line_error(tmp_path_factory, fmt, data, see
         lines[row] = corrupt_line(fmt, kind, lines[row].split("\n")[0], other)
     path = tmp_path_factory.mktemp("corrupt") / "data.txt"
     write_lines(path, header, lines, crlf)
+    load, reference = LOADERS[fmt]
+    assert outcome(load, path) == outcome(reference, path)
+
+
+@pytest.mark.parametrize("fmt, kind", [
+    (fmt, kind) for fmt in sorted(LOADERS) for kind in [None] + KINDS[fmt] + COMMON_KINDS
+])
+def test_character_capped_blocks_give_the_per_line_result(tmp_path, monkeypatch, fmt, kind):
+    # a 64-character cap makes blocks of one to a few lines, where the line
+    # cap alone would make one block of the whole file
+    monkeypatch.setattr("tierflow.data._BLOCK_CHARS", 64)
+    lines, header = data_lines(fmt, 40, np.random.default_rng(5))
+    if kind is not None:
+        lines[25] = corrupt_line(fmt, kind, lines[25], lines[0].split("\t")[0])
+    path = tmp_path / "data.txt"
+    write_lines(path, header, lines, crlf=False)
+    with path.open(encoding="utf-8", errors="replace") as fh:
+        blocks = [(start, len(block)) for start, block in _line_blocks(fh, 1)]
+    assert len(blocks) > 2
+    assert [start for start, _ in blocks] == [1] + [a + n for a, n in blocks[:-1]]
     load, reference = LOADERS[fmt]
     assert outcome(load, path) == outcome(reference, path)
 

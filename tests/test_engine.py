@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tierflow.checkpoint import network_from_dict, network_to_dict
+from tierflow.engine import _ADAM_CHUNK as CHUNK
 from tierflow.engine import (
+    BETA1,
+    BETA2,
+    EPSILON,
     IDENTITY,
     RELU,
     SIGMOID,
@@ -297,22 +302,21 @@ def test_backward_stale_activations_rejected():
 
 
 def test_adam_zero_gradient_keeps_params():
-    p = [np.array([1.5, -2.0]), np.array([[0.5]])]
-    st_ = AdamState.create(p, 0.001)
-    adam_step(st_, p, [np.zeros(2), np.zeros((1, 1))])
-    assert np.array_equal(p[0], np.array([1.5, -2.0]))
-    assert np.array_equal(p[1], np.array([[0.5]]))
+    p = np.array([1.5, -2.0, 0.5])
+    st_ = AdamState.create(3, 0.001)
+    adam_step(st_, p, np.zeros(3))
+    assert np.array_equal(p, np.array([1.5, -2.0, 0.5]))
 
 
 def test_adam_first_step_hand_value():
     # t=1, g=0.1: m_hat=0.1, v_hat=0.01, delta = -lr * 0.1 / (0.1 + 1e-8),
     # i.e. -1e-3 shrunk by the relative eps correction 1e-7
-    p = [np.array([0.0])]
-    st_ = AdamState.create(p, 0.001)
-    adam_step(st_, p, [np.array([0.1])])
+    p = np.array([0.0])
+    st_ = AdamState.create(1, 0.001)
+    adam_step(st_, p, np.array([0.1]))
     expected = -0.001 * 0.1 / (0.1 + 1e-8)
-    assert p[0][0] == pytest.approx(expected, abs=1e-15)
-    assert p[0][0] == pytest.approx(-9.999999000e-4, abs=1e-12)
+    assert p[0] == pytest.approx(expected, abs=1e-15)
+    assert p[0] == pytest.approx(-9.999999000e-4, abs=1e-12)
     assert st_.t == 1
 
 
@@ -331,12 +335,12 @@ def _scalar_adam(grads, lr=0.001, b1=0.9, b2=0.999, eps=1e-8):
 
 
 def test_adam_two_steps_match_scalar_oracle():
-    p = [np.array([0.0])]
-    st_ = AdamState.create(p, 0.001)
+    p = np.array([0.0])
+    st_ = AdamState.create(1, 0.001)
     trace = []
     for _ in range(2):
-        adam_step(st_, p, [np.array([0.25])])
-        trace.append(p[0][0])
+        adam_step(st_, p, np.array([0.25]))
+        trace.append(p[0])
     expected = _scalar_adam([0.25, 0.25])
     assert trace[0] == pytest.approx(expected[0], abs=1e-12)
     assert trace[1] == pytest.approx(expected[1], abs=1e-12)
@@ -345,21 +349,74 @@ def test_adam_two_steps_match_scalar_oracle():
 def test_adam_step_magnitude_scale_invariant_at_t1000():
     # constant gradient: |delta| -> lr regardless of gradient scale
     for g in (0.1, 10.0):
-        p = [np.array([0.0])]
-        st_ = AdamState.create(p, 0.001)
+        p = np.array([0.0])
+        st_ = AdamState.create(1, 0.001)
         prev = 0.0
         for _ in range(1000):
-            prev = p[0][0]
-            adam_step(st_, p, [np.array([g])])
-        delta = abs(p[0][0] - prev)
+            prev = p[0]
+            adam_step(st_, p, np.array([g]))
+        delta = abs(p[0] - prev)
         assert abs(delta - 0.001) / 0.001 < 0.01
 
 
 def test_adam_shape_mismatch():
-    p = [np.zeros(3)]
-    st_ = AdamState.create(p, 0.001)
+    st_ = AdamState.create(3, 0.001)
     with pytest.raises(ValueError):
-        adam_step(st_, p, [np.zeros(4)])
+        adam_step(st_, np.zeros(3), np.zeros(4))
+    with pytest.raises(ValueError):
+        adam_step(st_, np.zeros(4), np.zeros(4))
+    with pytest.raises(ValueError):
+        adam_step(AdamState(0, np.zeros((3, 1)), np.zeros((3, 1)), 0.001),
+                  np.zeros((3, 1)), np.zeros((3, 1)))
+    assert st_.t == 0
+
+
+def _expression_adam(state, p, g):
+    """The whole-vector Adam update the chunked one replaced, as it was written."""
+    state.t += 1
+    bc1 = 1.0 - BETA1**state.t
+    bc2 = 1.0 - BETA2**state.t
+    m, v = state.m, state.v
+    m *= BETA1
+    m += (1.0 - BETA1) * g
+    v *= BETA2
+    v += (1.0 - BETA2) * g * g
+    p -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + EPSILON)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    size=st.sampled_from([0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1]),
+    steps=st.integers(1, 4),
+    lr=st.sampled_from([1e-4, 1e-3, 0.1]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chunked_adam_matches_the_expression_bitwise(size, steps, lr, seed):
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(-1, 1, size)
+    expected, state, reference = p.copy(), AdamState.create(size, lr), AdamState.create(size, lr)
+    for _ in range(steps):
+        # magnitudes from 1e-8 to 1e2, either sign
+        g = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-8, 2, size)
+        adam_step(state, p, g)
+        _expression_adam(reference, expected, g)
+        assert state.t == reference.t
+        for got, want in ((p, expected), (state.m, reference.m), (state.v, reference.v)):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_adam_step_allocates_less_than_a_vector():
+    n = 1 << 20
+    p, g, state = np.zeros(n), np.full(n, 0.5), AdamState.create(n, 0.001)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        adam_step(state, p, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < p.nbytes
 
 
 # ---------------------------------------------------------------- accuracy
@@ -391,13 +448,13 @@ def test_accuracy_threshold_domain():
 def test_training_steps_keep_everything_finite():
     rng = RngStream(12)
     net = init_network([8, 4, 1], 6, rng=rng)
-    params = net.parameters()
-    st_ = AdamState.create(params, 0.01)
+    st_ = AdamState.create(net.flat.size, 0.01)
+    grad = np.empty_like(net.flat)
     x = rng.uniform(-3, 3, size=120).reshape(20, 6)
     y = (rng.uniform(size=20) < 0.5).astype(float)
     for _ in range(50):
         acts = forward(net, x)
         _, g = bce_loss(acts[-1], y)
-        adam_step(st_, params, backward(net, acts, g))
-    for p in params:
-        assert np.isfinite(p).all()
+        backward(net, acts, g, grad)
+        adam_step(st_, net.flat, grad)
+    assert np.isfinite(net.flat).all()

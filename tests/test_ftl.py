@@ -294,7 +294,7 @@ def fork_state(result):
     """Everything of a result that training, not evaluation, determines."""
     adam = result.adam
     return (
-        result.network.flat.tobytes(), adam.t, adam.m[0].tobytes(), adam.v[0].tobytes(),
+        result.network.flat.tobytes(), adam.t, adam.m.tobytes(), adam.v.tobytes(),
         {tag: b"".join(a.tobytes() for a in s.weights + s.biases)
          for tag, s in result.snapshots.items()},
         result.at,

@@ -62,8 +62,7 @@ def test_build_chemical_preset_heads():
 def test_build_same_seed_identical():
     a = build_vae(TINY, RngStream(42))
     b = build_vae(TINY, RngStream(42))
-    for pa, pb in zip(a.parameters(), b.parameters()):
-        assert np.array_equal(pa, pb)
+    assert np.array_equal(a.flat, b.flat)
 
 
 def test_build_warns_when_latent_exceeds_input():
@@ -170,23 +169,22 @@ def test_vae_gradient_matches_finite_differences():
         return total
 
     cache = _vae_forward(model, x, eta)
-    analytic = _vae_backward(model, cache, x)
-    params = model.parameters()
-    h = 1e-5
-    for p_arr, g_arr in zip(params, analytic):
-        flat_p, flat_g = p_arr.ravel(), g_arr.ravel()
-        for i in range(flat_p.size):
-            orig = flat_p[i]
-            flat_p[i] = orig + h
-            up = total_loss()
-            flat_p[i] = orig - h
-            down = total_loss()
-            flat_p[i] = orig
-            fd = (up - down) / (2 * h)
-            if abs(flat_g[i]) < 1e-8:
-                assert abs(flat_g[i] - fd) < 1e-8
-            else:
-                assert abs(flat_g[i] - fd) / max(abs(fd), 1e-8) < 1e-4
+    out = np.full_like(model.flat, np.nan)
+    analytic = _vae_backward(model, cache, x, out)
+    assert analytic is out
+    flat_p, h = model.flat, 1e-5
+    for i in range(flat_p.size):
+        orig = flat_p[i]
+        flat_p[i] = orig + h
+        up = total_loss()
+        flat_p[i] = orig - h
+        down = total_loss()
+        flat_p[i] = orig
+        fd = (up - down) / (2 * h)
+        if abs(analytic[i]) < 1e-8:
+            assert abs(analytic[i] - fd) < 1e-8
+        else:
+            assert abs(analytic[i] - fd) / max(abs(fd), 1e-8) < 1e-4
 
 
 def bits_of(value) -> bytes:
@@ -253,8 +251,7 @@ def test_train_vae_zero_epochs_is_initialization():
     model, log = train_vae(config, store, rng)
     fresh = build_vae(config, RngStream(33).spawn("init"))
     assert log.records == []
-    for a, b in zip(model.parameters(), fresh.parameters()):
-        assert np.array_equal(a, b)
+    assert np.array_equal(model.flat, fresh.flat)
 
 
 def test_train_vae_deterministic():
@@ -294,7 +291,7 @@ def test_train_vae_holds_no_float_copy_of_the_store():
     rng = np.random.default_rng(5)
     store = BitVectorStore(512, [f"v{i}" for i in range(4000)],
                            rng.random((4000, 512)) < 0.5)
-    n_params = sum(p.size for p in build_vae(config, RngStream(0)).parameters())
+    n_params = build_vae(config, RngStream(0)).flat.size
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -352,5 +349,4 @@ def test_vae_checkpoint_round_trip(tmp_path):
     save_vae(load_vae(first), second)
     assert first.read_bytes() == second.read_bytes()
     loaded = load_vae(first)
-    for a, b in zip(model.parameters(), loaded.parameters()):
-        assert np.array_equal(a, b)
+    assert np.array_equal(model.flat, loaded.flat)
