@@ -10,9 +10,11 @@ protein) of the benchmark's ``scale_prep`` workload, and writes them as
 tierflow data files in a temporary directory.  Then it runs, in this process
 and in order, the stages of the data path for one training step on the tier
 [319, 700): loading the three files, building the ``DataContext``, the tier
-mask, the step's negatives, the step's feature gather, and one epoch of a
-``[128, 64, 32, 16, 8]`` classifier (a one-step, one-epoch ``train_ftl`` call
-with metrics off, which samples and gathers its own step and validation sets).
+mask, the step's negatives, gathering the step's rows from their pair keys in
+4096-row blocks (as evaluation does; no step matrix is built), and one epoch
+of a ``[128, 64, 32, 16, 8]`` classifier (a one-step, one-epoch ``train_ftl``
+call with metrics off, which samples its own step and validation sets and
+gathers each batch from keys).
 
 With ``--vae-entries N --vae-bits W`` it measures the VAE front end instead:
 it writes N random W-bit vectors as a bit-vector file, loads them, and trains
@@ -47,7 +49,7 @@ from tierflow.data import (
     load_latents,
     sample_negatives,
 )
-from tierflow.ftl import DataContext, TrainSchedule, TrainStep, train_ftl
+from tierflow.ftl import _GATHER_ROWS, DataContext, TrainSchedule, TrainStep, train_ftl
 from tierflow.rng import RngStream
 from tierflow.vae import chemical_preset, protein_preset, train_vae
 
@@ -107,6 +109,15 @@ def stager(report: dict):
     return stage
 
 
+def gather_rows(ctx: DataContext, keys: np.ndarray) -> np.ndarray:
+    """Gather the row of every key through ``DataContext.rows``, one
+    evaluation-sized block at a time into one reused buffer; returns the buffer."""
+    block = np.empty((min(len(keys), _GATHER_ROWS), ctx.feature_dim))
+    for at in range(0, len(keys), _GATHER_ROWS):
+        ctx.rows(keys[at:at + _GATHER_ROWS], block)
+    return block
+
+
 def run(records: int, seed: int, work: Path,
         compounds: int = 20_000, proteins: int = 2_000) -> dict:
     """Generate the files under ``work``, run every stage, and return the report."""
@@ -124,9 +135,10 @@ def run(records: int, seed: int, work: Path,
         "negatives", sample_negatives, len(ctx.compounds), len(ctx.proteins),
         ctx.positive_keys, len(positives), RngStream(seed),
     )
-    x, _ = stage("feature_gather", ctx.feature_matrix, positives, negatives)
-    report["step_rows"], report["x_mb"] = len(x), round(x.nbytes / 2**20, 1)
-    del x
+    keys = np.concatenate([positives, negatives])
+    block = stage("row_gather", gather_rows, ctx, keys)
+    report["step_rows"], report["block_mb"] = len(keys), round(block.nbytes / 2**20, 1)
+    del keys, block
     schedule = TrainSchedule(
         steps=[TrainStep(STEP, 1)], validation_tier=VALIDATION, seed=seed,
         hidden_layers=HIDDEN,

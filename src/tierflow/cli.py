@@ -57,8 +57,17 @@ def _digest(doc: dict) -> str:
     ).hexdigest()
 
 
+# bytes read per step of an output's checksum, so a large checkpoint is never
+# held whole in memory just to hash it
+_DIGEST_BLOCK = 1 << 20
+
+
 def _file_digest(path: Path) -> str:
-    return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with path.open("rb") as fh:
+        while block := fh.read(_DIGEST_BLOCK):
+            digest.update(block)
+    return "sha256:" + digest.hexdigest()
 
 
 def _write_manifest(

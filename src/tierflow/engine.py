@@ -238,15 +238,11 @@ def bce_gradient(predictions: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return grad.reshape(np.shape(predictions))
 
 
-def bce_loss(predictions: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean binary cross-entropy and its gradient (:func:`bce_gradient`).
-
-    Predictions are clamped to [1e-12, 1 - 1e-12] before the logs.
-    """
-    grad = bce_gradient(predictions, labels)
+def bce_loss(predictions: np.ndarray, labels: np.ndarray) -> float:
+    """Mean binary cross-entropy, with predictions clamped to [1e-12, 1 - 1e-12]
+    before the logs; :func:`bce_gradient` is its gradient."""
     pc, y = _clamped_bce_inputs(predictions, labels)
-    loss = float(-np.mean(y * np.log(pc) + (1.0 - y) * np.log1p(-pc)))
-    return loss, grad
+    return float(-np.mean(y * np.log(pc) + (1.0 - y) * np.log1p(-pc)))
 
 
 def backward(

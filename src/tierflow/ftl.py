@@ -16,6 +16,7 @@ of the schedule are bit-identical over that prefix.
 from __future__ import annotations
 
 import copy
+import math
 from collections.abc import Mapping
 from dataclasses import InitVar, dataclass, field
 
@@ -133,16 +134,19 @@ def metrics_csv_lines(log: MetricsLog, arm: str) -> list[str]:
     return lines
 
 
-# rows per block of a feature gather: a block's index and feature temporaries
-# stay a few MB, while the per-block overhead stays negligible
+# rows per evaluation block and per block of a feature gather: a block's
+# index and feature temporaries stay a few MB.  A blocked forward may differ
+# from a whole-matrix one in the last ulp; 4096 keeps the benchmark's pinned
+# digests on the build that pinned them, so changing it may change metrics
 _GATHER_ROWS = 4096
 
 
-def _sorted_rows(store: LatentStore) -> tuple[np.ndarray, np.ndarray]:
-    """The store's ids sorted, and its matrix rows in that order."""
+def _sorted_into(store: LatentStore, out: np.ndarray) -> np.ndarray:
+    """The store's ids sorted; its matrix rows are copied into ``out`` in that order."""
     ids = np.array(store.ids, dtype=str)
     order = np.argsort(ids, kind="stable")
-    return ids[order], store.matrix[order]
+    np.take(store.matrix, order, axis=0, out=out)
+    return ids[order]
 
 
 @dataclass
@@ -151,13 +155,14 @@ class DataContext:
 
     Built once from the three fields and kept as arrays, so the feature stores
     are not held (nor pickled into ``--jobs`` workers): ``compounds`` and
-    ``proteins`` are the sorted id arrays, ``compound_matrix`` and
-    ``protein_matrix`` the feature rows in that order, and ``ci``/``pi`` each
-    table row's compound and protein row (-1 for an id with no features).  A
-    pair is the int64 key ``ci * len(proteins) + pi``; ``row_keys`` holds each
-    table row's key, or ``-1 - row`` for a row with an unknown id so that
-    ``feature_matrix`` can name it, and ``positive_keys`` the sorted keys of
-    the rows with known ids.
+    ``proteins`` are the sorted id arrays, and ``ci``/``pi`` each table row's
+    compound and protein row (-1 for an id with no features).  The feature
+    rows in sorted-id order live in one stacked table, protein rows first, cut
+    into sub-rows ``g = gcd(wp, wc)`` wide; ``protein_matrix`` and
+    ``compound_matrix`` are views of it.  A pair is the int64 key
+    ``ci * len(proteins) + pi``; ``row_keys`` holds each table row's key, or
+    ``-1 - row`` for a row with an unknown id so that :meth:`check_known` can
+    name it, and ``positive_keys`` the sorted keys of the rows with known ids.
     """
 
     interactions: InteractionTable
@@ -165,8 +170,15 @@ class DataContext:
     protein_features: InitVar[LatentStore]
 
     def __post_init__(self, compound_features: LatentStore, protein_features: LatentStore):
-        self.compounds, self.compound_matrix = _sorted_rows(compound_features)
-        self.proteins, self.protein_matrix = _sorted_rows(protein_features)
+        self._widths = wp, wc = protein_features.width, compound_features.width
+        self._g = g = math.gcd(wp, wc) or 1
+        # the sub-row where the compound rows start
+        self._split = len(protein_features) * wp // g
+        self._table = np.empty((self._split + len(compound_features) * wc // g, g))
+        self.proteins = _sorted_into(
+            protein_features, self._table[:self._split].reshape(len(protein_features), wp))
+        self.compounds = _sorted_into(
+            compound_features, self._table[self._split:].reshape(len(compound_features), wc))
         rows = self.interactions
         self.ci = index_of(self.compounds, rows.compound_ids)
         self.pi = index_of(self.proteins, rows.protein_ids)
@@ -176,8 +188,16 @@ class DataContext:
         self.positive_keys = np.sort(keys[known])
 
     @property
+    def protein_matrix(self) -> np.ndarray:
+        return self._table[:self._split].reshape(len(self.proteins), self._widths[0])
+
+    @property
+    def compound_matrix(self) -> np.ndarray:
+        return self._table[self._split:].reshape(len(self.compounds), self._widths[1])
+
+    @property
     def feature_dim(self) -> int:
-        return self.protein_matrix.shape[1] + self.compound_matrix.shape[1]
+        return sum(self._widths)
 
     def tier_keys(self, tier: TierSpec, role: str) -> np.ndarray:
         """Keys of the table's positives in ``tier``, in table order."""
@@ -186,34 +206,58 @@ class DataContext:
             raise DataError(f"{role} tier {tier} has no positives")
         return keys
 
+    def check_known(self, keys: np.ndarray) -> None:
+        """DataError naming the unknown id of the first row key in ``keys`` that has one."""
+        if keys.size and keys.min() < 0:
+            row, rows = -1 - keys[keys < 0][0], self.interactions
+            if self.pi[row] < 0:
+                raise DataError(f"unknown protein id {str(rows.protein_ids[row])!r}")
+            raise DataError(f"unknown compound id {str(rows.compound_ids[row])!r}")
+
+    def rows(self, keys: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the ``[protein features || compound features]`` row of each pair
+        key into ``out[:len(keys)]`` and return that view.
+
+        ``out`` is a C-contiguous float64 array ``feature_dim`` wide; the rows
+        are copied bit for bit from the stacked table by one ``np.take``.
+        """
+        n_grid = len(self.compounds) * len(self.proteins)
+        if keys.size and (keys.min() < 0 or keys.max() >= n_grid):
+            raise ValueError(f"pair keys must lie in [0, {n_grid})")
+        if not out.flags.c_contiguous or out.shape[1:] != (self.feature_dim,):
+            raise ValueError(f"out must be C-contiguous and {self.feature_dim} wide")
+        (wp, wc), g = self._widths, self._g
+        kp, kc = wp // g, wc // g
+        ci, pi = np.divmod(keys, len(self.proteins))
+        subrows = np.empty((len(keys), kp + kc), np.intp)
+        np.add.outer(pi * kp, np.arange(kp), out=subrows[:, :kp])
+        np.add.outer(ci * kc + self._split, np.arange(kc), out=subrows[:, kp:])
+        block = out[:len(keys)]
+        # the keys are range-checked above; mode="raise" would buffer the output
+        np.take(self._table, subrows, axis=0, out=block.reshape(len(keys), kp + kc, g),
+                mode="clip")
+        return block
+
     def feature_matrix(
         self, positive_keys: np.ndarray, negative_keys: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """[protein features || compound features] rows, positives first, and labels.
+        """The rows of the positives then the negatives, and their labels.
 
-        ``x`` is allocated once and filled ``_GATHER_ROWS`` rows at a time, so
-        no full-size temporary exists beside ``x`` and ``y``.
+        Training and evaluation gather from keys and never call this; it
+        builds the whole matrix ``_GATHER_ROWS`` rows at a time through
+        :meth:`rows`.
         """
-        for keys in (positive_keys, negative_keys):
-            if keys.size and keys.min() < 0:
-                row, rows = -1 - keys[keys < 0][0], self.interactions
-                if self.pi[row] < 0:
-                    raise DataError(f"unknown protein id {str(rows.protein_ids[row])!r}")
-                raise DataError(f"unknown compound id {str(rows.compound_ids[row])!r}")
-        proteins, compounds = self.protein_matrix, self.compound_matrix
-        wp, n_pos = proteins.shape[1], len(positive_keys)
-        x = np.empty(
-            (n_pos + len(negative_keys), wp + compounds.shape[1]),
-            np.result_type(proteins, compounds),
-        )
-        for offset, keys in ((0, positive_keys), (n_pos, negative_keys)):
-            for at in range(0, len(keys), _GATHER_ROWS):
-                ci, pi = np.divmod(keys[at:at + _GATHER_ROWS], len(self.proteins))
-                block = x[offset + at:offset + at + len(ci)]
-                block[:, :wp] = proteins[pi]
-                block[:, wp:] = compounds[ci]
-        y = np.repeat([1.0, 0.0], [n_pos, len(negative_keys)])
-        return x, y
+        keys = np.concatenate([positive_keys, negative_keys])
+        self.check_known(keys)
+        x = np.empty((len(keys), self.feature_dim))
+        for at in range(0, len(keys), _GATHER_ROWS):
+            self.rows(keys[at:at + _GATHER_ROWS], x[at:])
+        return x, _labels(positive_keys, negative_keys)
+
+
+def _labels(positive_keys: np.ndarray, negative_keys: np.ndarray) -> np.ndarray:
+    """1.0 for each positive, then 0.0 for each negative."""
+    return np.repeat([1.0, 0.0], [len(positive_keys), len(negative_keys)])
 
 
 @dataclass
@@ -226,7 +270,7 @@ class StepData:
 
 @dataclass
 class FtlResult:
-    """A run's outputs; its net, Adam state, validation set and ``at`` form a fork."""
+    """A run's outputs; its net, Adam state, validation keys and ``at`` form a fork."""
 
     network: DenseNetwork
     log: MetricsLog
@@ -234,18 +278,26 @@ class FtlResult:
     steps: list[StepData]
     validation_positives: np.ndarray  # pair keys
     validation_negatives: np.ndarray
-    validation: tuple[np.ndarray, np.ndarray]
     adam: AdamState
     at: tuple[int, int]
 
 
-def evaluate(net: DenseNetwork, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Mean BCE and threshold-0.5 accuracy over the rows of ``x``; pure function."""
-    if not len(y):
+def evaluate(
+    net: DenseNetwork, ctx: DataContext, keys: np.ndarray, labels: np.ndarray
+) -> tuple[float, float]:
+    """Mean BCE and threshold-0.5 accuracy over the pairs ``keys``; pure function.
+
+    The forward pass runs over ``_GATHER_ROWS``-row blocks gathered from the
+    keys into one output vector, which the loss and accuracy then read whole.
+    """
+    if not len(keys):
         raise ValueError("evaluate needs a non-empty example set")
-    out = forward(net, x, chain=False)[-1].reshape(-1)
-    loss, _ = bce_loss(out, y)
-    return loss, accuracy(out, y)
+    out = np.empty(len(keys))
+    block = np.empty((min(len(keys), _GATHER_ROWS), ctx.feature_dim))
+    for at in range(0, len(keys), _GATHER_ROWS):
+        rows = ctx.rows(keys[at:at + _GATHER_ROWS], block)
+        out[at:at + len(rows)] = forward(net, rows, chain=False)[-1].reshape(-1)
+    return bce_loss(out, labels), accuracy(out, labels)
 
 
 def train_ftl(
@@ -262,12 +314,14 @@ def train_ftl(
     ``snapshot_points`` are (step, epoch) pairs to capture, with epoch 0
     meaning "before this step's first update"; each step this call finishes is
     also captured as ``step<k>_end``.  ``start`` forks an earlier result of the
-    same schedule: its net and Adam state are copied, its validation set and
+    same schedule: its net and Adam state are copied, its validation keys and
     snapshots reused, and training resumes after its ``at`` (step, epoch).
     ``stop=(k, e)`` ends the run after epoch ``e`` of step ``k``, which may pass
     that step's budget.  The log holds only the epochs this call trained.
     With ``metrics=False`` no epoch is evaluated and the log stays empty;
     evaluation is a pure function of the net, so everything else is the same.
+    No step matrix is built: every batch and every evaluation block is
+    gathered from the step's pair keys.
     """
     if start is None:
         val_pos = ctx.tier_keys(schedule.validation_tier, "validation")
@@ -275,7 +329,7 @@ def train_ftl(
             len(ctx.compounds), len(ctx.proteins), ctx.positive_keys, len(val_pos),
             RngStream(derive_seed(schedule.seed, "validation-negatives")),
         )
-        val_x, val_y = ctx.feature_matrix(val_pos, val_negs)
+        ctx.check_known(val_pos)
         net = init_network(
             list(schedule.hidden_layers) + [1], ctx.feature_dim, None,
             RngStream(derive_seed(schedule.seed, "init")),
@@ -283,10 +337,10 @@ def train_ftl(
         adam = AdamState.create(net.flat.size, schedule.learning_rate)
     else:
         val_pos, val_negs = start.validation_positives, start.validation_negatives
-        val_x, val_y = start.validation
         net, adam = start.network.copy(), copy.deepcopy(start.adam)
     grad = np.empty_like(net.flat)
     val_keys = np.concatenate([val_pos, val_negs])
+    val_labels = _labels(val_pos, val_negs)
     forbidden = np.union1d(ctx.positive_keys, val_negs)
     stop_step, stop_epoch = stop or (len(schedule.steps), schedule.steps[-1].epochs)
     start_step, start_epoch = stopped = start.at if start else (1, 0)
@@ -305,12 +359,15 @@ def train_ftl(
             len(ctx.compounds), len(ctx.proteins), forbidden, len(positives),
             RngStream(derive_seed(schedule.seed, "negatives", k)),
         )
-        if np.intersect1d(np.concatenate([positives, negatives]), val_keys).size:
+        keys = np.concatenate([positives, negatives])
+        if np.intersect1d(keys, val_keys).size:
             raise DataError(f"step {k}: validation pairs leaked into a training step")
         steps_out.append(StepData(k, step.tier, positives, negatives))
+        ctx.check_known(positives)
 
-        x, y = ctx.feature_matrix(positives, negatives)
-        n = len(y)
+        labels = _labels(positives, negatives)
+        n = len(keys)
+        batch = np.empty((min(n, schedule.batch_size), ctx.feature_dim))
         if first == 1 and schedule.reset_optimizer_between_steps and k > 1:
             adam = AdamState.create(net.flat.size, schedule.learning_rate)
         if first == 1 and (k, 0) in snapshot_points:
@@ -320,24 +377,20 @@ def train_ftl(
             order = RngStream(derive_seed(schedule.seed, "shuffle", k, epoch)).permutation(n)
             for at in range(0, n, schedule.batch_size):
                 idx = order[at:at + schedule.batch_size]
-                acts = forward(net, x[idx])
-                backward(net, acts, bce_gradient(acts[-1], y[idx]), grad)
+                acts = forward(net, ctx.rows(keys[idx], batch))
+                backward(net, acts, bce_gradient(acts[-1], labels[idx]), grad)
                 adam_step(adam, net.flat, grad)
             if metrics:
-                log.append(k, epoch, "train", *evaluate(net, x, y))
-                log.append(k, epoch, "validation", *evaluate(net, val_x, val_y))
+                log.append(k, epoch, "train", *evaluate(net, ctx, keys, labels))
+                log.append(k, epoch, "validation", *evaluate(net, ctx, val_keys, val_labels))
             if (k, epoch) in snapshot_points:
                 tag = f"step{k}_epoch{epoch}"
                 snapshots[tag] = take_snapshot(net, tag)
         if last == step.epochs:
             snapshots[f"step{k}_end"] = take_snapshot(net, f"step{k}_end")
         stopped = (k, last)
-        # freed before the next step gathers its own matrix
-        del x, y
 
-    return FtlResult(
-        net, log, snapshots, steps_out, val_pos, val_negs, (val_x, val_y), adam, stopped
-    )
+    return FtlResult(net, log, snapshots, steps_out, val_pos, val_negs, adam, stopped)
 
 
 def train_single(

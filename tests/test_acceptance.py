@@ -35,6 +35,7 @@ from tierflow.engine import (
     WeightSnapshot,
     adam_step,
     backward,
+    bce_gradient,
     bce_loss,
     forward,
     init_network,
@@ -108,7 +109,7 @@ def test_c01_gradient_correctness():
         accepted += 1
 
         acts_chain = forward(net, x)
-        _, g = bce_loss(acts_chain[-1], y)
+        g = bce_gradient(acts_chain[-1], y)
         analytic = backward(net, acts_chain, g)
         h = 1e-5
         for p_arr, g_arr in zip(net.parameters(), analytic):
@@ -116,9 +117,9 @@ def test_c01_gradient_correctness():
             for i in range(flat_p.size):
                 orig = flat_p[i]
                 flat_p[i] = orig + h
-                up = bce_loss(forward(net, x)[-1], y)[0]
+                up = bce_loss(forward(net, x)[-1], y)
                 flat_p[i] = orig - h
-                down = bce_loss(forward(net, x)[-1], y)[0]
+                down = bce_loss(forward(net, x)[-1], y)
                 flat_p[i] = orig
                 fd = (up - down) / (2 * h)
                 if abs(flat_g[i]) < 1e-8:

@@ -444,6 +444,59 @@ def test_feature_matrix_allocates_only_its_outputs():
     assert peak - before <= x.nbytes + y.nbytes + 4_000_000
 
 
+def sorted_reference(rows):
+    """The ``{id: vector}`` rows as one matrix in sorted-id order."""
+    return np.array([rows[i] for i in sorted(rows)]).reshape(len(rows), -1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    widths=st.one_of(
+        st.sampled_from([(64, 64), (128, 64), (64, 128), (3, 5), (7, 4), (1, 1)]),
+        st.tuples(st.integers(1, 9), st.integers(1, 9)),
+    ),
+    count=st.sampled_from([0, 1, 2, 37]),
+    last=st.booleans(),
+    spare=st.integers(0, 3),
+)
+def test_rows_equal_hstack_of_the_store_rows(seed, widths, count, last, spare):
+    rng = np.random.default_rng(seed)
+    wp, wc = widths
+    proteins = {f"p{i}": rng.standard_normal(wp) for i in rng.permutation(7)}
+    compounds = {f"c{i}": rng.standard_normal(wc) for i in rng.permutation(11)}
+    for rows in (proteins, compounds):  # bits, not just values, must be copied
+        for vector in rows.values():
+            vector[rng.random(len(vector)) < 0.2] = rng.choice([-0.0, np.nan, np.inf, 5e-324])
+    ctx = context_of(compounds, proteins)
+    P, C = sorted_reference(proteins), sorted_reference(compounds)
+    assert P.tobytes() == ctx.protein_matrix.tobytes()
+    assert C.tobytes() == ctx.compound_matrix.tobytes()
+    grid = len(compounds) * len(proteins)
+    keys = rng.integers(0, grid, count)
+    if last and count:
+        keys[-1] = grid - 1
+    out = np.full((count + spare, wp + wc), 7.5)
+    block = ctx.rows(keys, out)
+    ci, pi = np.divmod(keys, len(proteins))
+    reference = np.hstack([P[pi], C[ci]])
+    assert block.base is out and block.shape == reference.shape == (count, wp + wc)
+    assert block.tobytes() == reference.tobytes()
+    assert (out[count:] == 7.5).all()
+
+
+def test_rows_reject_keys_outside_the_grid():
+    ctx = context_of({"c0": np.zeros(2), "c1": np.ones(2)}, {"p": np.zeros(3)})
+    out = np.full((2, 5), 7.5)
+    for bad in ([-1], [0, 2], [1, 5]):
+        with pytest.raises(ValueError, match=r"pair keys must lie in \[0, 2\)"):
+            ctx.rows(np.array(bad), out)
+    assert (out == 7.5).all()
+    with pytest.raises(ValueError, match="C-contiguous"):
+        ctx.rows(np.array([0]), np.empty((2, 10))[:, ::2])
+    assert ctx.rows(np.array([1, 0]), out).tolist() == [[0, 0, 0, 1, 1], [0, 0, 0, 0, 0]]
+
+
 # ---------------------------------------------------------------- latent store io
 
 
@@ -623,8 +676,10 @@ def data_lines(fmt: str, n: int, rng) -> tuple[list[str], str]:
 
 
 def corrupt_line(fmt: str, kind: str, line: str, other_id: str) -> str:
-    """``line`` damaged as ``kind`` says; ``other_id`` is the id of another line."""
-    key, rest = line.split("\t", 1)
+    """``line`` damaged as ``kind`` says; ``other_id`` is the id of another line.
+
+    A line that earlier faults left without a tab is damaged further too."""
+    key, _, rest = line.partition("\t")
     if kind == "duplicate id":
         return other_id + "\t" + rest
     if kind == "blank line after":

@@ -38,12 +38,14 @@ def test_scale_data_path_smoke(tmp_path):
     report = scale.run(2_000, 1, tmp_path, compounds=400, proteins=100)
     assert list(report["stages"]) == [
         "generate", "load_interactions", "load_latents", "data_context",
-        "tier_mask", "negatives", "feature_gather", "train_one_epoch",
+        "tier_mask", "negatives", "row_gather", "train_one_epoch",
     ]
     assert all(stage["s"] >= 0 for stage in report["stages"].values())
-    # the step's rows are its positives and as many negatives, 64 + 128 wide
+    # the step's rows are its positives and as many negatives, gathered 64 +
+    # 128 wide into one block of at most 4096 rows
     assert report["step_rows"] > 0 and report["step_rows"] % 2 == 0
-    assert report["x_mb"] == round(report["step_rows"] * 192 * 8 / 2**20, 1)
+    block_rows = min(report["step_rows"], 4096)
+    assert report["block_mb"] == round(block_rows * 192 * 8 / 2**20, 1)
     assert report["peak_rss_mb"] >= max(s["peak_rss_mb"] for s in report["stages"].values())
 
 

@@ -141,17 +141,17 @@ def test_forward_sigmoid_output_in_unit_interval():
 
 
 def test_bce_midpoint():
-    loss, _ = bce_loss(np.array([[0.5]]), np.array([1.0]))
+    loss = bce_loss(np.array([[0.5]]), np.array([1.0]))
     assert loss == pytest.approx(math.log(2), rel=1e-12)
 
 
 def test_bce_clamped_perfect():
-    loss, _ = bce_loss(np.array([[1.0]]), np.array([1.0]))
+    loss = bce_loss(np.array([[1.0]]), np.array([1.0]))
     assert 0.0 <= loss < 1e-11  # bounded by the 1e-12 clamp
 
 
 def test_bce_hand_pair():
-    loss, _ = bce_loss(np.array([[0.8], [0.3]]), np.array([1.0, 0.0]))
+    loss = bce_loss(np.array([[0.8], [0.3]]), np.array([1.0, 0.0]))
     assert loss == pytest.approx((-math.log(0.8) - math.log(0.7)) / 2, rel=1e-12)
 
 
@@ -163,13 +163,13 @@ def test_bce_length_mismatch():
 def test_bce_gradient_matches_finite_difference():
     p = np.array([0.3, 0.6, 0.9])
     y = np.array([0.0, 1.0, 1.0])
-    _, grad = bce_loss(p, y)
+    grad = bce_gradient(p, y)
     h = 1e-7
     for i in range(3):
         up, down = p.copy(), p.copy()
         up[i] += h
         down[i] -= h
-        fd = (bce_loss(up, y)[0] - bce_loss(down, y)[0]) / (2 * h)
+        fd = (bce_loss(up, y) - bce_loss(down, y)) / (2 * h)
         assert grad[i] == pytest.approx(fd, rel=1e-5)
 
 
@@ -179,7 +179,8 @@ def test_bce_gradient_matches_finite_difference():
 )
 def test_bce_nonnegative(ps, data):
     ys = data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=len(ps), max_size=len(ps)))
-    loss, grad = bce_loss(np.array(ps), np.array(ys))
+    loss = bce_loss(np.array(ps), np.array(ys))
+    grad = bce_gradient(np.array(ps), np.array(ys))
     assert loss >= 0.0
     assert np.isfinite(grad).all()
 
@@ -203,19 +204,22 @@ def test_bce_gradient_equals_bce_loss_gradient(n, seed, column, edges):
     if column:
         p = p.reshape(n, 1)
     grad = bce_gradient(p, y)
-    _, from_loss = bce_loss(p, y)
-    # the gradient as bce_loss computed it before bce_gradient existed
+    # the gradient and the loss as bce_loss computed them when it returned both
     pc = np.clip(p.reshape(-1), 1e-12, 1.0 - 1e-12)
     reference = ((-(y / pc) + (1.0 - y) / (1.0 - pc)) / n).reshape(p.shape)
-    assert grad.shape == from_loss.shape == p.shape
-    assert grad.tobytes() == from_loss.tobytes() == reference.tobytes()
+    assert grad.shape == p.shape
+    assert grad.tobytes() == reference.tobytes()
+    loss = bce_loss(p, y)
+    assert type(loss) is float
+    assert loss == float(-np.mean(y * np.log(pc) + (1.0 - y) * np.log1p(-pc)))
 
 
 def test_bce_gradient_rejects_what_bce_loss_rejects():
-    with pytest.raises(ValueError, match="length mismatch"):
-        bce_gradient(np.array([[0.5], [0.5]]), np.array([1.0]))
-    with pytest.raises(ValueError, match="at least one prediction"):
-        bce_gradient(np.zeros((0, 1)), np.zeros(0))
+    for fn in (bce_gradient, bce_loss):
+        with pytest.raises(ValueError, match="length mismatch"):
+            fn(np.array([[0.5], [0.5]]), np.array([1.0]))
+        with pytest.raises(ValueError, match="at least one prediction"):
+            fn(np.zeros((0, 1)), np.zeros(0))
 
 
 # ---------------------------------------------------------------- backward
@@ -242,7 +246,7 @@ def test_backward_identity_layer_hand_case():
 def _finite_difference_check(net, x, y, h=1e-5, rel_tol=1e-4, abs_floor=1e-8):
     """Central-difference oracle over every parameter component."""
     acts = forward(net, x)
-    _, g = bce_loss(acts[-1], y)
+    g = bce_gradient(acts[-1], y)
     analytic = backward(net, acts, g)
     worst = 0.0
     for p_arr, g_arr in zip(net.parameters(), analytic):
@@ -250,9 +254,9 @@ def _finite_difference_check(net, x, y, h=1e-5, rel_tol=1e-4, abs_floor=1e-8):
         for i in range(flat_p.size):
             orig = flat_p[i]
             flat_p[i] = orig + h
-            up = bce_loss(forward(net, x)[-1], y)[0]
+            up = bce_loss(forward(net, x)[-1], y)
             flat_p[i] = orig - h
-            down = bce_loss(forward(net, x)[-1], y)[0]
+            down = bce_loss(forward(net, x)[-1], y)
             flat_p[i] = orig
             fd = (up - down) / (2 * h)
             if abs(flat_g[i]) < abs_floor:
@@ -277,7 +281,7 @@ def test_backward_matches_backward_with_input_bitwise():
     x = rng.uniform(-2, 2, size=35 * 7).reshape(35, 7)
     y = (rng.uniform(size=35) < 0.5).astype(float)
     acts = forward(net, x)
-    _, g = bce_loss(acts[-1], y)
+    g = bce_gradient(acts[-1], y)
     out = np.full_like(net.flat, np.nan)
     grads = backward(net, acts, g, out)
     reference, _ = backward_with_input(net, acts, g)
@@ -454,7 +458,7 @@ def test_training_steps_keep_everything_finite():
     y = (rng.uniform(size=20) < 0.5).astype(float)
     for _ in range(50):
         acts = forward(net, x)
-        _, g = bce_loss(acts[-1], y)
+        g = bce_gradient(acts[-1], y)
         backward(net, acts, g, grad)
         adam_step(st_, net.flat, grad)
     assert np.isfinite(net.flat).all()

@@ -1,14 +1,23 @@
 import math
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tierflow.data import TierSpec, tier_filter
-from tierflow.engine import DenseLayer, DenseNetwork
+from tierflow import ftl
+from tierflow.data import InteractionTable, TierSpec, synth_generate, tier_filter
+from tierflow.engine import (
+    DenseLayer,
+    DenseNetwork,
+    accuracy,
+    bce_loss,
+    forward,
+    init_network,
+)
 from tierflow.errors import DataError
+from tierflow.ftl import _GATHER_ROWS as GATHER_ROWS
 from tierflow.ftl import (
     DataContext,
     MetricsLog,
@@ -20,6 +29,8 @@ from tierflow.ftl import (
     train_ftl,
     train_single,
 )
+from tierflow.rng import RngStream
+from conftest import latent_store, tiny_synth_config
 
 LOW = TierSpec(300, 700)
 HIGH = TierSpec(700, 900)
@@ -139,27 +150,69 @@ def test_empty_step_tier_rejected(tiny_ctx):
         train_ftl(fast_schedule([TrainStep(TierSpec(0, 5), 1)], seed=1), tiny_ctx)
 
 
-@pytest.mark.parametrize("metrics", [True, False])
-def test_step_matrix_freed_before_next_gather(tiny_ctx, monkeypatch, metrics):
-    # weak references to each gathered x, and which of them were still alive
-    # when each later gather began
-    gathered, alive = [], []
-    gather = DataContext.feature_matrix
-
-    def tracked(ctx, positives, negatives):
-        alive.append([ref() is not None for ref in gathered])
-        x, y = gather(ctx, positives, negatives)
-        gathered.append(weakref.ref(x))
-        return x, y
-
-    monkeypatch.setattr(DataContext, "feature_matrix", tracked)
-    result = train_ftl(
-        fast_schedule([TrainStep(LOW, 1), TrainStep(HIGH, 1)], seed=4), tiny_ctx,
-        metrics=metrics,
+def wide_context(step_positives):
+    """A 500 x 400 grid with 64 + 64 wide latents, ``step_positives`` rows in
+    LOW and 200 in VAL; rows of the same seed agree across sizes."""
+    rng = np.random.default_rng(3)
+    keys = rng.permutation(500 * 400)[:step_positives + 200]
+    table = InteractionTable(
+        [f"c{k // 400:03d}" for k in keys.tolist()], [f"p{k % 400:03d}" for k in keys.tolist()],
+        [500] * step_positives + [950] * 200,
     )
-    # the validation matrix lives on in the result; step 1's is gone by step 2
-    assert alive == [[], [True], [True, False]]
-    assert gathered[0]() is result.validation[0]
+    return DataContext(
+        table,
+        latent_store({f"c{i:03d}": rng.standard_normal(64) for i in range(500)}),
+        latent_store({f"p{i:03d}": rng.standard_normal(64) for i in range(400)}),
+    )
+
+
+def train_peak(ctx, metrics):
+    """tracemalloc peak above the start of one epoch of one step on LOW."""
+    sched = fast_schedule([TrainStep(LOW, 1)], seed=4, batch_size=1000)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        train_ftl(sched, ctx, metrics=metrics)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("metrics", [True, False])
+def test_step_peak_stays_below_one_step_matrix(metrics):
+    # 8k positives + 8k negatives x 128 columns: a step matrix is 16.4 MB; one
+    # 4096-row evaluation block is 4.2 MB
+    small, large = wide_context(8000), wide_context(32000)
+    step_matrix = 2 * 8000 * small.feature_dim * 8
+    peak_small, peak_large = train_peak(small, metrics), train_peak(large, metrics)
+    assert peak_small < step_matrix
+    # four times the rows: the key arrays grow, but not by a matrix
+    assert peak_large < step_matrix
+
+
+def test_unknown_id_stops_the_step_before_it_trains(monkeypatch):
+    data = synth_generate(tiny_synth_config())
+    table = data.interactions
+    updates = []
+    adam_step = ftl.adam_step
+    monkeypatch.setattr(ftl, "adam_step", lambda *args: (updates.append(1), adam_step(*args)))
+    sched = fast_schedule([TrainStep(LOW, 2), TrainStep(HIGH, 1)])
+    step1_batches = math.ceil(2 * int(tier_filter(table, LOW).sum()) / 64)
+    # a pair of step 2, then one of the validation tier, with a compound that
+    # has no features
+    for score, expected in ((800, 2 * step1_batches), (950, 0)):
+        ghost = InteractionTable(
+            [*table.compound_ids.tolist(), "GHOST"],
+            [*table.protein_ids.tolist(), str(table.protein_ids[0])],
+            [*table.scores.tolist(), score],
+        )
+        ctx = DataContext(
+            ghost, data.compounds.as_float_features(), data.proteins.as_float_features()
+        )
+        updates.clear()
+        with pytest.raises(DataError, match="^unknown compound id 'GHOST'$"):
+            train_ftl(sched, ctx)
+        assert len(updates) == expected
 
 
 def test_evaluate_constant_half_predictor(tiny_ctx):
@@ -168,15 +221,15 @@ def test_evaluate_constant_half_predictor(tiny_ctx):
         tiny_ctx.feature_dim,
     )
     pos = tiny_ctx.tier_keys(VAL, "validation")
-    none = np.array([], dtype=np.int64)
-    loss, acc = evaluate(net, *tiny_ctx.feature_matrix(pos, none))
+    loss, acc = evaluate(net, tiny_ctx, pos, np.ones(len(pos)))
     assert loss == pytest.approx(math.log(2), rel=1e-12)
     assert acc == 100.0  # every pair labeled 1, ties classify positive
     # compound "C000000" sorts first, so its pair with protein row j has key j
     n_p = len(tiny_ctx.proteins)
     negs = np.array([k % n_p for k in pos[:10].tolist()])
     negs = negs[~np.isin(negs, tiny_ctx.positive_keys)]
-    loss2, acc2 = evaluate(net, *tiny_ctx.feature_matrix(pos, negs))
+    keys = np.concatenate([pos, negs])
+    loss2, acc2 = evaluate(net, tiny_ctx, keys, np.repeat([1.0, 0.0], [len(pos), len(negs)]))
     assert loss2 == pytest.approx(math.log(2), rel=1e-12)
     assert acc2 == pytest.approx(100.0 * len(pos) / (len(pos) + len(negs)))
 
@@ -187,7 +240,25 @@ def test_evaluate_empty_rejected(tiny_ctx):
         tiny_ctx.feature_dim,
     )
     with pytest.raises(ValueError):
-        evaluate(net, np.zeros((0, tiny_ctx.feature_dim)), np.zeros(0))
+        evaluate(net, tiny_ctx, np.zeros(0, dtype=np.int64), np.zeros(0))
+
+
+@pytest.mark.parametrize("n", [1, 777, GATHER_ROWS, GATHER_ROWS + 1, 3 * GATHER_ROWS + 5])
+def test_blocked_evaluate_matches_the_whole_matrix(tiny_ctx, n):
+    rng = np.random.default_rng(n)
+    keys = rng.integers(0, len(tiny_ctx.compounds) * len(tiny_ctx.proteins), n)
+    labels = (rng.random(n) < 0.5).astype(np.float64)
+    net = init_network([16, 8, 1], tiny_ctx.feature_dim, rng=RngStream(n))
+    loss, acc = evaluate(net, tiny_ctx, keys, labels)
+    # the formula over the whole matrix in one forward pass
+    x, _ = tiny_ctx.feature_matrix(keys, np.zeros(0, dtype=np.int64))
+    out = forward(net, x, chain=False)[-1]
+    reference = bce_loss(out, labels), accuracy(out, labels)
+    if n <= GATHER_ROWS:
+        assert (loss, acc) == reference
+    else:
+        assert loss == pytest.approx(reference[0], rel=1e-12)
+        assert acc == pytest.approx(reference[1], rel=1e-12)
 
 
 def test_best_validation_extremes():
