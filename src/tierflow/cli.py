@@ -5,7 +5,7 @@ finishes with a manifest (config digest, seed, output checksums, wall-clock
 duration).  Every file is written atomically (``checkpoint.write_atomic``),
 so a failed run leaves no partial artifact under its final name.  Exit
 codes: 0 success, 1 config error or an output that cannot be written, 2 data
-error, 3 runtime numeric failure.
+error, 3 runtime numeric failure or memory that cannot be allocated.
 Verbosity comes from the TIERFLOW_LOG environment variable (error, info,
 debug).
 """
@@ -325,6 +325,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (NumericError, FloatingPointError) as exc:
         log.error("numeric failure: %s", exc)
+        return 3
+    except MemoryError as exc:
+        log.error("out of memory: %s", exc)
         return 3
     except OutputError as exc:
         log.error("output error: %s", exc)

@@ -7,6 +7,8 @@ File formats (UTF-8, LF):
   scores in [0, 1000], no header
 * latent store: ``id<TAB>v1,v2,...`` with finite 17-significant-digit floats
 * synthetic oracle: ``compound_id<TAB>protein_id<TAB>true_label``
+
+No id holds a NUL, which NumPy's ``str`` dtype drops from an id's end.
 """
 
 from __future__ import annotations
@@ -148,6 +150,8 @@ def _bit_lines(path: Path, start: int, lines: list[str], seen: set[str], out: np
             raise DataError(f"{path}:{lineno}: duplicate id {key!r}")
         if not key:
             raise DataError(f"{path}:{lineno}: empty id in bit-vector store")
+        if "\x00" in key:
+            raise DataError(f"{path}:{lineno}: NUL in id {key!r}")
         seen.add(key)
         out[len(keys)] = np.frombuffer(bits.encode("ascii"), dtype=np.uint8)
         keys.append(key)
@@ -192,12 +196,12 @@ def save_bitvectors(store: BitVectorStore, path: str | Path) -> None:
 
 def _columns(lines: list[str]) -> tuple[list[str], list[str]] | None:
     """The ids and value strings of the lines, or None unless every line has
-    exactly one tab and none is blank."""
+    exactly one tab and none is blank or holds a NUL."""
     if not lines:
         return [], []
     text = "".join(lines)
     tabs = set(map(str.count, lines, itertools.repeat("\t")))
-    if tabs != {1} or text[0] == "\n" or "\n\n" in text:
+    if tabs != {1} or text[0] == "\n" or "\n\n" in text or "\x00" in text:
         return None
     fields = text.replace("\n", "\t").split("\t")
     if text[-1] == "\n":
@@ -244,6 +248,8 @@ def _latent_lines(path: Path, start: int, lines: list[str], seen: set[str]):
         key, values = parts
         if key in seen:
             raise DataError(f"{path}:{lineno}: duplicate id {key!r}")
+        if "\x00" in key:
+            raise DataError(f"{path}:{lineno}: NUL in id {key!r}")
         try:
             vec = list(map(float, values.split(",")))
         except ValueError as exc:
@@ -334,10 +340,12 @@ class InteractionTable:
         bad = np.flatnonzero((self.scores < 0) | (self.scores > 1000))
         if bad.size:
             raise ValueError(f"score {self.scores[bad[0]]} outside [0, 1000]")
-        # codes of each id within its own column make a pair key for the check
-        _, c = np.unique(self.compound_ids, return_inverse=True)
-        p_ids, p = np.unique(self.protein_ids, return_inverse=True)
-        keys = c * len(p_ids) + p
+        # each id column's sorted distinct ids (its vocab) and each record's
+        # int32 position among them (its code); the codes make a pair key for the check
+        self.compound_vocab, c = np.unique(self.compound_ids, return_inverse=True)
+        self.protein_vocab, p = np.unique(self.protein_ids, return_inverse=True)
+        keys = c * len(self.protein_vocab) + p
+        self.compound_codes, self.protein_codes = c.astype(np.int32), p.astype(np.int32)
         order = np.argsort(keys, kind="stable")
         repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
         if repeats.size:
@@ -367,6 +375,9 @@ def _interaction_lines(path: Path, start: int, lines: list[str]):
             score = int(parts[2])
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
+        if "\x00" in line:  # the score parsed, so it holds none: an id does
+            key = parts[0] if "\x00" in parts[0] else parts[1]
+            raise DataError(f"{path}:{lineno}: NUL in id {key!r}")
         if out_of_range is None and not 0 <= score <= 1000:
             out_of_range = (lineno, score)
         compounds.append(parts[0])

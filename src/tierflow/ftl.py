@@ -155,14 +155,13 @@ class DataContext:
 
     Built once from the three fields and kept as arrays, so the feature stores
     are not held (nor pickled into ``--jobs`` workers): ``compounds`` and
-    ``proteins`` are the sorted id arrays, and ``ci``/``pi`` each table row's
-    compound and protein row (-1 for an id with no features).  The feature
-    rows in sorted-id order live in one stacked table, protein rows first, cut
-    into sub-rows ``g = gcd(wp, wc)`` wide; ``protein_matrix`` and
-    ``compound_matrix`` are views of it.  A pair is the int64 key
-    ``ci * len(proteins) + pi``; ``row_keys`` holds each table row's key, or
-    ``-1 - row`` for a row with an unknown id so that :meth:`check_known` can
-    name it, and ``positive_keys`` the sorted keys of the rows with known ids.
+    ``proteins`` are the sorted id arrays.  The feature rows in sorted-id
+    order live in one stacked table, protein rows first, cut into sub-rows
+    ``g = gcd(wp, wc)`` wide; ``protein_matrix`` and ``compound_matrix`` are
+    views of it.  A pair is the int64 key ``ci * len(proteins) + pi`` of its
+    compound and protein rows.  ``row_keys`` holds each record's key, or -1
+    where an id has no features, and ``positive_keys`` the sorted keys of the
+    records with known ids.
     """
 
     interactions: InteractionTable
@@ -179,13 +178,12 @@ class DataContext:
             protein_features, self._table[:self._split].reshape(len(protein_features), wp))
         self.compounds = _sorted_into(
             compound_features, self._table[self._split:].reshape(len(compound_features), wc))
-        rows = self.interactions
-        self.ci = index_of(self.compounds, rows.compound_ids)
-        self.pi = index_of(self.proteins, rows.protein_ids)
-        known = (self.ci >= 0) & (self.pi >= 0)
-        keys = self.ci * len(self.proteins) + self.pi
-        self.row_keys = np.where(known, keys, -1 - np.arange(len(rows)))
-        self.positive_keys = np.sort(keys[known])
+        t = self.interactions
+        # each distinct id is looked up once
+        ci = index_of(self.compounds, t.compound_vocab)[t.compound_codes]
+        pi = index_of(self.proteins, t.protein_vocab)[t.protein_codes]
+        self.row_keys = np.where((ci < 0) | (pi < 0), -1, ci * len(self.proteins) + pi)
+        self.positive_keys = np.sort(self.row_keys[self.row_keys >= 0])
 
     @property
     def protein_matrix(self) -> np.ndarray:
@@ -200,19 +198,18 @@ class DataContext:
         return sum(self._widths)
 
     def tier_keys(self, tier: TierSpec, role: str) -> np.ndarray:
-        """Keys of the table's positives in ``tier``, in table order."""
-        keys = self.row_keys[tier_filter(self.interactions, tier)]
+        """Keys of the table's positives in ``tier``, in table order; a DataError
+        names the unknown id of the first one without features."""
+        mask = tier_filter(self.interactions, tier)
+        keys = self.row_keys[mask]
         if not keys.size:
             raise DataError(f"{role} tier {tier} has no positives")
+        if keys.min() < 0:
+            row, t = np.flatnonzero(mask)[np.argmin(keys)], self.interactions
+            if t.protein_ids[row] not in self.proteins:
+                raise DataError(f"unknown protein id {str(t.protein_ids[row])!r}")
+            raise DataError(f"unknown compound id {str(t.compound_ids[row])!r}")
         return keys
-
-    def check_known(self, keys: np.ndarray) -> None:
-        """DataError naming the unknown id of the first row key in ``keys`` that has one."""
-        if keys.size and keys.min() < 0:
-            row, rows = -1 - keys[keys < 0][0], self.interactions
-            if self.pi[row] < 0:
-                raise DataError(f"unknown protein id {str(rows.protein_ids[row])!r}")
-            raise DataError(f"unknown compound id {str(rows.compound_ids[row])!r}")
 
     def rows(self, keys: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write the ``[protein features || compound features]`` row of each pair
@@ -248,7 +245,6 @@ class DataContext:
         :meth:`rows`.
         """
         keys = np.concatenate([positive_keys, negative_keys])
-        self.check_known(keys)
         x = np.empty((len(keys), self.feature_dim))
         for at in range(0, len(keys), _GATHER_ROWS):
             self.rows(keys[at:at + _GATHER_ROWS], x[at:])
@@ -312,10 +308,10 @@ def train_ftl(
     """Run the stepwise schedule; returns the net, metrics, snapshots and fork.
 
     ``snapshot_points`` are (step, epoch) pairs to capture, with epoch 0
-    meaning "before this step's first update"; each step this call finishes is
-    also captured as ``step<k>_end``.  ``start`` forks an earlier result of the
-    same schedule: its net and Adam state are copied, its validation keys and
-    snapshots reused, and training resumes after its ``at`` (step, epoch).
+    meaning "before this step's first update".  ``start`` forks an earlier
+    result of the same schedule: its net and Adam state are copied, its
+    validation keys and snapshots reused, and training resumes after its
+    ``at`` (step, epoch).
     ``stop=(k, e)`` ends the run after epoch ``e`` of step ``k``, which may pass
     that step's budget.  The log holds only the epochs this call trained.
     With ``metrics=False`` no epoch is evaluated and the log stays empty;
@@ -329,7 +325,6 @@ def train_ftl(
             len(ctx.compounds), len(ctx.proteins), ctx.positive_keys, len(val_pos),
             RngStream(derive_seed(schedule.seed, "validation-negatives")),
         )
-        ctx.check_known(val_pos)
         net = init_network(
             list(schedule.hidden_layers) + [1], ctx.feature_dim, None,
             RngStream(derive_seed(schedule.seed, "init")),
@@ -363,7 +358,6 @@ def train_ftl(
         if np.intersect1d(keys, val_keys).size:
             raise DataError(f"step {k}: validation pairs leaked into a training step")
         steps_out.append(StepData(k, step.tier, positives, negatives))
-        ctx.check_known(positives)
 
         labels = _labels(positives, negatives)
         n = len(keys)
@@ -386,8 +380,6 @@ def train_ftl(
             if (k, epoch) in snapshot_points:
                 tag = f"step{k}_epoch{epoch}"
                 snapshots[tag] = take_snapshot(net, tag)
-        if last == step.epochs:
-            snapshots[f"step{k}_end"] = take_snapshot(net, f"step{k}_end")
         stopped = (k, last)
 
     return FtlResult(net, log, snapshots, steps_out, val_pos, val_negs, adam, stopped)

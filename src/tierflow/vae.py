@@ -120,13 +120,13 @@ def build_vae(config: VaeConfig, rng: RngStream) -> VaeModel:
     return VaeModel(trunk, mu_head, logvar_head, decoder)
 
 
-def reparameterize(mu: np.ndarray, logvar: np.ndarray, rng: RngStream) -> np.ndarray:
-    """z = mu + exp(logvar/2) * eta with eta ~ N(0, 1) from the stream."""
-    mu = np.asarray(mu, dtype=np.float64)
-    logvar = np.asarray(logvar, dtype=np.float64)
-    if mu.shape != logvar.shape:
-        raise ValueError(f"mu shape {mu.shape} != logvar shape {logvar.shape}")
-    eta = rng.normal(mu.size).reshape(mu.shape)
+def reparameterize(mu: np.ndarray, logvar: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """z = mu + exp(logvar/2) * eta for standard-normal noise ``eta``."""
+    if not mu.shape == logvar.shape == eta.shape:
+        raise ValueError(
+            f"mu shape {mu.shape}, logvar shape {logvar.shape} and eta shape "
+            f"{eta.shape} differ"
+        )
     return mu + np.exp(0.5 * logvar) * eta
 
 
@@ -211,7 +211,7 @@ def _vae_forward(model: VaeModel, batch: np.ndarray, eta: np.ndarray) -> _VaeCac
     h = trunk_acts[-1]
     mu = forward(model.mu_head, h)[-1]
     logvar = forward(model.logvar_head, h)[-1]
-    z = mu + np.exp(0.5 * logvar) * eta
+    z = reparameterize(mu, logvar, eta)
     decoder_acts = forward(model.decoder, z)
     return _VaeCache(trunk_acts, mu, logvar, eta, decoder_acts, _clip(decoder_acts[-1]))
 

@@ -607,6 +607,54 @@ def test_unknown_compound_id(tmp_path, ghost_score, code):
     assert (out / "manifest.json").exists() == (code == 0)
 
 
+def test_nul_in_id_exit_2(tmp_path):
+    # NumPy's str dtype drops a trailing NUL, so "C1\x00" would train on the
+    # features of C1, and C1's own row would lose its positives
+    doc = write_grid_data(tmp_path, extra_rows=["C1\x00\tP5\t800\n"])
+    compounds = tmp_path / "compounds.tsv"
+    compounds.write_text(compounds.read_text(encoding="utf-8") + "C1\x00\t0.5,0.5\n",
+                         encoding="utf-8")
+    out = tmp_path / "o"
+    proc = run_cli("train", "--config", write_json(tmp_path / "exp.json", doc),
+                   "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        f"ERROR: data error: {tmp_path / 'interactions.tsv'}:31: NUL in id 'C1\\x00'"
+    ]
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("dry_run", [True, False])
+@pytest.mark.parametrize("command", ["train", "synth", "embed"])
+def test_config_nested_past_recursion_limit_exit_1(tmp_path, small_bits, command, dry_run):
+    config = tmp_path / "deep.json"
+    config.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    out = tmp_path / "o"
+    extra = ["--bitvectors", small_bits] if command == "embed" else []
+    proc = run_cli(command, "--config", str(config), "--out", str(out), *extra,
+                   *(["--dry-run"] if dry_run else []))
+    assert proc.returncode == 1
+    [line] = proc.stderr.splitlines()
+    assert line.startswith(f"ERROR: config error: cannot read config {config}: maximum ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_unallocatable_network_exit_3(tmp_path, jobs):
+    # a valid architecture whose first weights alone would take hundreds of
+    # PiB: beyond even a 57-bit address space, so the allocation fails before
+    # it commits any memory
+    doc = {**EXPERIMENT_DOC, "hidden_layers": [2**50]}
+    config = write_json(tmp_path / "exp.json", doc)
+    out = tmp_path / "o"
+    assert run_cli("train", "--config", config, "--out", str(out), "--dry-run").returncode == 0
+    proc = run_cli("train", "--config", config, "--out", str(out), "--jobs", jobs)
+    assert proc.returncode == 3
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("ERROR: out of memory: Unable to allocate ")
+    assert not (out / "manifest.json").exists()
+
+
 MUTATION_POOL = [None, True, "x", -1, 0, 1.5, float("nan"), [], [0], {}]
 MUTABLE_FIELDS = (
     [[key] for key in [*EXPERIMENT_DOC, "reset_optimizer_between_steps"]]

@@ -379,12 +379,74 @@ def test_feature_matrix_width():
     assert x.shape == (1, 192)
 
 
-def test_feature_matrix_unknown_id_named():
+def test_tier_keys_unknown_id_named():
     table = InteractionTable(["c", "ghost"], ["p", "p"], [950, 960])
     ctx = context_of({"c": np.zeros(2)}, {"p": np.zeros(2)}, table)
-    keys = ctx.tier_keys(TierSpec(900, 1000), "validation")
     with pytest.raises(DataError, match="unknown compound id 'ghost'"):
-        ctx.feature_matrix(keys, np.array([], dtype=np.int64))
+        ctx.tier_keys(TierSpec(900, 1000), "validation")
+
+
+COMPOUND_POOL = [f"c{i}" for i in range(12)]  # "c10" sorts between "c1" and "c2"
+PROTEIN_POOL = [f"p{i}" for i in range(12)]
+KEY_TIERS = [TierSpec(0, 1000), TierSpec(0, 300), TierSpec(300, 700), TierSpec(700, 1000),
+             TierSpec(999, 1000)]
+
+
+def dict_reference(records, compound_ids, protein_ids):
+    """Row keys, sorted positive keys and every ``KEY_TIERS`` tier's keys (or
+    its DataError message), resolving each record through Python dicts."""
+    c_row = {c: i for i, c in enumerate(sorted(compound_ids))}
+    p_row = {p: j for j, p in enumerate(sorted(protein_ids))}
+    row_keys = [c_row[c] * len(p_row) + p_row[p] if c in c_row and p in p_row else -1
+                for c, p, _ in records]
+    tiers = []
+    for tier in KEY_TIERS:
+        rows = [i for i, (_, _, score) in enumerate(records) if tier.lo <= score < tier.hi]
+        unknown = next((i for i in rows if row_keys[i] < 0), None)
+        if not rows:
+            tiers.append(f"DataError: step 1 tier {tier} has no positives")
+        elif unknown is None:
+            tiers.append([row_keys[i] for i in rows])
+        elif records[unknown][1] not in p_row:
+            tiers.append(f"DataError: unknown protein id {records[unknown][1]!r}")
+        else:
+            tiers.append(f"DataError: unknown compound id {records[unknown][0]!r}")
+    return row_keys, sorted(k for k in row_keys if k >= 0), tiers
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    records=st.lists(
+        st.tuples(st.sampled_from(COMPOUND_POOL), st.sampled_from(PROTEIN_POOL),
+                  st.integers(0, 1000)),
+        max_size=40, unique_by=lambda record: record[:2],
+    ),
+    compound_ids=st.sets(st.sampled_from(COMPOUND_POOL)),
+    protein_ids=st.sets(st.sampled_from(PROTEIN_POOL)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_context_keys_match_dict_reference(records, compound_ids, protein_ids, seed):
+    # the stores list their ids in shuffled order, and some ids of the table
+    # have no features
+    rng = np.random.default_rng(seed)
+    compound_ids, protein_ids = (list(rng.permutation(sorted(ids)).astype(str))
+                                 for ids in (compound_ids, protein_ids))
+    ctx = DataContext(
+        InteractionTable(*zip(*records)) if records else InteractionTable([], [], []),
+        LatentStore(compound_ids, rng.standard_normal((len(compound_ids), 2))),
+        LatentStore(protein_ids, rng.standard_normal((len(protein_ids), 3))),
+    )
+
+    def tier_outcome(tier):
+        try:
+            return ctx.tier_keys(tier, "step 1").tolist()
+        except DataError as exc:
+            return f"DataError: {exc}"
+
+    row_keys, positive_keys, tiers = dict_reference(records, compound_ids, protein_ids)
+    assert ctx.row_keys.tolist() == row_keys
+    assert ctx.positive_keys.tolist() == positive_keys
+    assert [tier_outcome(tier) for tier in KEY_TIERS] == tiers
 
 
 def random_context(rng, n_compounds, n_proteins, wc, wp):
@@ -566,6 +628,8 @@ def reference_bitvectors(path):
                 raise DataError(f"{path}:{lineno}: duplicate id {key!r}")
             if not key:
                 raise DataError(f"{path}:{lineno}: empty id in bit-vector store")
+            if "\x00" in key:
+                raise DataError(f"{path}:{lineno}: NUL in id {key!r}")
             entries[key] = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
     return list(entries), [v.tobytes() for v in entries.values()]
 
@@ -585,6 +649,8 @@ def reference_latents(path):
             key, values = parts
             if key in entries:
                 raise DataError(f"{path}:{lineno}: duplicate id {key!r}")
+            if "\x00" in key:
+                raise DataError(f"{path}:{lineno}: NUL in id {key!r}")
             try:
                 vec = list(map(float, values.split(",")))
             except ValueError as exc:
@@ -613,6 +679,9 @@ def reference_interactions(path):
                 scores.append(int(parts[2]))
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from exc
+            for key in parts[:2]:
+                if "\x00" in key:
+                    raise DataError(f"{path}:{lineno}: NUL in id {key!r}")
             compounds.append(parts[0])
             proteins.append(parts[1])
     try:
@@ -688,6 +757,8 @@ def corrupt_line(fmt: str, kind: str, line: str, other_id: str) -> str:
         return line + "\tx"
     if kind == "empty id":
         return "\t" + rest
+    if kind == "NUL in id":  # a trailing NUL, which NumPy's str dtype would drop
+        return key + "\x00\t" + rest
     if kind == "bad byte":  # written as the byte 0xff, which is not UTF-8
         return line[:1] + "\udcff" + line[1:]
     if fmt == "interactions":
@@ -719,7 +790,8 @@ KINDS = {
     "interactions": ["missing field", "bad int", "underscore", "above range",
                      "below range", "huge", "space"],
 }
-COMMON_KINDS = ["duplicate id", "blank line after", "extra field", "empty id", "bad byte"]
+COMMON_KINDS = ["duplicate id", "blank line after", "extra field", "empty id", "bad byte",
+                "NUL in id"]
 
 
 def write_lines(path, header: str, lines: list[str], crlf: bool) -> None:

@@ -87,8 +87,9 @@ def test_different_seed_differs(tiny_ctx):
 
 def test_step_continuity(tiny_ctx):
     sched = fast_schedule([TrainStep(LOW, 3), TrainStep(HIGH, 2)], seed=9)
-    result = train_ftl(sched, tiny_ctx, frozenset({(2, 0)}))
-    boundary = result.snapshots["step1_end"]
+    result = train_ftl(sched, tiny_ctx, frozenset({(1, 3), (2, 0)}))
+    assert set(result.snapshots) == {"step1_epoch3", "step2_epoch0"}
+    boundary = result.snapshots["step1_epoch3"]
     start2 = result.snapshots["step2_epoch0"]
     for wa, wb in zip(boundary.weights, start2.weights):
         assert np.array_equal(wa, wb)

@@ -77,12 +77,13 @@ def test_build_warns_when_latent_exceeds_input():
 
 def test_reparameterize_vanishing_noise():
     mu = np.array([0.5, -1.0, 2.0])
-    z = reparameterize(mu, np.full(3, -60.0), RngStream(1))
+    z = reparameterize(mu, np.full(3, -60.0), RngStream(1).normal(3))
     assert np.allclose(z, mu, atol=1e-12)
 
 
 def test_reparameterize_monte_carlo_moments():
-    z = reparameterize(np.zeros(100_000), np.zeros(100_000), RngStream(7))
+    eta = RngStream(7).normal(100_000)
+    z = reparameterize(np.zeros(100_000), np.zeros(100_000), eta)
     assert abs(z.mean()) < 0.02
     assert abs(z.var() - 1.0) < 0.05
 
@@ -90,13 +91,16 @@ def test_reparameterize_monte_carlo_moments():
 def test_reparameterize_deterministic():
     mu, lv = np.array([1.0, 2.0]), np.array([-1.0, 0.5])
     assert np.array_equal(
-        reparameterize(mu, lv, RngStream(3)), reparameterize(mu, lv, RngStream(3))
+        reparameterize(mu, lv, RngStream(3).normal(2)),
+        reparameterize(mu, lv, RngStream(3).normal(2)),
     )
 
 
 def test_reparameterize_length_mismatch():
     with pytest.raises(ValueError):
-        reparameterize(np.zeros(2), np.zeros(3), RngStream(0))
+        reparameterize(np.zeros(2), np.zeros(3), RngStream(0).normal(2))
+    with pytest.raises(ValueError):
+        reparameterize(np.zeros(2), np.zeros(2), RngStream(0).normal(3))
 
 
 # ---------------------------------------------------------------- loss
