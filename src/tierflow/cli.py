@@ -133,9 +133,9 @@ def cmd_synth(args) -> int:
 def cmd_embed(args) -> int:
     started = time.monotonic()
     doc = load_json(args.config)
-    seed = _field(doc, "seed", "an integer", "vae", 0)
     if args.seed is not None:
-        seed = args.seed
+        doc["seed"] = args.seed
+    seed = _field(doc, "seed", "an integer", "vae", 0)
     config = vae_config_from_dict(doc, where="vae")
     if args.dry_run:
         print(
@@ -267,12 +267,14 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", required=True, help="path to the JSON config")
     common.add_argument("--out", default="out", help="output directory (default: out)")
     common.add_argument("--seed", type=int, default=None, help="override the config seed")
-    common.add_argument("--jobs", type=int, default=1, help="parallel arms (default: 1)")
     common.add_argument(
         "--dry-run", action="store_true",
         help="validate the config and print the plan without writing anything",
     )
-    common.add_argument(
+    # the flags of the commands that run experiment arms
+    experiment = _Parser(add_help=False, parents=[common])
+    experiment.add_argument("--jobs", type=int, default=1, help="parallel arms (default: 1)")
+    experiment.add_argument(
         "--reset-optimizer", action="store_true",
         help="reset Adam moments at each step boundary instead of carrying them over",
     )
@@ -287,10 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--bitvectors", required=True, help="bit-vector store to compress"
     )
 
-    sub.add_parser("train", parents=[common], help="run baseline/FTL experiment arms")
+    sub.add_parser("train", parents=[experiment], help="run baseline/FTL experiment arms")
 
     p_diag = sub.add_parser(
-        "diagnose", parents=[common], help="per-layer weight-drift comparison"
+        "diagnose", parents=[experiment], help="per-layer weight-drift comparison"
     )
     p_diag.add_argument(
         "--delta", type=int, default=20,

@@ -11,6 +11,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .data import (
+    FeatureStore,
     SynthConfig,
     SynthTier,
     TierSpec,
@@ -226,16 +227,13 @@ def experiment_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentS
     return ExperimentSpec(arms, paths=paths)
 
 
-def _load_features(path: Path):
+def _load_features(path: Path) -> FeatureStore:
     """Feature files are either bit-vector stores (``#width=`` header) or latent TSVs."""
     from .data import _open_for_read
 
     with _open_for_read(path) as fh:
         first = fh.readline()
-    if first.startswith("#width="):
-        store = load_bitvectors(path).as_float_features()
-    else:
-        store = load_latents(path)
+    store = (load_bitvectors if first.startswith("#width=") else load_latents)(path)
     if not len(store):
         raise DataError(f"{path}: no feature vectors")
     return store
@@ -244,11 +242,7 @@ def _load_features(path: Path):
 def build_data_context(spec: ExperimentSpec) -> DataContext:
     if spec.synth is not None:
         synth = synth_generate(spec.synth)
-        return DataContext(
-            interactions=synth.interactions,
-            compound_features=synth.compounds.as_float_features(),
-            protein_features=synth.proteins.as_float_features(),
-        )
+        return DataContext(synth.interactions, synth.compounds, synth.proteins)
     assert spec.paths is not None
     return DataContext(
         interactions=load_interactions(spec.paths.interactions),

@@ -27,57 +27,31 @@ from .errors import ConfigError, DataError
 from .rng import RngStream
 
 
-def _check_ids(ids: list[str], rows: int, what: str) -> None:
-    """ValueError unless there is one id per matrix row and no id repeats."""
-    if len(ids) != rows:
-        raise ValueError(f"{len(ids)} ids for {rows} rows in {what}")
-    if len(set(ids)) < len(ids):
-        key = next(k for k, count in Counter(ids).items() if count > 1)
-        raise ValueError(f"duplicate id {key!r} in {what}")
-
-
 @dataclass
-class BitVectorStore:
-    """Fixed-width binary feature vectors: ids in insertion order, one uint8 row each."""
+class FeatureStore:
+    """Feature vectors: ids in insertion order, one matrix row each.
 
-    width: int
-    ids: list[str]
-    matrix: np.ndarray  # (len(ids), width) uint8
-
-    def __post_init__(self):
-        if self.width < 1:
-            raise ValueError(f"width must be >= 1, got {self.width}")
-        self.ids = list(self.ids)
-        self.matrix = np.asarray(self.matrix, dtype=np.uint8)
-        if self.matrix.ndim != 2 or self.matrix.shape[1] != self.width:
-            raise ValueError(
-                f"bit matrix has shape {self.matrix.shape}, store width is {self.width}"
-            )
-        if "" in self.ids:
-            raise ValueError("empty id in bit-vector store")
-        _check_ids(self.ids, len(self.matrix), "bit-vector store")
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def as_float_features(self) -> "LatentStore":
-        """View the raw bits as float feature vectors (for no-VAE training)."""
-        return LatentStore(self.ids, self.matrix.astype(np.float64))
-
-
-@dataclass
-class LatentStore:
-    """Float feature vectors: ids in insertion order, one float64 row each."""
+    The matrix keeps the dtype it is given: ``uint8`` bits from
+    :func:`load_bitvectors` and :func:`synth_generate`, ``float64`` latents
+    from :func:`load_latents` and ``vae.embed``.
+    """
 
     ids: list[str]
-    matrix: np.ndarray  # (len(ids), width) float64
+    matrix: np.ndarray  # (len(ids), width)
 
     def __post_init__(self):
         self.ids = list(self.ids)
-        self.matrix = np.asarray(self.matrix, dtype=np.float64)
+        self.matrix = np.asarray(self.matrix)
         if self.matrix.ndim != 2:
-            raise ValueError(f"latent matrix must be 2-D, got shape {self.matrix.shape}")
-        _check_ids(self.ids, len(self.matrix), "latent store")
+            raise ValueError(f"feature matrix must be 2-D, got shape {self.matrix.shape}")
+        if len(self.ids) != len(self.matrix):
+            raise ValueError(f"{len(self.ids)} ids for {len(self.matrix)} rows")
+        if len(set(self.ids)) < len(self.ids):
+            key = next(k for k, count in Counter(self.ids).items() if count > 1)
+            raise ValueError(f"duplicate id {key!r}")
+        key = next((k for k in self.ids if "\x00" in k), None)
+        if key is not None:
+            raise ValueError(f"NUL in id {key!r}")
 
     @property
     def width(self) -> int:
@@ -159,7 +133,7 @@ def _bit_lines(path: Path, start: int, lines: list[str], seen: set[str], out: np
     return keys
 
 
-def load_bitvectors(path: str | Path) -> BitVectorStore:
+def load_bitvectors(path: str | Path) -> FeatureStore:
     """Parse a bit-vector file; errors carry the offending line number.
 
     Lines are parsed ``_BLOCK_LINES`` at a time into one uint8 matrix.
@@ -183,10 +157,10 @@ def load_bitvectors(path: str | Path) -> BitVectorStore:
         matrix = np.empty((path.stat().st_size // (width + 2), width), dtype=np.uint8)
         for start, lines in _line_blocks(fh, 2):
             ids += _bit_lines(path, start, lines, seen, matrix[len(ids):])
-    return BitVectorStore(width, ids, matrix[:len(ids)])
+    return FeatureStore(ids, matrix[:len(ids)])
 
 
-def save_bitvectors(store: BitVectorStore, path: str | Path) -> None:
+def save_bitvectors(store: FeatureStore, path: str | Path) -> None:
     lines = [f"#width={store.width}"]
     for key, vec in zip(store.ids, store.matrix):
         bits = ((vec != 0).view(np.uint8) + ord("0")).tobytes().decode("ascii")
@@ -263,7 +237,7 @@ def _latent_lines(path: Path, start: int, lines: list[str], seen: set[str]):
     return keys, vecs
 
 
-def load_latents(path: str | Path) -> LatentStore:
+def load_latents(path: str | Path) -> FeatureStore:
     """Parse a latent file; errors carry the offending line number.
 
     Lines are parsed ``_BLOCK_LINES`` at a time into one float64 matrix by
@@ -294,10 +268,10 @@ def load_latents(path: str | Path) -> LatentStore:
             blocks.append(vecs)
     if len(shapes) > 1:
         raise DataError(f"{path}: inconsistent vector widths in latent store: {shapes}")
-    return LatentStore(ids, np.concatenate(blocks) if blocks else np.empty((0, 0)))
+    return FeatureStore(ids, np.concatenate(blocks) if blocks else np.empty((0, 0)))
 
 
-def save_latents(store: LatentStore, path: str | Path) -> None:
+def save_latents(store: FeatureStore, path: str | Path) -> None:
     lines = [
         key + "\t" + format_floats(vec, ",")
         for key, vec in zip(store.ids, store.matrix)
@@ -556,8 +530,8 @@ class SynthConfig:
 
 @dataclass
 class SynthData:
-    compounds: BitVectorStore
-    proteins: BitVectorStore
+    compounds: FeatureStore
+    proteins: FeatureStore
     interactions: InteractionTable
     truth: np.ndarray  # bool; [i, j] when compound i truly binds protein j
 
@@ -629,8 +603,8 @@ def synth_generate(config: SynthConfig) -> SynthData:
         np.concatenate(scores),
     )
     return SynthData(
-        compounds=BitVectorStore(config.compound_bits, compound_ids, cbits),
-        proteins=BitVectorStore(config.protein_bits, protein_ids, pbits),
+        compounds=FeatureStore(compound_ids, cbits),
+        proteins=FeatureStore(protein_ids, pbits),
         interactions=interactions,
         truth=truth,
     )

@@ -24,8 +24,8 @@ import numpy as np
 
 from .data import (
     DataError,
+    FeatureStore,
     InteractionTable,
-    LatentStore,
     TierSpec,
     index_of,
     sample_negatives,
@@ -141,11 +141,12 @@ def metrics_csv_lines(log: MetricsLog, arm: str) -> list[str]:
 _GATHER_ROWS = 4096
 
 
-def _sorted_into(store: LatentStore, out: np.ndarray) -> np.ndarray:
-    """The store's ids sorted; its matrix rows are copied into ``out`` in that order."""
+def _sorted_into(store: FeatureStore, out: np.ndarray) -> np.ndarray:
+    """The store's ids sorted; its matrix rows are widened to float64 into
+    ``out`` in that order (a float64 matrix is not copied first)."""
     ids = np.array(store.ids, dtype=str)
     order = np.argsort(ids, kind="stable")
-    np.take(store.matrix, order, axis=0, out=out)
+    np.take(store.matrix.astype(np.float64, copy=False), order, axis=0, out=out)
     return ids[order]
 
 
@@ -156,19 +157,19 @@ class DataContext:
     Built once from the three fields and kept as arrays, so the feature stores
     are not held (nor pickled into ``--jobs`` workers): ``compounds`` and
     ``proteins`` are the sorted id arrays.  The feature rows in sorted-id
-    order live in one stacked table, protein rows first, cut into sub-rows
-    ``g = gcd(wp, wc)`` wide; ``protein_matrix`` and ``compound_matrix`` are
-    views of it.  A pair is the int64 key ``ci * len(proteins) + pi`` of its
-    compound and protein rows.  ``row_keys`` holds each record's key, or -1
-    where an id has no features, and ``positive_keys`` the sorted keys of the
-    records with known ids.
+    order, widened to float64, live in one stacked table, protein rows first,
+    cut into sub-rows ``g = gcd(wp, wc)`` wide; ``protein_matrix`` and
+    ``compound_matrix`` are views of it.  A pair is the int64 key
+    ``ci * len(proteins) + pi`` of its compound and protein rows.
+    ``row_keys`` holds each record's key, or -1 where an id has no features,
+    and ``positive_keys`` the sorted keys of the records with known ids.
     """
 
     interactions: InteractionTable
-    compound_features: InitVar[LatentStore]
-    protein_features: InitVar[LatentStore]
+    compound_features: InitVar[FeatureStore]
+    protein_features: InitVar[FeatureStore]
 
-    def __post_init__(self, compound_features: LatentStore, protein_features: LatentStore):
+    def __post_init__(self, compound_features: FeatureStore, protein_features: FeatureStore):
         self._widths = wp, wc = protein_features.width, compound_features.width
         self._g = g = math.gcd(wp, wc) or 1
         # the sub-row where the compound rows start

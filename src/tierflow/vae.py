@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint as ckpt
-from .data import BitVectorStore, LatentStore
+from .data import FeatureStore
 from .engine import (
     IDENTITY,
     RELU,
@@ -273,7 +273,7 @@ def _train_batch(
 
 
 def train_vae(
-    config: VaeConfig, store: BitVectorStore, rng: RngStream
+    config: VaeConfig, store: FeatureStore, rng: RngStream
 ) -> tuple[VaeModel, VaeTrainLog]:
     """Train with Adam over shuffled mini-batches; the short final batch is kept.
 
@@ -321,7 +321,7 @@ def train_vae(
     return model, log
 
 
-def embed(model: VaeModel, store: BitVectorStore) -> LatentStore:
+def embed(model: VaeModel, store: FeatureStore) -> FeatureStore:
     """Posterior means for every entry; deterministic, consumes no randomness."""
     if store.width != model.input_dim:
         raise DataError(
@@ -332,7 +332,7 @@ def embed(model: VaeModel, store: BitVectorStore) -> LatentStore:
         batch = store.matrix[at:at + 4096].astype(np.float64)
         h = forward(model.encoder_trunk, batch, chain=False)[-1]
         means[at:at + 4096] = forward(model.mu_head, h)[-1]
-    return LatentStore(store.ids, means)
+    return FeatureStore(store.ids, means)
 
 
 def save_vae(model: VaeModel, path) -> None:

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from tierflow.data import (
-    BitVectorStore,
-    LatentStore,
+    FeatureStore,
     SynthConfig,
     SynthTier,
     TierSpec,
@@ -12,16 +11,16 @@ from tierflow.data import (
 from tierflow.ftl import DataContext
 
 
-def latent_store(rows: dict) -> LatentStore:
+def latent_store(rows: dict) -> FeatureStore:
     """A latent store holding the ``{id: vector}`` rows in their order."""
     matrix = np.array(list(rows.values()), dtype=np.float64)
-    return LatentStore(list(rows), matrix.reshape(len(rows), -1) if rows else np.empty((0, 0)))
+    return FeatureStore(list(rows), matrix.reshape(len(rows), -1) if rows else np.empty((0, 0)))
 
 
-def bit_store(width: int, rows: dict) -> BitVectorStore:
+def bit_store(width: int, rows: dict) -> FeatureStore:
     """A bit-vector store holding the ``{id: bits}`` rows in their order."""
     matrix = np.array(list(rows.values()), dtype=np.uint8).reshape(len(rows), width)
-    return BitVectorStore(width, list(rows), matrix)
+    return FeatureStore(list(rows), matrix)
 
 
 def tiny_synth_config(seed: int = 5) -> SynthConfig:
@@ -45,6 +44,6 @@ def tiny_ctx() -> DataContext:
     data = synth_generate(tiny_synth_config())
     return DataContext(
         interactions=data.interactions,
-        compound_features=data.compounds.as_float_features(),
-        protein_features=data.proteins.as_float_features(),
+        compound_features=data.compounds,
+        protein_features=data.proteins,
     )

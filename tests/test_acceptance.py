@@ -308,11 +308,7 @@ def _benchmark_data(seed: int) -> DataContext:
         bit_density=0.5, true_rate=0.2,
     )
     data = synth_generate(config)
-    return DataContext(
-        data.interactions,
-        data.compounds.as_float_features(),
-        data.proteins.as_float_features(),
-    )
+    return DataContext(data.interactions, data.compounds, data.proteins)
 
 
 def test_c06_ftl_ordering_benchmark():

@@ -11,7 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tierflow.cli import main
-from tierflow.data import load_bitvectors, load_interactions, load_oracle
+from tierflow.config import synth_config_from_dict
+from tierflow.data import (
+    load_bitvectors,
+    load_interactions,
+    load_oracle,
+    save_bitvectors,
+    save_interactions,
+    save_latents,
+    synth_generate,
+)
 from tierflow.rng import RngStream
 from tierflow.vae import VaeConfig, build_vae, load_vae
 
@@ -177,6 +186,20 @@ def test_embed_same_seed_identical_latents(tmp_path, small_bits):
     assert (out_a / "latents.tsv").read_bytes() == (out_b / "latents.tsv").read_bytes()
 
 
+def test_embed_seed_override_changes_config_digest(tmp_path, small_bits):
+    config = write_json(tmp_path / "vae.json", VAE_DOC)
+    manifests, latents = [], []
+    for seed in ("1", "2"):
+        out = tmp_path / f"seed{seed}"
+        assert main(["embed", "--config", config, "--bitvectors", small_bits,
+                     "--out", str(out), "--seed", seed]) == 0
+        manifests.append(json.loads((out / "manifest.json").read_text()))
+        latents.append((out / "latents.tsv").read_bytes())
+    assert [m["seed"] for m in manifests] == [1, 2]
+    assert latents[0] != latents[1]
+    assert manifests[0]["config_digest"] != manifests[1]["config_digest"]
+
+
 def test_embed_width_mismatch_exit_2(tmp_path, small_bits):
     doc = {**VAE_DOC, "input_dim": 24}
     config = write_json(tmp_path / "vae.json", doc)
@@ -329,6 +352,21 @@ def test_out_of_range_flag_rejected_before_data(tmp_path, argv, message, dry_run
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("flag", [["--jobs", "2"], ["--reset-optimizer"]],
+                         ids=["jobs", "reset-optimizer"])
+@pytest.mark.parametrize("command", ["synth", "embed"])
+def test_experiment_flags_rejected_by_synth_and_embed(tmp_path, small_bits, command, flag):
+    config = write_json(tmp_path / "config.json", SYNTH_DOC if command == "synth" else VAE_DOC)
+    extra = ["--bitvectors", small_bits] if command == "embed" else []
+    out = tmp_path / "o"
+    proc = run_cli(command, "--config", config, "--out", str(out), *extra, *flag)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert lines[0].startswith("usage: tierflow ")
+    assert lines[-1] == "tierflow: error: unrecognized arguments: " + " ".join(flag)
+    assert not out.exists()
+
+
 def with_field(doc, path, value):
     """A deep copy of ``doc`` with the field at ``path`` (keys and indices) set."""
     doc = json.loads(json.dumps(doc))
@@ -393,6 +431,35 @@ def test_bad_feature_file_exit_2(tmp_path, compounds, proteins, bad):
     [line] = proc.stderr.splitlines()
     assert line.startswith("ERROR: data error: ") and bad in line
     assert not (out / "manifest.json").exists()
+
+
+def test_train_on_bit_files_matches_train_on_latent_files(tmp_path):
+    # the same 0/1 features as bit-vector files, which the feature loader
+    # tells apart by their '#width=' header, and as latent TSVs
+    data = synth_generate(synth_config_from_dict(SYNTH_DOC))
+    artifacts = []
+    for save, kind in ((save_bitvectors, "bits"), (save_latents, "latents")):
+        root = tmp_path / kind
+        root.mkdir()
+        save_interactions(data.interactions, root / "interactions.tsv")
+        save(data.compounds, root / "compounds.features")
+        save(data.proteins, root / "proteins.features")
+        doc = {**missing_data_doc(), "data": {
+            "interactions": "interactions.tsv",
+            "compound_features": "compounds.features",
+            "protein_features": "proteins.features",
+        }}
+        out = root / "out"
+        assert main(["train", "--config", write_json(root / "exp.json", doc),
+                     "--out", str(out)]) == 0
+        artifacts.append({p.name: p.read_bytes() for p in out.iterdir()
+                          if p.name != "manifest.json"})
+    assert (tmp_path / "bits" / "compounds.features").read_text().startswith("#width=12\n")
+    assert sorted(artifacts[0]) == [
+        "checkpoint_baseline.json", "checkpoint_ftl.json",
+        "metrics_baseline.csv", "metrics_ftl.csv", "report.json",
+    ]
+    assert artifacts[0] == artifacts[1]
 
 
 @pytest.mark.parametrize("dry_run", [True, False])

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from tierflow.data import _BLOCK_LINES as BLOCK_LINES
 from tierflow.data import (
-    BitVectorStore,
+    FeatureStore,
     InteractionTable,
-    LatentStore,
     SynthConfig,
     SynthTier,
     TierSpec,
@@ -117,7 +116,7 @@ def test_bitvector_round_trip(tmp_path):
 def test_bitvector_writer_marks_every_nonzero_byte(tmp_path):
     vec = np.arange(256, dtype=np.uint8)
     path = tmp_path / "vecs.bits"
-    save_bitvectors(BitVectorStore(256, ["a"], vec[None]), path)
+    save_bitvectors(FeatureStore(["a"], vec[None]), path)
     assert path.read_text(encoding="ascii") == "#width=256\na\t0" + "1" * 255 + "\n"
 
 
@@ -433,8 +432,8 @@ def test_context_keys_match_dict_reference(records, compound_ids, protein_ids, s
                                  for ids in (compound_ids, protein_ids))
     ctx = DataContext(
         InteractionTable(*zip(*records)) if records else InteractionTable([], [], []),
-        LatentStore(compound_ids, rng.standard_normal((len(compound_ids), 2))),
-        LatentStore(protein_ids, rng.standard_normal((len(protein_ids), 3))),
+        FeatureStore(compound_ids, rng.standard_normal((len(compound_ids), 2))),
+        FeatureStore(protein_ids, rng.standard_normal((len(protein_ids), 3))),
     )
 
     def tier_outcome(tier):
@@ -447,6 +446,52 @@ def test_context_keys_match_dict_reference(records, compound_ids, protein_ids, s
     assert ctx.row_keys.tolist() == row_keys
     assert ctx.positive_keys.tolist() == positive_keys
     assert [tier_outcome(tier) for tier in KEY_TIERS] == tiers
+
+
+def test_store_with_nul_in_id_rejected():
+    # NumPy's str dtype drops a trailing NUL, so the context would hold 'C1' twice
+    with pytest.raises(ValueError, match=r"^NUL in id 'C1\\x00'$"):
+        DataContext(
+            InteractionTable(["C1"], ["P"], [950]),
+            FeatureStore(["C1", "C1\x00"], np.zeros((2, 2))),
+            FeatureStore(["P"], np.zeros((1, 2))),
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    records=st.lists(
+        st.tuples(st.sampled_from(COMPOUND_POOL), st.sampled_from(PROTEIN_POOL),
+                  st.integers(0, 1000)),
+        max_size=40, unique_by=lambda record: record[:2],
+    ),
+    n_compounds=st.integers(1, len(COMPOUND_POOL)),
+    n_proteins=st.integers(1, len(PROTEIN_POOL)),
+    wc=st.integers(1, 9),
+    wp=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_context_from_bit_stores_equals_context_from_float_stores(
+    records, n_compounds, n_proteins, wc, wp, seed
+):
+    rng = np.random.default_rng(seed)
+    compound_ids = list(rng.permutation(COMPOUND_POOL)[:n_compounds])
+    protein_ids = list(rng.permutation(PROTEIN_POOL)[:n_proteins])
+    cbits = rng.integers(0, 2, (n_compounds, wc), dtype=np.uint8)
+    pbits = rng.integers(0, 2, (n_proteins, wp), dtype=np.uint8)
+    table = InteractionTable(*zip(*records)) if records else InteractionTable([], [], [])
+
+    def context(dtype):
+        return DataContext(table, FeatureStore(compound_ids, cbits.astype(dtype)),
+                           FeatureStore(protein_ids, pbits.astype(dtype)))
+
+    bits, floats = context(np.uint8), context(np.float64)
+    for name in ("protein_matrix", "compound_matrix", "row_keys"):
+        a, b = getattr(bits, name), getattr(floats, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    keys = rng.integers(0, n_compounds * n_proteins, 50)
+    out_bits, out_floats = np.empty((50, wp + wc)), np.empty((50, wp + wc))
+    assert bits.rows(keys, out_bits).tobytes() == floats.rows(keys, out_floats).tobytes()
 
 
 def random_context(rng, n_compounds, n_proteins, wc, wp):
@@ -581,11 +626,11 @@ def test_latents_non_finite_value_names_line(tmp_path, value):
 
 def test_latents_width_consistency():
     with pytest.raises(ValueError):
-        LatentStore(["a", "b"], [np.zeros(2), np.zeros(3)])
+        FeatureStore(["a", "b"], [np.zeros(2), np.zeros(3)])
     with pytest.raises(ValueError, match="2 ids for 3 rows"):
-        LatentStore(["a", "b"], np.zeros((3, 2)))
+        FeatureStore(["a", "b"], np.zeros((3, 2)))
     with pytest.raises(ValueError, match="duplicate id 'a'"):
-        LatentStore(["a", "b", "a"], np.zeros((3, 2)))
+        FeatureStore(["a", "b", "a"], np.zeros((3, 2)))
 
 
 # ---------------------------------------------------------------- block loaders

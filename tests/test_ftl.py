@@ -207,9 +207,7 @@ def test_unknown_id_stops_the_step_before_it_trains(monkeypatch):
             [*table.protein_ids.tolist(), str(table.protein_ids[0])],
             [*table.scores.tolist(), score],
         )
-        ctx = DataContext(
-            ghost, data.compounds.as_float_features(), data.proteins.as_float_features()
-        )
+        ctx = DataContext(ghost, data.compounds, data.proteins)
         updates.clear()
         with pytest.raises(DataError, match="^unknown compound id 'GHOST'$"):
             train_ftl(sched, ctx)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tierflow.data import BitVectorStore
+from tierflow.data import FeatureStore
 from tierflow.engine import SIGMOID, _activation_gradient
 from tierflow.errors import DataError
 from tierflow.rng import RngStream
@@ -267,7 +267,7 @@ def test_train_vae_deterministic():
 
 def test_train_vae_empty_store_rejected():
     with pytest.raises(DataError):
-        train_vae(TINY, BitVectorStore(8, [], np.zeros((0, 8), np.uint8)), RngStream(0))
+        train_vae(TINY, FeatureStore([], np.zeros((0, 8), np.uint8)), RngStream(0))
 
 
 def test_train_vae_width_mismatch_rejected():
@@ -277,7 +277,7 @@ def test_train_vae_width_mismatch_rejected():
 
 def test_train_vae_rejects_non_binary_store_before_training(monkeypatch):
     store = random_store(30, 8, seed=3)
-    store = BitVectorStore(8, store.ids + ["late"], np.vstack(
+    store = FeatureStore(store.ids + ["late"], np.vstack(
         [store.matrix, np.array([0, 1, 2, 0, 1, 0, 0, 1], dtype=np.uint8)]
     ))
     steps = []
@@ -293,8 +293,7 @@ def test_train_vae_holds_no_float_copy_of_the_store():
     config = VaeConfig(input_dim=512, encoder_hidden=(32,), latent_dim=8,
                        epochs=1, batch_size=64, learning_rate=1e-3)
     rng = np.random.default_rng(5)
-    store = BitVectorStore(512, [f"v{i}" for i in range(4000)],
-                           rng.random((4000, 512)) < 0.5)
+    store = FeatureStore([f"v{i}" for i in range(4000)], rng.random((4000, 512)) < 0.5)
     n_params = build_vae(config, RngStream(0)).flat.size
     tracemalloc.start()
     try:
