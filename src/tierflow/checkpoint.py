@@ -130,18 +130,25 @@ def network_from_dict(doc: dict) -> DenseNetwork:
                 )
             b = np.asarray(entry["biases"], dtype=np.float64)
             layers.append(DenseLayer(w.reshape(rows, cols), b, act))
+        return DenseNetwork(layers, input_dim)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed checkpoint: {exc}") from exc
-    return DenseNetwork(layers, input_dim)
 
 
 def save_network(net: DenseNetwork, path: str | Path) -> None:
     write_atomic(path, dumps(network_to_dict(net)) + "\n")
 
 
-def load_network(path: str | Path) -> DenseNetwork:
+def read_json(path: str | Path):
+    """The JSON document in ``path``; a DataError names the file if it cannot
+    be read or decoded."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from exc
-    return network_from_dict(doc)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def load_network(path: str | Path) -> DenseNetwork:
+    return network_from_dict(read_json(path))

@@ -159,26 +159,35 @@ class ExperimentSpec:
     paths: DataPaths | None = None
 
 
+# the optional fields an experiment document shares with every arm's schedule
+_SCHEDULE = {
+    "batch_size": "an integer",
+    "learning_rate": "a number",
+    "hidden_layers": "a list",
+    "reset_optimizer_between_steps": "true or false",
+}
+
+
 def experiment_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentSpec:
     """Build and check every arm's schedule, so a dry run rejects what a real run would."""
     where = "experiment"
     validation_tier = _tier(
         _require(doc, "validation_tier", where), f"{where}.validation_tier"
     )
-    hidden_layers = _field(doc, "hidden_layers", "a list", where, [128, 64, 32, 16, 8])
-    shared = dict(
-        validation_tier=validation_tier,
-        seed=_field(doc, "seed", "an integer", where),
-        batch_size=_field(doc, "batch_size", "an integer", where, 1000),
-        learning_rate=float(_field(doc, "learning_rate", "a number", where, 0.001)),
-        hidden_layers=tuple(
+    # a field the document leaves out takes its TrainSchedule default
+    shared = {
+        key: _field(doc, key, kind, where)
+        for key, kind in _SCHEDULE.items()
+        if key in doc
+    }
+    shared.update(validation_tier=validation_tier, seed=_field(doc, "seed", "an integer", where))
+    if "learning_rate" in shared:
+        shared["learning_rate"] = float(shared["learning_rate"])
+    if "hidden_layers" in shared:
+        shared["hidden_layers"] = tuple(
             _expect(v, "an integer", f"{where}.hidden_layers[{i}]")
-            for i, v in enumerate(hidden_layers)
-        ),
-        reset_optimizer_between_steps=_field(
-            doc, "reset_optimizer_between_steps", "true or false", where, False
-        ),
-    )
+            for i, v in enumerate(shared["hidden_layers"])
+        )
     arms: dict[str, TrainSchedule] = {}
     for i, entry in enumerate(_field(doc, "arms", "a list", where)):
         spot = f"{where}.arms[{i}]"

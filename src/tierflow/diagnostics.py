@@ -1,8 +1,10 @@
-"""Per-layer weight-drift analysis between network snapshots.
+"""Per-layer weight-drift analysis between two networks' weights.
 
-The headline quantity is the Euclidean distance between two snapshots of a
-layer, normalized by that layer's parameter count (weights plus biases,
-divided by the count itself, not its square root).  Fold changes compare the
+A weight snapshot is a network: a fork returned by ``train_ftl`` holds the
+weights where its run stopped.  The headline quantity is the Euclidean
+distance between two snapshots of a layer, normalized by that layer's
+parameter count (weights plus biases, divided by the count itself, not its
+square root).  Fold changes compare the
 drift across an FTL step transition against the drift under continued
 same-tier training over the same number of epochs.
 """
@@ -13,12 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import WeightSnapshot, take_snapshot
+from .engine import DenseNetwork
 from .ftl import DataContext, FtlResult, TrainSchedule, train_ftl
 
 __all__ = [
-    "WeightSnapshot",
-    "take_snapshot",
     "LayerDistance",
     "LayerDistanceReport",
     "layer_distance",
@@ -46,18 +46,24 @@ class LayerDistanceReport:
         return np.array([l.distance for l in self.layers])
 
 
-def layer_distance(a: WeightSnapshot, b: WeightSnapshot) -> LayerDistanceReport:
-    """Per layer: ||params_a - params_b||_2 / parameter count, biases included."""
-    if a.n_layers != b.n_layers:
-        raise ValueError(f"snapshots have {a.n_layers} vs {b.n_layers} layers")
+def layer_distance(
+    a: DenseNetwork, b: DenseNetwork, tag_a: str, tag_b: str
+) -> LayerDistanceReport:
+    """Per layer: ||params_a - params_b||_2 / parameter count, biases included.
+
+    ``tag_a`` and ``tag_b`` name the two snapshots in the report.
+    """
+    if len(a.layers) != len(b.layers):
+        raise ValueError(f"snapshots have {len(a.layers)} vs {len(b.layers)} layers")
     layers = []
-    for i, (wa, ba, wb, bb) in enumerate(zip(a.weights, a.biases, b.weights, b.biases)):
+    for i, (la, lb) in enumerate(zip(a.layers, b.layers)):
+        wa, ba, wb, bb = la.weights, la.biases, lb.weights, lb.biases
         if wa.shape != wb.shape or ba.shape != bb.shape:
             raise ValueError(f"layer {i} shapes differ between snapshots")
         sq = float(np.sum((wa - wb) ** 2) + np.sum((ba - bb) ** 2))
         n = wa.size + ba.size
         layers.append(LayerDistance(i, n, float(np.sqrt(sq) / n)))
-    return LayerDistanceReport(a.tag, b.tag, layers)
+    return LayerDistanceReport(tag_a, tag_b, layers)
 
 
 def fold_change(
@@ -79,8 +85,9 @@ def fold_change(
 class DriftComparison:
     """Both arms' per-layer drift from the shared (1, E1) snapshot, and fold changes.
 
-    ``ftl_result`` ends at (2, delta) and ``baseline_result`` at (1, E1 + delta).
-    Both were trained without per-epoch evaluation, so their logs are empty.
+    ``ftl_result`` ends at (2, delta) and ``baseline_result`` at (1, E1 + delta);
+    each one's network is the snapshot its drift was measured to.  Both were
+    trained without per-epoch evaluation, so their logs are empty.
     """
 
     ftl_report: LayerDistanceReport
@@ -99,9 +106,11 @@ def weight_drift_protocol(
     least ``delta``.  Step 1 is trained once for E1 epochs and forked: the FTL
     arm enters step 2 and stops at (step 2, delta); the baseline arm continues
     step 1, on the same data and shuffle streams, through epoch E1 + delta.
-    Only weight snapshots are compared, so no epoch is evaluated: the
+    Each fork trains a copy of the prefix's network, so the prefix's network
+    is the snapshot at (1, E1) and each fork's network the snapshot where it
+    stopped.  Only weights are compared, so no epoch is evaluated: the
     validation set is built (and checked against every step) but never scored,
-    and both results carry empty logs.
+    and all three results carry empty logs.
     """
     if len(schedule.steps) != 2:
         raise ValueError(
@@ -111,15 +120,16 @@ def weight_drift_protocol(
     if not 0 <= delta <= e2:
         raise ValueError(f"delta must lie in [0, {e2}], got {delta}")
 
-    prefix = train_ftl(schedule, ctx, frozenset({(1, e1)}), stop=(1, e1), metrics=False)
-    ftl_end, base_end = (2, delta), (1, e1 + delta)
+    prefix = train_ftl(schedule, ctx, stop=(1, e1), metrics=False)
     ftl_result, base_result = (
-        train_ftl(schedule, ctx, frozenset({end}), start=prefix, stop=end, metrics=False)
-        for end in (ftl_end, base_end)
+        train_ftl(schedule, ctx, start=prefix, stop=end, metrics=False)
+        for end in ((2, delta), (1, e1 + delta))
     )
-    at_e1 = prefix.snapshots[f"step1_epoch{e1}"]
-    ftl_report = layer_distance(at_e1, ftl_result.snapshots[f"step2_epoch{delta}"])
-    base_report = layer_distance(at_e1, base_result.snapshots[f"step1_epoch{e1 + delta}"])
+    at_e1 = f"step1_epoch{e1}"
+    ftl_report = layer_distance(
+        prefix.network, ftl_result.network, at_e1, f"step2_epoch{delta}")
+    base_report = layer_distance(
+        prefix.network, base_result.network, at_e1, f"step1_epoch{e1 + delta}")
     return DriftComparison(
         ftl_report, base_report, fold_change(ftl_report, base_report),
         ftl_result, base_result,

@@ -346,28 +346,6 @@ def adam_step(state: AdamState, p: np.ndarray, g: np.ndarray) -> None:
         _check_finite(pc, "parameters after Adam step")
 
 
-@dataclass
-class WeightSnapshot:
-    """Frozen copy of every layer's weights and biases, tagged for reports."""
-
-    tag: str
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-    def __post_init__(self):
-        if len(self.weights) != len(self.biases):
-            raise ValueError("weights and biases lists must have equal length")
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.weights)
-
-
-def take_snapshot(net: DenseNetwork, tag: str) -> WeightSnapshot:
-    params = net.split(net.flat.copy())
-    return WeightSnapshot(tag, params[0::2], params[1::2])
-
-
 def accuracy(predictions: np.ndarray, labels: np.ndarray, threshold: float = 0.5) -> float:
     """Percentage of correct threshold classifications; ties (p == threshold) go positive."""
     p = np.asarray(predictions, dtype=np.float64).reshape(-1)

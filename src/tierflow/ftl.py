@@ -7,6 +7,10 @@ that tier's positives plus an equal number of freshly sampled negatives; the
 validation tier is held out entirely and scored after every epoch (the drift
 protocol, which compares weights only, asks for no scores).
 
+A run returns its fork (:class:`FtlResult`): the network and Adam state where
+it stopped, which a later run may continue from.  The network is the run's
+weight snapshot; a continuation trains a copy of it.
+
 Randomness is split into independent streams derived from the schedule seed
 (init / validation negatives / per-step negatives / per-epoch shuffles), so
 extending one step never reshuffles another and two runs that share a prefix
@@ -34,7 +38,6 @@ from .data import (
 from .engine import (
     AdamState,
     DenseNetwork,
-    WeightSnapshot,
     accuracy,
     adam_step,
     backward,
@@ -43,7 +46,6 @@ from .engine import (
     check_sizes_and_rate,
     forward,
     init_network,
-    take_snapshot,
 )
 from .errors import ConfigError
 from .rng import RngStream, derive_seed
@@ -258,21 +260,12 @@ def _labels(positive_keys: np.ndarray, negative_keys: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class StepData:
-    step_index: int
-    tier: TierSpec
-    positives: np.ndarray  # pair keys
-    negatives: np.ndarray
-
-
-@dataclass
 class FtlResult:
-    """A run's outputs; its net, Adam state, validation keys and ``at`` form a fork."""
+    """A run's fork: its net, Adam state and validation keys at ``at``, where
+    it stopped, plus the log of the epochs it evaluated."""
 
     network: DenseNetwork
     log: MetricsLog
-    snapshots: dict[str, WeightSnapshot]
-    steps: list[StepData]
     validation_positives: np.ndarray  # pair keys
     validation_negatives: np.ndarray
     adam: AdamState
@@ -300,21 +293,20 @@ def evaluate(
 def train_ftl(
     schedule: TrainSchedule,
     ctx: DataContext,
-    snapshot_points: frozenset[tuple[int, int]] = frozenset(),
     start: FtlResult | None = None,
     stop: tuple[int, int] | None = None,
     *,
     metrics: bool = True,
 ) -> FtlResult:
-    """Run the stepwise schedule; returns the net, metrics, snapshots and fork.
+    """Run the stepwise schedule; returns the net, metrics and fork.
 
-    ``snapshot_points`` are (step, epoch) pairs to capture, with epoch 0
-    meaning "before this step's first update".  ``start`` forks an earlier
-    result of the same schedule: its net and Adam state are copied, its
-    validation keys and snapshots reused, and training resumes after its
-    ``at`` (step, epoch).
+    ``start`` forks an earlier result of the same schedule: its net and Adam
+    state are copied, its validation keys reused, and training resumes after
+    its ``at`` (step, epoch).  The start's net is left untouched, so it stays
+    the weights at its ``at``.
     ``stop=(k, e)`` ends the run after epoch ``e`` of step ``k``, which may pass
-    that step's budget.  The log holds only the epochs this call trained.
+    that step's budget; ``e = 0`` stops before step ``k``'s first update.
+    The log holds only the epochs this call trained.
     With ``metrics=False`` no epoch is evaluated and the log stays empty;
     evaluation is a pure function of the net, so everything else is the same.
     No step matrix is built: every batch and every evaluation block is
@@ -340,10 +332,8 @@ def train_ftl(
     forbidden = np.union1d(ctx.positive_keys, val_negs)
     stop_step, stop_epoch = stop or (len(schedule.steps), schedule.steps[-1].epochs)
     start_step, start_epoch = stopped = start.at if start else (1, 0)
-    snapshots = dict(start.snapshots) if start else {}
 
     log = MetricsLog()
-    steps_out: list[StepData] = []
 
     for k, step in enumerate(schedule.steps[:stop_step], start=1):
         first = start_epoch + 1 if k == start_step else 1
@@ -358,15 +348,12 @@ def train_ftl(
         keys = np.concatenate([positives, negatives])
         if np.intersect1d(keys, val_keys).size:
             raise DataError(f"step {k}: validation pairs leaked into a training step")
-        steps_out.append(StepData(k, step.tier, positives, negatives))
 
         labels = _labels(positives, negatives)
         n = len(keys)
         batch = np.empty((min(n, schedule.batch_size), ctx.feature_dim))
         if first == 1 and schedule.reset_optimizer_between_steps and k > 1:
             adam = AdamState.create(net.flat.size, schedule.learning_rate)
-        if first == 1 and (k, 0) in snapshot_points:
-            snapshots[f"step{k}_epoch0"] = take_snapshot(net, f"step{k}_epoch0")
 
         for epoch in range(first, last + 1):
             order = RngStream(derive_seed(schedule.seed, "shuffle", k, epoch)).permutation(n)
@@ -378,12 +365,9 @@ def train_ftl(
             if metrics:
                 log.append(k, epoch, "train", *evaluate(net, ctx, keys, labels))
                 log.append(k, epoch, "validation", *evaluate(net, ctx, val_keys, val_labels))
-            if (k, epoch) in snapshot_points:
-                tag = f"step{k}_epoch{epoch}"
-                snapshots[tag] = take_snapshot(net, tag)
         stopped = (k, last)
 
-    return FtlResult(net, log, snapshots, steps_out, val_pos, val_negs, adam, stopped)
+    return FtlResult(net, log, val_pos, val_negs, adam, stopped)
 
 
 def train_single(
@@ -392,20 +376,14 @@ def train_single(
     ctx: DataContext,
     *,
     validation_tier: TierSpec,
-    batch_size: int = 1000,
-    learning_rate: float = 0.001,
-    seed: int = 0,
-    hidden_layers: tuple[int, ...] = (128, 64, 32, 16, 8),
+    **settings,
 ) -> FtlResult:
-    """Fresh-initialization baseline on one tier; a degenerate 1-step schedule."""
-    schedule = TrainSchedule(
-        steps=[TrainStep(tier, epochs)],
-        validation_tier=validation_tier,
-        batch_size=batch_size,
-        learning_rate=learning_rate,
-        seed=seed,
-        hidden_layers=hidden_layers,
-    )
+    """Fresh-initialization baseline on one tier; a degenerate 1-step schedule.
+
+    ``settings`` are :class:`TrainSchedule` fields (batch size, learning rate,
+    seed, hidden layers), with its defaults.
+    """
+    schedule = TrainSchedule([TrainStep(tier, epochs)], validation_tier, **settings)
     return train_ftl(schedule, ctx)
 
 

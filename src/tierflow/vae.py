@@ -9,10 +9,8 @@ are always the posterior mean, never a sample.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -80,6 +78,10 @@ class VaeModel:
 
     def __post_init__(self):
         latent = self.mu_head.output_dim
+        if self.mu_head.input_dim != self.encoder_trunk.output_dim or (
+            self.logvar_head.input_dim != self.encoder_trunk.output_dim
+        ):
+            raise ValueError("mu and logvar heads must read the trunk's output width")
         if self.logvar_head.output_dim != latent:
             raise ValueError("mu and logvar heads must share the latent width")
         if self.decoder.input_dim != latent:
@@ -341,8 +343,8 @@ def save_vae(model: VaeModel, path) -> None:
 
 
 def load_vae(path) -> VaeModel:
+    doc = ckpt.read_json(path)
     try:
-        body = json.loads(Path(path).read_text(encoding="utf-8"))["vae"]
-        return VaeModel(**{part: ckpt.network_from_dict(body[part]) for part in _PARTS})
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+        return VaeModel(**{part: ckpt.network_from_dict(doc["vae"][part]) for part in _PARTS})
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed VAE checkpoint {path}: {exc}") from exc

@@ -7,16 +7,16 @@ lines; the whole suite is self-contained and desk-scale.
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import scipy.stats
 
 from tierflow.checkpoint import load_network, save_network
 from tierflow.cli import main as cli_main
+from tierflow.config import build_data_context, experiment_from_dict
 from tierflow.data import (
     InteractionTable,
-    SynthConfig,
-    SynthTier,
     TierSpec,
     load_bitvectors,
     load_interactions,
@@ -26,13 +26,14 @@ from tierflow.data import (
     save_bitvectors,
     save_interactions,
     save_latents,
-    synth_generate,
     tier_filter,
 )
 from tierflow.diagnostics import layer_distance, weight_drift_protocol
 from tierflow.engine import (
+    RELU,
     AdamState,
-    WeightSnapshot,
+    DenseLayer,
+    DenseNetwork,
     adam_step,
     backward,
     bce_gradient,
@@ -41,7 +42,6 @@ from tierflow.engine import (
     init_network,
 )
 from tierflow.ftl import (
-    DataContext,
     TrainSchedule,
     TrainStep,
     train_ftl,
@@ -296,42 +296,20 @@ def test_c05_vae_sanity():
 # ------------------------------------------------------------------ 6
 
 
-def _benchmark_data(seed: int) -> DataContext:
-    config = SynthConfig(
-        n_compounds=400, n_proteins=150, compound_bits=32, protein_bits=32,
-        tiers=[
-            SynthTier(TierSpec(300, 700), 8000, 0.30),
-            SynthTier(TierSpec(700, 900), 2000, 0.05),
-            SynthTier(TierSpec(900, 1000), 1000, 0.0),
-        ],
-        validation_tier=TierSpec(900, 1000), seed=seed,
-        bit_density=0.5, true_rate=0.2,
-    )
-    data = synth_generate(config)
-    return DataContext(data.interactions, data.compounds, data.proteins)
+BENCHMARK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "benchmark_experiment.json"
 
 
 def test_c06_ftl_ordering_benchmark():
     started = time.monotonic()
-    common = dict(
-        validation_tier=TierSpec(900, 1000), batch_size=1000,
-        learning_rate=1e-3, hidden_layers=(32, 16, 8),
-    )
+    doc = json.loads(BENCHMARK_CONFIG.read_text(encoding="utf-8"))
     wins = 0
     ftl_accs, base_accs = [], []
     for seed in range(1, 11):
-        ctx = _benchmark_data(seed)
-        ftl = train_ftl(
-            TrainSchedule(
-                [TrainStep(TierSpec(300, 700), 50), TrainStep(TierSpec(700, 900), 50)],
-                seed=seed, **common,
-            ),
-            ctx,
-        )
-        base = train_ftl(
-            TrainSchedule([TrainStep(TierSpec(700, 900), 100)], seed=seed, **common),
-            ctx,
-        )
+        doc["seed"] = doc["synth"]["seed"] = seed
+        spec = experiment_from_dict(doc)
+        ctx = build_data_context(spec)
+        ftl = train_ftl(spec.arms["ftl_2step"], ctx)
+        base = train_ftl(spec.arms["baseline_high"], ctx)
         _, _, ftl_acc, _ = ftl.log.best_validation()
         _, _, base_acc, _ = base.log.best_validation()
         ftl_accs.append(ftl_acc)
@@ -374,17 +352,17 @@ def test_c07_degenerate_equivalence(tiny_ctx):
 def test_c08_diagnostics_exactness(tiny_ctx):
     rng = RngStream(808)
     shapes = ((5, 4), (3, 5), (1, 3))
-    mk = lambda tag, seed: WeightSnapshot(
-        tag,
-        [RngStream(seed + i).uniform(-1, 1, size=r * c).reshape(r, c)
+    mk = lambda seed: DenseNetwork(
+        [DenseLayer(RngStream(seed + i).uniform(-1, 1, size=r * c).reshape(r, c),
+                    RngStream(seed + 10 + i).uniform(-1, 1, size=r), RELU)
          for i, (r, c) in enumerate(shapes)],
-        [RngStream(seed + 10 + i).uniform(-1, 1, size=r)
-         for i, (r, _) in enumerate(shapes)],
+        shapes[0][1],
     )
-    a, b = mk("a", 1), mk("b", 100)
-    report = layer_distance(a, b)
+    a, b = mk(1), mk(100)
+    report = layer_distance(a, b, "a", "b")
     worst = 0.0
-    for entry, wa, ba, wb, bb in zip(report.layers, a.weights, a.biases, b.weights, b.biases):
+    for entry, la, lb in zip(report.layers, a.layers, b.layers):
+        wa, ba, wb, bb = la.weights, la.biases, lb.weights, lb.biases
         total = 0.0
         for x, y in zip(wa.ravel().tolist(), wb.ravel().tolist()):
             total += (x - y) ** 2
@@ -393,11 +371,11 @@ def test_c08_diagnostics_exactness(tiny_ctx):
         worst = max(worst, abs(entry.distance - math.sqrt(total) / (wa.size + ba.size)))
     oracle_ok = worst < 1e-12
 
-    base = WeightSnapshot("base", [np.zeros((4, 4))], [np.zeros(4)])
+    base = DenseNetwork([DenseLayer(np.zeros((4, 4)), np.zeros(4), RELU)], 4)
     shifted_w = np.zeros((4, 4))
     shifted_w[2, 1] = 0.625
-    shifted = WeightSnapshot("shifted", [shifted_w], [np.zeros(4)])
-    delta_ok = layer_distance(base, shifted).layers[0].distance == 0.625 / 20
+    shifted = DenseNetwork([DenseLayer(shifted_w, np.zeros(4), RELU)], 4)
+    delta_ok = layer_distance(base, shifted, "base", "shifted").layers[0].distance == 0.625 / 20
 
     schedule = TrainSchedule(
         [TrainStep(TierSpec(300, 700), 3), TrainStep(TierSpec(700, 900), 2)],

@@ -16,10 +16,10 @@ from tierflow.checkpoint import (
     save_network,
 )
 from tierflow.data import save_latents
-from tierflow.engine import init_network
+from tierflow.engine import IDENTITY, init_network
 from tierflow.errors import DataError
 from tierflow.rng import RngStream
-from tierflow.vae import VaeConfig, build_vae, save_vae
+from tierflow.vae import VaeConfig, build_vae, load_vae, save_vae
 from conftest import latent_store
 
 
@@ -61,6 +61,44 @@ def test_malformed_checkpoints_rejected():
         network_from_dict(bad_count)
     with pytest.raises(DataError):
         network_from_dict({"layers": []})
+
+
+@pytest.mark.parametrize("change, problem", [
+    # layer 1 expects 3 inputs, layer 0 gives 2
+    (lambda doc: doc["layers"][1].update(
+        rows=1, cols=3, weights=[0.0] * 3, biases=[0.0]), "input width 3"),
+    (lambda doc: doc.update(layers=[]), "at least one layer"),
+    (lambda doc: doc.update(input_dim=0), "input_dim must be >= 1"),
+], ids=["widths-do-not-chain", "no-layers", "input-dim-0"])
+def test_unbuildable_networks_rejected_as_data_errors(change, problem):
+    doc = json.loads(dumps(network_to_dict(init_network([2, 1], 2, rng=RngStream(0)))))
+    change(doc)
+    with pytest.raises(DataError, match=problem):
+        network_from_dict(doc)
+
+
+@pytest.mark.parametrize("head_in, head_out, problem", [
+    (4, 4, "share the latent width"),
+    (5, 3, "read the trunk's output width"),
+], ids=["latent-widths-differ", "head-input-differs"])
+def test_vae_with_mismatched_heads_rejected(tmp_path, head_in, head_out, problem):
+    # the trunk ends 4 wide and the mu head maps 4 -> 3
+    model = build_vae(VaeConfig(12, (6, 4), 3, 1, 4, 1e-3), RngStream(5))
+    model.logvar_head = init_network([head_out], head_in, [IDENTITY], RngStream(6))
+    path = tmp_path / "vae.json"
+    save_vae(model, path)
+    with pytest.raises(DataError, match=problem):
+        load_vae(path)
+
+
+@pytest.mark.parametrize("load", [load_network, load_vae])
+@pytest.mark.parametrize("content", [None, b'{"input_dim": \xff}'], ids=["missing", "not-utf8"])
+def test_unreadable_checkpoints_rejected(tmp_path, load, content):
+    path = tmp_path / "ckpt.json"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(DataError, match="ckpt.json"):
+        load(path)
 
 
 def test_load_rejects_invalid_json(tmp_path):

@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tierflow.cli import main
-from tierflow.config import synth_config_from_dict
+from tierflow.config import experiment_from_dict, synth_config_from_dict
 from tierflow.data import (
+    TierSpec,
     load_bitvectors,
     load_interactions,
     load_oracle,
@@ -21,6 +22,7 @@ from tierflow.data import (
     save_latents,
     synth_generate,
 )
+from tierflow.ftl import TrainSchedule
 from tierflow.rng import RngStream
 from tierflow.vae import VaeConfig, build_vae, load_vae
 
@@ -406,6 +408,14 @@ def test_invalid_experiment_rejected_at_parse(tmp_path, path, value, message, dr
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [f"ERROR: config error: {message}"]
     assert not (out / "manifest.json").exists()
+
+
+def test_experiment_omitting_optional_fields_takes_schedule_defaults():
+    required = ("synth", "arms", "validation_tier", "seed")
+    spec = experiment_from_dict({key: EXPERIMENT_DOC[key] for key in required})
+    assert list(spec.arms) == ["ftl", "baseline"]
+    for schedule in spec.arms.values():
+        assert schedule == TrainSchedule(schedule.steps, TierSpec(900, 1000), seed=3)
 
 
 @pytest.mark.parametrize("compounds, proteins, bad", [

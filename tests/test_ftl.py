@@ -87,14 +87,37 @@ def test_different_seed_differs(tiny_ctx):
 
 def test_step_continuity(tiny_ctx):
     sched = fast_schedule([TrainStep(LOW, 3), TrainStep(HIGH, 2)], seed=9)
-    result = train_ftl(sched, tiny_ctx, frozenset({(1, 3), (2, 0)}))
-    assert set(result.snapshots) == {"step1_epoch3", "step2_epoch0"}
-    boundary = result.snapshots["step1_epoch3"]
-    start2 = result.snapshots["step2_epoch0"]
-    for wa, wb in zip(boundary.weights, start2.weights):
-        assert np.array_equal(wa, wb)
-    for ba, bb in zip(boundary.biases, start2.biases):
-        assert np.array_equal(ba, bb)
+    boundary = train_ftl(sched, tiny_ctx, stop=(1, 3))
+    start2 = train_ftl(sched, tiny_ctx, stop=(2, 0))
+    assert (boundary.at, start2.at) == ((1, 3), (2, 0))
+    for wa, wb in zip(boundary.network.layers, start2.network.layers, strict=True):
+        assert np.array_equal(wa.weights, wb.weights)
+        assert np.array_equal(wa.biases, wb.biases)
+
+
+@pytest.fixture
+def step_keys(monkeypatch):
+    """``step_keys()`` lists the (positives, negatives) pair keys of every
+    training step the test has run, in order, as ``train_ftl`` drew them."""
+    positives, negatives = [], []
+    tier_keys, sample = DataContext.tier_keys, ftl.sample_negatives
+
+    def record_tier_keys(self, tier, role):
+        positives.append((role, tier_keys(self, tier, role)))
+        return positives[-1][1]
+
+    def record_negatives(*args):
+        negatives.append(sample(*args))
+        return negatives[-1]
+
+    monkeypatch.setattr(DataContext, "tier_keys", record_tier_keys)
+    monkeypatch.setattr(ftl, "sample_negatives", record_negatives)
+    # a run draws its validation negatives first, then each step's right
+    # after that step's positives
+    return lambda: [
+        (keys, neg) for (role, keys), neg in zip(positives, negatives, strict=True)
+        if role != "validation"
+    ]
 
 
 def pairs(ctx, keys):
@@ -103,34 +126,35 @@ def pairs(ctx, keys):
     return {(ctx.compounds[k // n_p], ctx.proteins[k % n_p]) for k in keys.tolist()}
 
 
-def test_filtering_semantics(tiny_ctx):
+def test_filtering_semantics(tiny_ctx, step_keys):
     sched = fast_schedule([TrainStep(LOW, 1), TrainStep(HIGH, 1)], seed=3)
-    result = train_ftl(sched, tiny_ctx)
+    train_ftl(sched, tiny_ctx)
     table = tiny_ctx.interactions
-    for step_data, step in zip(result.steps, sched.steps):
+    for (positives, _), step in zip(step_keys(), sched.steps, strict=True):
         mask = tier_filter(table, step.tier)
         expected = set(zip(table.compound_ids[mask].tolist(), table.protein_ids[mask].tolist()))
-        assert pairs(tiny_ctx, step_data.positives) == expected
+        assert pairs(tiny_ctx, positives) == expected
 
 
-def test_validation_isolation(tiny_ctx):
+def test_validation_isolation(tiny_ctx, step_keys):
     sched = fast_schedule([TrainStep(LOW, 2), TrainStep(HIGH, 2)], seed=4)
     result = train_ftl(sched, tiny_ctx)
     val_pairs = pairs(tiny_ctx, result.validation_positives)
     val_pairs |= pairs(tiny_ctx, result.validation_negatives)
-    for step_data in result.steps:
-        train_pairs = pairs(tiny_ctx, step_data.positives)
-        train_pairs |= pairs(tiny_ctx, step_data.negatives)
+    assert len(step_keys()) == 2
+    for positives, negatives in step_keys():
+        train_pairs = pairs(tiny_ctx, positives)
+        train_pairs |= pairs(tiny_ctx, negatives)
         assert not train_pairs & val_pairs
 
 
-def test_negatives_are_one_to_one_and_clean(tiny_ctx):
-    result = train_ftl(fast_schedule([TrainStep(HIGH, 1)], seed=8), tiny_ctx)
-    step = result.steps[0]
-    assert len(step.negatives) == len(step.positives)
+def test_negatives_are_one_to_one_and_clean(tiny_ctx, step_keys):
+    train_ftl(fast_schedule([TrainStep(HIGH, 1)], seed=8), tiny_ctx)
+    [(positives, negatives)] = step_keys()
+    assert len(negatives) == len(positives)
     table = tiny_ctx.interactions
     all_pos = set(zip(table.compound_ids.tolist(), table.protein_ids.tolist()))
-    assert not pairs(tiny_ctx, step.negatives) & all_pos
+    assert not pairs(tiny_ctx, negatives) & all_pos
 
 
 def test_metrics_log_complete_audit_trail(tiny_ctx):
@@ -364,10 +388,7 @@ def fork_state(result):
     """Everything of a result that training, not evaluation, determines."""
     adam = result.adam
     return (
-        result.network.flat.tobytes(), adam.t, adam.m.tobytes(), adam.v.tobytes(),
-        {tag: b"".join(a.tobytes() for a in s.weights + s.biases)
-         for tag, s in result.snapshots.items()},
-        result.at,
+        result.network.flat.tobytes(), adam.t, adam.m.tobytes(), adam.v.tobytes(), result.at,
     )
 
 
@@ -384,11 +405,10 @@ def test_metrics_off_trains_the_same_bits(tiny_ctx, seed, reset, fork, end):
         [TrainStep(LOW, 3), TrainStep(HIGH, 2)], seed=seed,
         reset_optimizer_between_steps=reset,
     )
-    points = frozenset({(1, 2), (1, 4), (2, 0), (2, 1)})
     states = {}
     for metrics in (True, False):
-        head = train_ftl(sched, tiny_ctx, points, stop=fork, metrics=metrics)
-        tail = train_ftl(sched, tiny_ctx, points, start=head, stop=end, metrics=metrics)
+        head = train_ftl(sched, tiny_ctx, stop=fork, metrics=metrics)
+        tail = train_ftl(sched, tiny_ctx, start=head, stop=end, metrics=metrics)
         assert bool(head.log.records) == bool(tail.log.records) == metrics
         states[metrics] = (fork_state(head), fork_state(tail))
     assert states[True] == states[False]
