@@ -20,6 +20,7 @@ import os
 import re
 import sys
 import time
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 import numpy as np
@@ -330,6 +331,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except MemoryError as exc:
         log.error("out of memory: %s", exc)
+        return 3
+    except BrokenExecutor as exc:
+        log.error("worker died: %s", exc)
         return 3
     except OutputError as exc:
         log.error("output error: %s", exc)

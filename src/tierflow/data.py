@@ -73,9 +73,9 @@ def _open_for_read(path: Path):
         raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
-# lines and characters per parse block: a block's Python strings stay a few MB
+# lines and characters per parse block: a block's Python strings stay near 1 MiB
 # however long its lines, and the per-block numpy calls cost little beside parsing
-_BLOCK_LINES, _BLOCK_CHARS = 4096, 1 << 22
+_BLOCK_LINES, _BLOCK_CHARS = 4096, 1 << 20
 
 
 def _line_blocks(fh, start: int):
@@ -168,19 +168,15 @@ def save_bitvectors(store: FeatureStore, path: str | Path) -> None:
     write_atomic(path, "\n".join(lines) + "\n")
 
 
-def _columns(lines: list[str]) -> tuple[list[str], list[str]] | None:
-    """The ids and value strings of the lines, or None unless every line has
-    exactly one tab and none is blank or holds a NUL."""
-    if not lines:
-        return [], []
+def _columns(lines: list[str], width: int) -> list[list[str]] | None:
+    """The fields of the lines, column by column, or None unless there are
+    lines, each has ``width - 1`` tabs (so none is blank) and none holds a NUL."""
     text = "".join(lines)
-    tabs = set(map(str.count, lines, itertools.repeat("\t")))
-    if tabs != {1} or text[0] == "\n" or "\n\n" in text or "\x00" in text:
+    if set(map(str.count, lines, itertools.repeat("\t"))) != {width - 1} or "\x00" in text:
         return None
+    # a final newline leaves one more, empty field
     fields = text.replace("\n", "\t").split("\t")
-    if text[-1] == "\n":
-        fields.pop()
-    return fields[0::2], fields[1::2]
+    return [fields[i:len(lines) * width:width] for i in range(width)]
 
 
 # the bytes of printable ASCII, which np.loadtxt and float() read alike
@@ -195,7 +191,7 @@ def _latent_block(keys: list[str], values: list[str], seen: set[str]):
     not every other character (``np.loadtxt`` takes ``"\\x1c1"`` for 1.0, say):
     a block holding any other character is left to ``float()``.
     """
-    if not keys or len(set(keys)) < len(keys) or not seen.isdisjoint(keys):
+    if len(set(keys)) < len(keys) or not seen.isdisjoint(keys):
         return None
     text = ",".join(values)
     if not (all(values) and text.isascii()) or text.encode().translate(None, _PRINTABLE):
@@ -240,35 +236,38 @@ def _latent_lines(path: Path, start: int, lines: list[str], seen: set[str]):
 def load_latents(path: str | Path) -> FeatureStore:
     """Parse a latent file; errors carry the offending line number.
 
-    Lines are parsed ``_BLOCK_LINES`` at a time into one float64 matrix by
-    ``np.loadtxt``.  A block :func:`_latent_block` does not take is parsed
+    Lines are parsed ``_BLOCK_LINES`` at a time by ``np.loadtxt`` into one
+    float64 matrix.  A block :func:`_latent_block` does not take is parsed
     again line by line with ``float()``, which raises the error of its first
     bad line; rows of unequal widths are an error once every line has been read.
     """
     path = Path(path)
     ids: list[str] = []
-    blocks: list[np.ndarray] = []
+    matrix = np.empty((0, 0))
     seen: set[str] = set()
     shapes: set[tuple[int, ...]] = set()  # row shapes, added in file order
     with _open_for_read(path) as fh:
         for start, lines in _line_blocks(fh, 1):
-            columns = _columns(lines)
+            columns = _columns(lines, 2)
             vecs = None if columns is None else _latent_block(*columns, seen)
             if vecs is None:
                 keys, vecs = _latent_lines(path, start, lines, seen)
                 shapes.update(vec.shape for vec in vecs)
-                if not keys or len(shapes) > 1:  # unequal widths fail at the end
-                    continue
-                vecs = np.array(vecs)
             else:
                 keys = columns[0]
                 seen.update(keys)
                 shapes.add(vecs.shape[1:])
+            if not keys or len(shapes) > 1:  # unequal widths fail at the end
+                continue
+            if not ids:
+                # a row of width w takes 2w bytes or more, so the file's size bounds the rows
+                [(width,)] = shapes
+                matrix = np.empty((path.stat().st_size // (2 * width), width))
+            matrix[len(ids):len(ids) + len(keys)] = vecs
             ids += keys
-            blocks.append(vecs)
     if len(shapes) > 1:
         raise DataError(f"{path}: inconsistent vector widths in latent store: {shapes}")
-    return FeatureStore(ids, np.concatenate(blocks) if blocks else np.empty((0, 0)))
+    return FeatureStore(ids, matrix[:len(ids)])
 
 
 def save_latents(store: FeatureStore, path: str | Path) -> None:
@@ -297,36 +296,58 @@ class TierSpec:
         return f"[{self.lo},{self.hi})"
 
 
-@dataclass(eq=False)
+class _Interner(dict):
+    """Ids mapped to int32 codes in the order they are first seen."""
+
+    def codes(self, ids: list[str]) -> np.ndarray:
+        # an id not yet seen takes the next code, len(self), read as it is reached
+        codes = map(self.setdefault, ids, map(len, itertools.repeat(self)))
+        return np.fromiter(codes, np.int32, len(ids))
+
+    def vocab(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted ids, and ``codes`` as positions among them."""
+        key = next((k for k in self if "\x00" in k), None)
+        if key is not None:
+            raise ValueError(f"NUL in id {key!r}")
+        ids = np.array(list(self), dtype=str)
+        order = np.argsort(ids)
+        return ids[order], np.argsort(order).astype(np.int32)[codes]
+
+
 class InteractionTable:
-    """Positive interactions as aligned columns; (compound, protein) pairs are unique."""
+    """Positive interactions: each id column's sorted distinct ids (its vocab),
+    each record's int32 codes among them and its int64 score.  The (compound,
+    protein) pairs are unique, and no id holds a NUL."""
 
-    compound_ids: np.ndarray
-    protein_ids: np.ndarray
-    scores: np.ndarray
+    def __init__(self, compound_ids, protein_ids, scores):
+        compounds, proteins = _Interner(), _Interner()
+        self._adopt(compounds, proteins, compounds.codes(list(compound_ids)),
+                    proteins.codes(list(protein_ids)), scores)
 
-    def __post_init__(self):
-        self.compound_ids = np.asarray(self.compound_ids, dtype=str)
-        self.protein_ids = np.asarray(self.protein_ids, dtype=str)
-        self.scores = np.asarray(self.scores, dtype=np.int64)
-        if not self.compound_ids.shape == self.protein_ids.shape == self.scores.shape:
+    def _adopt(self, compounds: _Interner, proteins: _Interner, c, p, scores) -> None:
+        self.scores = np.asarray(scores, dtype=np.int64)
+        if not c.shape == p.shape == self.scores.shape:
             raise ValueError("interaction columns differ in shape")
         bad = np.flatnonzero((self.scores < 0) | (self.scores > 1000))
         if bad.size:
             raise ValueError(f"score {self.scores[bad[0]]} outside [0, 1000]")
-        # each id column's sorted distinct ids (its vocab) and each record's
-        # int32 position among them (its code); the codes make a pair key for the check
-        self.compound_vocab, c = np.unique(self.compound_ids, return_inverse=True)
-        self.protein_vocab, p = np.unique(self.protein_ids, return_inverse=True)
-        keys = c * len(self.protein_vocab) + p
-        self.compound_codes, self.protein_codes = c.astype(np.int32), p.astype(np.int32)
-        order = np.argsort(keys, kind="stable")
-        repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
-        if repeats.size:
-            i = repeats.min()
-            raise ValueError(
-                f"duplicate pair {(str(self.compound_ids[i]), str(self.protein_ids[i]))}"
-            )
+        self.compound_vocab, self.compound_codes = compounds.vocab(c)
+        self.protein_vocab, self.protein_codes = proteins.vocab(p)
+        keys = self.compound_codes * np.int64(len(self.protein_vocab)) + self.protein_codes
+        ordered = np.sort(keys)
+        if (ordered[1:] == ordered[:-1]).any():
+            order = np.argsort(keys, kind="stable")
+            i = order[1:][keys[order[1:]] == keys[order[:-1]]].min()
+            pair = str(self.compound_ids[i]), str(self.protein_ids[i])
+            raise ValueError(f"duplicate pair {pair}")
+
+    @property
+    def compound_ids(self) -> np.ndarray:
+        return self.compound_vocab[self.compound_codes]
+
+    @property
+    def protein_ids(self) -> np.ndarray:
+        return self.protein_vocab[self.protein_codes]
 
     def __len__(self) -> int:
         return len(self.scores)
@@ -360,33 +381,46 @@ def _interaction_lines(path: Path, start: int, lines: list[str]):
     return (compounds, proteins, scores), out_of_range
 
 
+def _scores(values: list[str]) -> np.ndarray | None:
+    """A block's scores, or None unless each is ASCII digits within [0, 1000]."""
+    digits = "".join(values)
+    if not (all(values) and digits.isascii() and digits.isdigit()):
+        return None
+    # strtoll reads a run of digits past int64 as 2**63 - 1, which is out of range
+    scores = np.fromstring(" ".join(values), dtype=np.int64, sep=" ")
+    return scores if scores.max() <= 1000 else None
+
+
 def load_interactions(path: str | Path) -> InteractionTable:
     """Parse an interaction table; errors carry the offending line number.
 
-    Lines are parsed ``_BLOCK_LINES`` at a time into blocks of the three
-    columns.  A score outside [0, 1000] is reported once every line has
-    parsed, with the line of the first one.
+    Blocks of lines are split in one pass and each id becomes its code; a block
+    that :func:`_columns` or :func:`_scores` rejects is parsed line by line.  The
+    first score outside [0, 1000] is reported, at its line, once every line parses.
     """
     path = Path(path)
-    blocks: tuple[list[np.ndarray], ...] = ([], [], [])  # of each column
+    compounds, proteins = _Interner(), _Interner()
+    blocks: list[list[np.ndarray]] = [[], [], []]  # of each column, freed as it is joined
     out_of_range = None  # (line, score) of the first score outside [0, 1000]
     with _open_for_read(path) as fh:
         for start, lines in _line_blocks(fh, 1):
-            columns, bad = _interaction_lines(path, start, lines)
-            out_of_range = out_of_range or bad
+            columns = _columns(lines, 3)
+            scores = None if columns is None else _scores(columns[2])
+            if scores is None:
+                columns, bad = _interaction_lines(path, start, lines)
+                out_of_range, scores = out_of_range or bad, columns[2]
             if out_of_range is None:
-                for column, values, dtype in zip(blocks, columns, (str, str, np.int64)):
-                    column.append(np.array(values, dtype=dtype))
+                blocks[0].append(compounds.codes(columns[0]))
+                blocks[1].append(proteins.codes(columns[1]))
+                blocks[2].append(np.asarray(scores, dtype=np.int64))
     if out_of_range is not None:
         raise DataError(f"{path}:{out_of_range[0]}: score {out_of_range[1]} outside [0, 1000]")
-    joined = []
-    for column in blocks:  # each column's blocks are freed once it is joined
-        joined.append(np.concatenate(column))
-        column.clear()
+    table = object.__new__(InteractionTable)
     try:
-        return InteractionTable(*joined)
+        table._adopt(compounds, proteins, *(np.concatenate(blocks.pop(0)) for _ in range(3)))
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
+    return table
 
 
 def save_interactions(table: InteractionTable, path: str | Path) -> None:
@@ -466,10 +500,10 @@ def sample_negatives(
         ci = rng.integers(n_compounds, size=batch)
         pi = rng.integers(n_proteins, size=batch)
         keys = ci * n_proteins + pi
-        fresh = (index_of(forbidden_keys, keys) < 0) & (index_of(np.sort(chosen), keys) < 0)
-        keys = keys[fresh]
-        _, first = np.unique(keys, return_index=True)
-        chosen = np.concatenate([chosen, keys[np.sort(first)][:count - len(chosen)]])
+        # membership is tested once per distinct key, in key order
+        unique, first = np.unique(keys, return_index=True)
+        fresh = (index_of(forbidden_keys, unique) < 0) & (index_of(np.sort(chosen), unique) < 0)
+        chosen = np.concatenate([chosen, keys[np.sort(first[fresh])][:count - len(chosen)]])
     return chosen
 
 
@@ -598,8 +632,8 @@ def synth_generate(config: SynthConfig) -> SynthData:
         scores.append(lo + draw)
     flat = np.concatenate(members)
     interactions = InteractionTable(
-        np.asarray(compound_ids)[flat // config.n_proteins],
-        np.asarray(protein_ids)[flat % config.n_proteins],
+        map(compound_ids.__getitem__, (flat // config.n_proteins).tolist()),
+        map(protein_ids.__getitem__, (flat % config.n_proteins).tolist()),
         np.concatenate(scores),
     )
     return SynthData(

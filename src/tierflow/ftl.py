@@ -446,14 +446,26 @@ def run_experiment(
     if jobs == 1 or len(arms) == 1:
         outcomes = [_run_arm(name, schedule, ctx) for name, schedule in arms.items()]
     else:
-        from concurrent.futures import ProcessPoolExecutor
+        import multiprocessing
+        from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecutor, wait
         from functools import partial
 
-        # workers take the caller's floating-point error policy, which only a
-        # forked worker would inherit
+        # one single-worker pool per arm names the arm whose worker dies; workers are
+        # spawned (a fork would copy other pools' threads) with the caller's np.seterr
+        spawn = multiprocessing.get_context("spawn")
         initializer = partial(np.seterr, **np.geterr())
-        with ProcessPoolExecutor(min(jobs, len(arms)), initializer=initializer) as pool:
-            outcomes = list(
-                pool.map(_run_arm, arms.keys(), arms.values(), [ctx] * len(arms))
-            )
+        todo, running, outcomes = list(arms.items())[::-1], {}, []
+        while todo or running:
+            while todo and len(running) < jobs:
+                name, schedule = todo.pop()
+                pool = ProcessPoolExecutor(1, spawn, initializer=initializer)
+                running[pool.submit(_run_arm, name, schedule, ctx)] = name, pool
+            for future in wait(running, return_when=FIRST_COMPLETED).done:
+                name, pool = running.pop(future)
+                pool.shutdown()
+                if isinstance(future.exception(), BrokenExecutor):
+                    for worker in multiprocessing.active_children():
+                        worker.terminate()  # the other arms' workers
+                    raise BrokenExecutor(f"the worker process of arm {name!r} ended abruptly")
+                outcomes.append(future.result())
     return ExperimentResult({o.name: o for o in sorted(outcomes, key=lambda o: o.name)})

@@ -829,6 +829,34 @@ def test_leaked_validation_pair_exit_2(tmp_path, experiment_config):
     assert not (out / "manifest.json").exists()
 
 
+# a sitecustomize module, which every Python process that has it on its path
+# runs first, spawned workers too: train_ftl ends the process of the two-step
+# arm at once, as a kill by the kernel's out-of-memory killer would
+DYING_WORKER = """
+import os
+import tierflow.ftl
+real_train_ftl = tierflow.ftl.train_ftl
+def train_ftl(schedule, *args, **kwargs):
+    if len(schedule.steps) == 2:
+        os._exit(9)
+    return real_train_ftl(schedule, *args, **kwargs)
+tierflow.ftl.train_ftl = train_ftl
+"""
+
+
+def test_dying_worker_exit_3(tmp_path, monkeypatch, experiment_config):
+    (tmp_path / "sitecustomize.py").write_text(DYING_WORKER, encoding="utf-8")
+    monkeypatch.setenv("PYTHONPATH", str(tmp_path))
+    out = tmp_path / "o"
+    proc = run_cli("train", "--config", experiment_config, "--out", str(out), "--jobs", "2",
+                   TIERFLOW_LOG="error")
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == [
+        "ERROR: worker died: the worker process of arm 'ftl' ended abruptly"
+    ]
+    assert not (out / "manifest.json").exists()
+
+
 def test_train_reset_optimizer_flag_changes_metrics(experiment_config, tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     main(["train", "--config", experiment_config, "--out", str(out_a)])

@@ -13,6 +13,7 @@ from tierflow.data import (
     SynthConfig,
     SynthTier,
     TierSpec,
+    index_of,
     load_bitvectors,
     load_interactions,
     load_latents,
@@ -171,6 +172,16 @@ def test_interactions_duplicate_pair_rejected():
 def test_interaction_score_range():
     with pytest.raises(ValueError):
         InteractionTable(["c"], ["p"], [1001])
+
+
+@pytest.mark.parametrize("compounds, proteins", [
+    (["C1\x00"], ["P"]),  # NumPy's str dtype would build the table with 'C1'
+    (["C1", "C1\x00"], ["P", "P"]),  # ... and report a duplicate pair never given
+    (["C1"], ["P\x00"]),
+])
+def test_interactions_nul_in_id_rejected(compounds, proteins):
+    with pytest.raises(ValueError, match=r"^NUL in id '[CP]1?\\x00'$"):
+        InteractionTable(compounds, proteins, [950] * len(compounds))
 
 
 def test_interactions_parse_error_names_line(tmp_path):
@@ -351,6 +362,44 @@ def test_sample_negatives_matches_reference_over_rounds():
     positives = {(f"c{i}", f"p{j}") for i in range(10) for j in range(10) if (i + j) % 2}
     draws = check_against_reference(10, 10, positives, 25, seed=3)
     assert draws > 2 * 64
+
+
+def previous_sample_negatives(n_compounds, n_proteins, forbidden_keys, count, rng):
+    """The rejection path of ``sample_negatives`` as it was when it tested every
+    draw, in draw order, against the forbidden and chosen keys."""
+    chosen = np.empty(0, dtype=np.int64)
+    while len(chosen) < count:
+        batch = max(64, 2 * (count - len(chosen)))
+        ci = rng.integers(n_compounds, size=batch)
+        pi = rng.integers(n_proteins, size=batch)
+        keys = ci * n_proteins + pi
+        fresh = (index_of(forbidden_keys, keys) < 0) & (index_of(np.sort(chosen), keys) < 0)
+        keys = keys[fresh]
+        _, first = np.unique(keys, return_index=True)
+        chosen = np.concatenate([chosen, keys[np.sort(first)][:count - len(chosen)]])
+    return chosen
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n_c=st.integers(1, 400),
+    n_p=st.integers(1, 400),
+    density=st.sampled_from([0.0, 0.001, 0.05, 0.45, 0.5]),  # sparse to near half full
+    fraction=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32),
+)
+def test_sample_negatives_matches_previous_vectorized_sampler(n_c, n_p, density, fraction,
+                                                              seed):
+    n_grid = n_c * n_p
+    picks = np.random.default_rng(seed).choice(n_grid, round(density * n_grid), replace=False)
+    forbidden = np.sort(picks).astype(np.int64)
+    # at most half the complement, so that both take the rejection path
+    count = round(fraction * ((n_grid - len(forbidden)) // 2))
+    rng, previous_rng = RngStream(seed), RngStream(seed)
+    got = sample_negatives(n_c, n_p, forbidden, count, rng)
+    expected = previous_sample_negatives(n_c, n_p, forbidden, count, previous_rng)
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    assert rng.counter == previous_rng.counter
 
 
 # ---------------------------------------------------------------- features
@@ -917,6 +966,69 @@ def test_character_capped_blocks_give_the_per_line_result(tmp_path, monkeypatch,
     assert [start for start, _ in blocks] == [1] + [a + n for a, n in blocks[:-1]]
     load, reference = LOADERS[fmt]
     assert outcome(load, path) == outcome(reference, path)
+
+
+# fields that the fast block parses must read as int() or float() do, or leave
+# to the per-line parsers: fields those read though they are not plain ASCII
+# digits or floats, and fields they reject; "5," makes a trailing ','
+ODD_FIELDS = {
+    "interactions": ["+5", " 5", "5 ", "1_0", "\u0661", "0005", "1001", "-1", "9" * 20, "",
+                     "x"],
+    "latents": ["+5", " 5", "1_0", "\u0661", "nan", "1e999", "", "0x10", "-0.0", "\x1c1",
+                "5,", "5,5"],
+}
+
+
+def odd_line(fmt: str, fault: str, line: str, other: str) -> str:
+    """``line`` with its score, or its last value, replaced by the field
+    ``fault``, or damaged as ``corrupt_line`` does for a kind it names, or
+    given the ids of ``other``, another line."""
+    if fault in COMMON_KINDS:
+        return corrupt_line(fmt, fault, line, other.split("\t")[0])
+    if fault == "duplicate pair":
+        return other.rsplit("\t", 1)[0] + "\t" + line.rsplit("\t", 1)[-1]
+    sep = "," if fmt == "latents" and "," in line.partition("\t")[2] else "\t"
+    return line.rpartition(sep)[0] + sep + fault
+
+
+def interned_columns(path):
+    table = load_interactions(path)
+    return (table.compound_vocab.tolist(), table.protein_vocab.tolist(),
+            table.compound_codes.tobytes(), table.protein_codes.tobytes(), columns_of(table))
+
+
+def latent_rows(path):
+    store = load_latents(path)
+    return rows_of_store(store), store.matrix.shape
+
+
+FAST_LOADERS = {"interactions": interned_columns, "latents": latent_rows}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    fmt=st.sampled_from(sorted(FAST_LOADERS)),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+    crlf=st.booleans(),
+    block_chars=st.sampled_from([16, 64, 256, 1 << 20]),
+)
+def test_fast_block_parses_match_the_per_line_parsers(tmp_path_factory, fmt, data, seed, crlf,
+                                                      block_chars):
+    lines, _ = data_lines(fmt, data.draw(st.integers(1, 40)), np.random.default_rng(seed))
+    faults = st.tuples(st.sampled_from(ODD_FIELDS[fmt] + COMMON_KINDS + ["duplicate pair"]),
+                       st.integers(0, len(lines) - 1))
+    for fault, row in data.draw(st.lists(faults, max_size=3)):
+        lines[row] = odd_line(fmt, fault, lines[row], lines[row - 1])
+    path = tmp_path_factory.mktemp("odd") / "data.txt"
+    write_lines(path, "", lines, crlf)
+    load = FAST_LOADERS[fmt]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("tierflow.data._BLOCK_CHARS", block_chars)
+        fast = outcome(load, path)
+        # no block passes the column check, so every line is parsed on its own
+        patch.setattr("tierflow.data._columns", lambda lines, width: None)
+        assert fast == outcome(load, path)
 
 
 # ---------------------------------------------------------------- synth

@@ -1,5 +1,9 @@
 import importlib.util
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -47,6 +51,24 @@ def test_scale_data_path_smoke(tmp_path):
     block_rows = min(report["step_rows"], 4096)
     assert report["block_mb"] == round(block_rows * 192 * 8 / 2**20, 1)
     assert report["peak_rss_mb"] >= max(s["peak_rss_mb"] for s in report["stages"].values())
+
+
+def test_scale_data_path_script_reports_every_stage():
+    # the script as documented, on its own grid, so that it keeps running as a command
+    src = SCRIPTS.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "scale_data_path.py"), "--records", "20000"],
+        capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    *table, last = proc.stdout.splitlines()
+    report = json.loads(last)
+    stages = ["generate", "load_interactions", "load_latents", "data_context", "tier_mask",
+              "negatives", "row_gather", "train_one_epoch"]
+    assert (report["records"], report["grid"]) == (20000, [20000, 2000])
+    assert list(report["stages"]) == stages
+    assert [line.split()[0] for line in table] == stages
 
 
 def test_scale_data_path_vae_smoke(tmp_path):
