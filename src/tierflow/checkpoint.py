@@ -13,8 +13,10 @@ with keys ``encoder_trunk``, ``mu_head``, ``logvar_head``, ``decoder``.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -23,17 +25,20 @@ from .engine import ACTIVATIONS, DenseLayer, DenseNetwork
 from .errors import DataError, OutputError
 
 
-def write_atomic(path: str | Path, text: str) -> None:
-    """Write ``text`` as UTF-8 to ``path`` through a temporary file and ``os.replace``.
+def write_atomic(path: str | Path, text: str | Iterable[str]) -> None:
+    """Write ``text``, a string or an iterable of string pieces, as UTF-8 to
+    ``path`` through a temporary file and ``os.replace``.
 
     A crash or a failed write never leaves a partial file under ``path``; a
-    failure removes the temporary file, and an ``OSError`` comes out as an
-    :class:`OutputError` naming ``path``.
+    failure, also one raised while the pieces are produced, removes the
+    temporary file, and an ``OSError`` comes out as an :class:`OutputError`
+    naming ``path``.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        with tmp.open("w", encoding="utf-8") as fh:
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except OSError as exc:
         tmp.unlink(missing_ok=True)
@@ -53,44 +58,61 @@ def format_floats(arr: np.ndarray, sep: str) -> str:
     return sep.join(["%.17g"] * len(values)) % tuple(values)
 
 
-def _render(obj, pieces: list[str]) -> None:
-    # Minimal JSON writer so float rendering stays under our control.
+# floats per piece of a rendered array: about 1.5 MB of text, so writing a
+# checkpoint never holds more than that of one array's text at once
+_FORMAT_CHUNK = 65536
+
+
+def _render(obj) -> Iterator[str]:
+    # Minimal JSON writer so float rendering stays under our control; yields
+    # the text in pieces.
     if isinstance(obj, np.ndarray):
-        pieces.append("[" + format_floats(obj, ", ") + "]")
+        values = obj.ravel()
+        yield "["
+        for at in range(0, values.size, _FORMAT_CHUNK):
+            if at:
+                yield ", "
+            yield format_floats(values[at:at + _FORMAT_CHUNK], ", ")
+        yield "]"
     elif isinstance(obj, dict):
-        pieces.append("{")
+        yield "{"
         for i, (k, v) in enumerate(obj.items()):
             if i:
-                pieces.append(", ")
-            pieces.append(json.dumps(k))
-            pieces.append(": ")
-            _render(v, pieces)
-        pieces.append("}")
+                yield ", "
+            yield json.dumps(k)
+            yield ": "
+            yield from _render(v)
+        yield "}"
     elif isinstance(obj, (list, tuple)):
-        pieces.append("[")
+        yield "["
         for i, v in enumerate(obj):
             if i:
-                pieces.append(", ")
-            _render(v, pieces)
-        pieces.append("]")
+                yield ", "
+            yield from _render(v)
+        yield "]"
     elif isinstance(obj, bool):
-        pieces.append("true" if obj else "false")
+        yield "true" if obj else "false"
     elif isinstance(obj, (int, np.integer)):
-        pieces.append(str(int(obj)))
+        yield str(int(obj))
     elif isinstance(obj, (float, np.floating)):
-        pieces.append(format_float(obj))
+        yield format_float(obj)
     elif isinstance(obj, str):
-        pieces.append(json.dumps(obj))
+        yield json.dumps(obj)
     elif obj is None:
-        pieces.append("null")
+        yield "null"
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def dumps(obj) -> str:
-    pieces: list[str] = []
-    _render(obj, pieces)
-    return "".join(pieces)
+    return "".join(_render(obj))
+
+
+def save_document(path: str | Path, doc) -> None:
+    """Write ``doc`` and a newline to ``path`` atomically, rendered piece by
+    piece: byte-identical to ``dumps(doc) + "\n"``, without the whole text
+    in memory."""
+    write_atomic(path, itertools.chain(_render(doc), ["\n"]))
 
 
 def network_to_dict(net: DenseNetwork) -> dict:
@@ -136,7 +158,7 @@ def network_from_dict(doc: dict) -> DenseNetwork:
 
 
 def save_network(net: DenseNetwork, path: str | Path) -> None:
-    write_atomic(path, dumps(network_to_dict(net)) + "\n")
+    save_document(path, network_to_dict(net))
 
 
 def read_json(path: str | Path):

@@ -9,7 +9,7 @@ cols = features plays the role of a batch, and layer weights are stored
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -20,6 +20,23 @@ RELU = "relu"
 SIGMOID = "sigmoid"
 IDENTITY = "identity"
 ACTIVATIONS = (RELU, SIGMOID, IDENTITY)
+# elements per block of the chunked elementwise passes (Adam's update, weight
+# draws, the VAE's output layer): a block's scratch stays in cache
+CHUNK = 65536
+
+
+def sigmoid(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The logistic function of ``z``, written into ``out``; overwrites ``z``.
+
+    Stable: with e = exp(-|z|), 1 / (1 + e) for z >= 0, else e / (1 + e).
+    """
+    positive = z >= 0
+    e = np.exp(np.negative(np.abs(z, out=z), out=z), out=z)
+    np.copyto(out, e)
+    np.copyto(out, 1.0, where=positive)
+    e += 1.0
+    out /= e
+    return out
 
 
 def _apply_activation(z: np.ndarray, tag: str) -> np.ndarray:
@@ -27,22 +44,19 @@ def _apply_activation(z: np.ndarray, tag: str) -> np.ndarray:
     if tag == RELU:
         return np.maximum(z, 0.0, out=z)
     if tag == SIGMOID:
-        # stable logistic: with e = exp(-|z|), 1 / (1 + e) for z >= 0, else e / (1 + e)
-        positive = z >= 0
-        e = np.exp(np.negative(np.abs(z, out=z), out=z), out=z)
-        out = np.where(positive, 1.0, e)
-        e += 1.0
-        out /= e
-        return out
+        return sigmoid(z, np.empty_like(z))
     if tag == IDENTITY:
         return z
     raise ValueError(f"unknown activation {tag!r}")
 
 
-def _activation_gradient(delta: np.ndarray, a_out: np.ndarray, tag: str) -> np.ndarray:
-    """dLoss/dPre-activation from dLoss/dOutput, through the activation's output."""
+def _activation_gradient(
+    delta: np.ndarray, a_out: np.ndarray, tag: str, out: np.ndarray | None = None
+) -> np.ndarray:
+    """dLoss/dPre-activation from dLoss/dOutput, through the activation's
+    output; a ReLU's is written into ``out`` when given."""
     if tag == RELU:
-        return np.multiply(delta, a_out > 0.0)
+        return np.multiply(delta, a_out > 0.0, out=out)
     if tag == SIGMOID:
         # delta * (a_out * (1 - a_out)), in one array
         dz = np.subtract(1.0, a_out)
@@ -52,7 +66,8 @@ def _activation_gradient(delta: np.ndarray, a_out: np.ndarray, tag: str) -> np.n
     return delta
 
 
-def _check_finite(arr: np.ndarray, what: str) -> None:
+def check_finite(arr: np.ndarray, what: str) -> None:
+    """NumericError naming ``what`` unless every entry of ``arr`` is finite."""
     if not np.isfinite(arr).all():
         raise NumericError(f"non-finite values in {what}")
 
@@ -93,14 +108,16 @@ class DenseNetwork:
 
     The parameters live in one float64 vector ``flat``, in :meth:`parameters`
     order; the layers are rebuilt around reshaped views of it, so the caller's
-    arrays are copied, never re-homed.  Copy a network with :meth:`copy`:
+    arrays are copied, never re-homed.  ``flat`` is a fresh vector unless the
+    constructor is given one to adopt.  Copy a network with :meth:`copy`:
     ``copy.deepcopy`` would copy each view on its own, detached from ``flat``.
     """
 
     layers: list[DenseLayer]
     input_dim: int
+    flat: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, flat):
         if not self.layers:
             raise ValueError("network needs at least one layer")
         if self.input_dim < 1:
@@ -112,10 +129,14 @@ class DenseNetwork:
                     f"layer {i} expects input width {layer.in_dim}, previous width is {prev}"
                 )
             prev = layer.out_dim
-        self.adopt(np.empty(sum(p.size for p in self.parameters())))
+        self.adopt(np.empty(sum(p.size for p in self.parameters())) if flat is None else flat)
 
     def adopt(self, vector: np.ndarray) -> None:
-        """Copy the parameters into ``vector``, laid out like ``flat``, as the new ``flat``."""
+        """Copy the parameters into ``vector``, laid out like ``flat``, as the new ``flat``.
+
+        A parameter that already is the view of ``vector`` it would be copied
+        to is left in place: numpy skips a copy onto the same memory.
+        """
         np.concatenate([p.ravel() for p in self.parameters()], out=vector)
         self.flat = vector
         views = self.split(vector)
@@ -158,12 +179,16 @@ def init_network(
     input_dim: int,
     activation_plan: list[str] | None = None,
     rng: RngStream | None = None,
+    out: np.ndarray | None = None,
 ) -> DenseNetwork:
     """Build a network with Glorot-uniform weights and zero biases.
 
     Weights are drawn uniformly from +-sqrt(6 / (fan_in + fan_out)), row-major
     draw order, so a given seed fixes them exactly.  ``activation_plan``
-    defaults to ReLU on hidden layers and Sigmoid on the last.
+    defaults to ReLU on hidden layers and Sigmoid on the last.  The weights
+    are drawn ``CHUNK`` at a time straight into the network's ``flat``: into
+    ``out`` when given (a vector of :func:`parameter_count` elements), else a
+    fresh vector.
     """
     if not layer_sizes:
         raise ValueError("layer_sizes must be non-empty")
@@ -177,24 +202,44 @@ def init_network(
         raise ValueError("activation_plan length must match layer_sizes")
     if rng is None:
         rng = RngStream(0)
+    count = parameter_count(layer_sizes, input_dim)
+    if out is None:
+        out = np.empty(count)
+    elif out.shape != (count,):
+        raise ValueError(f"out has shape {out.shape}, the network needs ({count},)")
 
     layers = []
-    fan_in = input_dim
+    fan_in, at = input_dim, 0
     for size, act in zip(layer_sizes, activation_plan):
         limit = np.sqrt(6.0 / (fan_in + size))
-        w = rng.uniform(-limit, limit, size=size * fan_in).reshape(size, fan_in)
-        layers.append(DenseLayer(w, np.zeros(size), act))
-        fan_in = size
-    return DenseNetwork(layers, input_dim)
+        w, b = out[at:at + size * fan_in], out[at + size * fan_in:at + (fan_in + 1) * size]
+        for start in range(0, w.size, CHUNK):
+            w[start:start + CHUNK] = rng.uniform(-limit, limit, size=min(CHUNK, w.size - start))
+        b.fill(0.0)
+        layers.append(DenseLayer(w.reshape(size, fan_in), b, act))
+        fan_in, at = size, at + (fan_in + 1) * size
+    return DenseNetwork(layers, input_dim, out)
 
 
-def forward(net: DenseNetwork, batch: np.ndarray, chain: bool = True) -> list[np.ndarray]:
+def parameter_count(layer_sizes, input_dim: int) -> int:
+    """Weights and biases of a dense network with these layer sizes."""
+    return sum((fan_in + 1) * size for fan_in, size in zip([input_dim, *layer_sizes], layer_sizes))
+
+
+def forward(
+    net: DenseNetwork, batch: np.ndarray, chain: bool = True, logits: np.ndarray | None = None
+) -> list[np.ndarray]:
     """Run the batch through every layer.
 
     Returns the activation chain ``[input, a_1, ..., a_L]``; the last entry is
     the network output.  Keeping the chain is what lets ``backward`` avoid
     recomputation.  With ``chain=False`` only ``[input, output]`` is returned
     and each hidden activation is freed once the next layer has read it.
+
+    With ``logits``, an array shaped like the output, the last layer's
+    pre-activation is written there and its activation is left to the caller:
+    the chain ends in ``logits``, and checking the output's finiteness is the
+    caller's part too.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2:
@@ -205,15 +250,53 @@ def forward(net: DenseNetwork, batch: np.ndarray, chain: bool = True) -> list[np
         )
     acts = [batch]
     a = batch
-    for layer in net.layers:
-        z = a @ layer.weights.T
+    last = len(net.layers) - 1
+    for i, layer in enumerate(net.layers):
+        z = np.matmul(a, layer.weights.T, out=logits if i == last else None)
         z += layer.biases
-        a = _apply_activation(z, layer.activation)
+        a = z if z is logits else _apply_activation(z, layer.activation)
         if chain:
             acts.append(a)
-    if a.size:
-        _check_finite(a, "forward output")
+    if a.size and a is not logits:
+        check_finite(a, "forward output")
     return acts if chain else [batch, a]
+
+
+def clamp_probabilities(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``p`` clipped to [1e-12, 1 - 1e-12], which keeps the BCE's logs and
+    divisions finite; into ``out`` when given."""
+    return np.clip(p, 1e-12, 1.0 - 1e-12, out=out)
+
+
+def bce_terms(clamped: np.ndarray, labels: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``y * log(c) + (1 - y) * log1p(-c)`` for each clamped prediction ``c``
+    and its label ``y``, written into ``out`` (which may be ``clamped``).
+
+    Minus the terms' sum over a divisor is the binary cross-entropy averaged
+    over it.  The sum is the caller's, so that a buffer filled in chunks is
+    summed in one pass, in one pairwise order.
+    """
+    misses = np.log1p(np.negative(clamped))
+    misses *= 1.0 - labels
+    np.log(clamped, out=out)
+    out *= labels
+    out += misses
+    return out
+
+
+def bce_term_gradient(
+    clamped: np.ndarray, labels: np.ndarray, divisor: int, out: np.ndarray
+) -> np.ndarray:
+    """``(-(y / c) + (1 - y) / (1 - c)) / divisor`` for each element, written
+    into ``out`` (which may be ``clamped``): the gradient of minus the sum of
+    :func:`bce_terms` over ``divisor``."""
+    misses = np.subtract(1.0, clamped)
+    np.divide(1.0 - labels, misses, out=misses)
+    np.divide(labels, clamped, out=out)
+    np.negative(out, out=out)
+    out += misses
+    out /= divisor
+    return out
 
 
 def _clamped_bce_inputs(predictions, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -224,7 +307,7 @@ def _clamped_bce_inputs(predictions, labels) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"length mismatch: {p.shape[0]} predictions, {y.shape[0]} labels")
     if p.size == 0:
         raise ValueError("bce_loss needs at least one prediction")
-    return np.clip(p, 1e-12, 1.0 - 1e-12), y
+    return clamp_probabilities(p), y
 
 
 def bce_gradient(predictions: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -234,15 +317,14 @@ def bce_gradient(predictions: np.ndarray, labels: np.ndarray) -> np.ndarray:
     like ``predictions``; the training loop needs nothing else.
     """
     pc, y = _clamped_bce_inputs(predictions, labels)
-    grad = (-(y / pc) + (1.0 - y) / (1.0 - pc)) / pc.size
-    return grad.reshape(np.shape(predictions))
+    return bce_term_gradient(pc, y, pc.size, out=pc).reshape(np.shape(predictions))
 
 
 def bce_loss(predictions: np.ndarray, labels: np.ndarray) -> float:
     """Mean binary cross-entropy, with predictions clamped to [1e-12, 1 - 1e-12]
     before the logs; :func:`bce_gradient` is its gradient."""
     pc, y = _clamped_bce_inputs(predictions, labels)
-    return float(-np.mean(y * np.log(pc) + (1.0 - y) * np.log1p(-pc)))
+    return float(-np.sum(bce_terms(pc, y, out=pc)) / pc.size)
 
 
 def backward(
@@ -263,13 +345,22 @@ def backward(
 
 
 def backward_with_input(
-    net: DenseNetwork, activations: list[np.ndarray], loss_gradient: np.ndarray, out=None
+    net: DenseNetwork,
+    activations: list[np.ndarray],
+    loss_gradient: np.ndarray,
+    out=None,
+    from_logits: bool = False,
 ) -> tuple[list[np.ndarray], np.ndarray]:
-    """Like :func:`backward` but also returns dLoss/dInput (VAE chaining needs it)."""
-    return _backpropagate(net, activations, loss_gradient, out, True)
+    """Like :func:`backward` but also returns dLoss/dInput (VAE chaining needs it).
+
+    With ``from_logits``, ``loss_gradient`` is the gradient w.r.t. the last
+    layer's pre-activation, for a chain from ``forward(..., logits=)``.
+    """
+    return _backpropagate(net, activations, loss_gradient, out, True, from_logits)
 
 
-def _backpropagate(net, activations, loss_gradient, out, input_gradient: bool):
+def _backpropagate(net, activations, loss_gradient, out, input_gradient: bool,
+                   from_logits: bool = False):
     if len(activations) != len(net.layers) + 1:
         raise ValueError(
             f"activation chain has {len(activations)} entries, "
@@ -288,7 +379,12 @@ def _backpropagate(net, activations, loss_gradient, out, input_gradient: bool):
         a_in = activations[i]
         if a_in.shape[1] != layer.in_dim:
             raise ValueError(f"stale activations at layer {i}")
-        dz = _activation_gradient(delta, a_out, layer.activation)
+        top = i == len(net.layers) - 1
+        if from_logits and top:
+            dz = delta
+        else:
+            # below the top layer, delta is this pass's own array: reuse it
+            dz = _activation_gradient(delta, a_out, layer.activation, None if top else delta)
         np.matmul(dz.T, a_in, out=grads[2 * i])
         dz.sum(axis=0, out=grads[2 * i + 1])
         # layer 0's input gradient is dLoss/dInput, which only the VAE uses
@@ -299,8 +395,6 @@ def _backpropagate(net, activations, loss_gradient, out, input_gradient: bool):
 
 # Adam's moment decay rates and denominator guard: the published defaults
 BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
-# elements per block of an Adam update, whose two scratch blocks are all it allocates
-_ADAM_CHUNK = 65536
 
 
 @dataclass
@@ -319,7 +413,7 @@ class AdamState:
 
 def adam_step(state: AdamState, p: np.ndarray, g: np.ndarray) -> None:
     """One Adam update of the parameter vector ``p`` by the gradient ``g``, in
-    place, with bias-corrected moments, ``_ADAM_CHUNK`` elements at a time.
+    place, with bias-corrected moments, ``CHUNK`` elements at a time.
 
     t is incremented before the update; the applied step is
     -lr * m_hat / (sqrt(v_hat) + eps), with its operations in this order.
@@ -329,9 +423,9 @@ def adam_step(state: AdamState, p: np.ndarray, g: np.ndarray) -> None:
     state.t += 1
     bc1 = 1.0 - BETA1**state.t
     bc2 = 1.0 - BETA2**state.t
-    scratch = np.empty((2, min(p.size, _ADAM_CHUNK)))
-    for at in range(0, p.size, _ADAM_CHUNK):
-        end = at + _ADAM_CHUNK
+    scratch = np.empty((2, min(p.size, CHUNK)))
+    for at in range(0, p.size, CHUNK):
+        end = at + CHUNK
         pc, gc, m, v = p[at:end], g[at:end], state.m[at:end], state.v[at:end]
         a, b = scratch[0, :len(pc)], scratch[1, :len(pc)]
         m *= BETA1
@@ -343,7 +437,7 @@ def adam_step(state: AdamState, p: np.ndarray, g: np.ndarray) -> None:
         a += EPSILON
         np.multiply(np.divide(m, bc1, out=b), state.learning_rate, out=b)
         pc -= np.divide(b, a, out=b)
-        _check_finite(pc, "parameters after Adam step")
+        check_finite(pc, "parameters after Adam step")
 
 
 def accuracy(predictions: np.ndarray, labels: np.ndarray, threshold: float = 0.5) -> float:

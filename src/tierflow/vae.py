@@ -10,13 +10,14 @@ are always the posterior mean, never a sample.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from . import checkpoint as ckpt
 from .data import FeatureStore
 from .engine import (
+    CHUNK,
     IDENTITY,
     RELU,
     SIGMOID,
@@ -25,9 +26,15 @@ from .engine import (
     adam_step,
     backward,
     backward_with_input,
+    bce_term_gradient,
+    bce_terms,
+    check_finite,
     check_sizes_and_rate,
+    clamp_probabilities,
     forward,
     init_network,
+    parameter_count,
+    sigmoid,
 )
 from .errors import DataError
 from .rng import RngStream
@@ -69,14 +76,16 @@ _PARTS = ("encoder_trunk", "mu_head", "logvar_head", "decoder")
 
 @dataclass
 class VaeModel:
-    """Four networks whose parameters are consecutive slices of one vector, ``flat``."""
+    """Four networks whose parameters are consecutive slices of one vector,
+    ``flat``: a fresh vector unless the constructor is given one to adopt."""
 
     encoder_trunk: DenseNetwork
     mu_head: DenseNetwork
     logvar_head: DenseNetwork
     decoder: DenseNetwork
+    flat: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, flat):
         latent = self.mu_head.output_dim
         if self.mu_head.input_dim != self.encoder_trunk.output_dim or (
             self.logvar_head.input_dim != self.encoder_trunk.output_dim
@@ -88,7 +97,9 @@ class VaeModel:
             raise ValueError("decoder input width must equal the latent width")
         if self.decoder.layers[-1].activation != SIGMOID:
             raise ValueError("decoder must end in a Sigmoid output")
-        self.flat = np.empty(sum(getattr(self, part).flat.size for part in _PARTS))
+        if flat is None:
+            flat = np.empty(sum(getattr(self, part).flat.size for part in _PARTS))
+        self.flat = flat
         for part, view in zip(_PARTS, self.split(self.flat)):
             getattr(self, part).adopt(view)
 
@@ -106,20 +117,31 @@ class VaeModel:
 
 
 def build_vae(config: VaeConfig, rng: RngStream) -> VaeModel:
-    """Trunk, twin linear heads, and a mirrored decoder, all seeded."""
+    """Trunk, twin linear heads, and a mirrored decoder, all seeded.
+
+    Each network is drawn straight into its slice of the model's ``flat``, so
+    building holds one copy of the parameters.
+    """
     if config.latent_dim > config.input_dim:
         warnings.warn(
             f"latent_dim {config.latent_dim} exceeds input_dim {config.input_dim}; "
             "the model will not compress", stacklevel=2,
         )
     hidden = list(config.encoder_hidden)
-    trunk = init_network(hidden, config.input_dim, [RELU] * len(hidden), rng)
-    mu_head = init_network([config.latent_dim], hidden[-1], [IDENTITY], rng)
-    logvar_head = init_network([config.latent_dim], hidden[-1], [IDENTITY], rng)
     decoder_sizes = hidden[::-1] + [config.input_dim]
-    decoder_acts = [RELU] * (len(decoder_sizes) - 1) + [SIGMOID]
-    decoder = init_network(decoder_sizes, config.latent_dim, decoder_acts, rng)
-    return VaeModel(trunk, mu_head, logvar_head, decoder)
+    plans = [  # (layer sizes, input width, activations), in _PARTS order
+        (hidden, config.input_dim, [RELU] * len(hidden)),
+        ([config.latent_dim], hidden[-1], [IDENTITY]),
+        ([config.latent_dim], hidden[-1], [IDENTITY]),
+        (decoder_sizes, config.latent_dim, [RELU] * (len(decoder_sizes) - 1) + [SIGMOID]),
+    ]
+    counts = [parameter_count(sizes, width) for sizes, width, _ in plans]
+    flat = np.empty(sum(counts))
+    nets = [
+        init_network(sizes, width, acts, rng, out=view)
+        for (sizes, width, acts), view in zip(plans, np.split(flat, np.cumsum(counts)[:-1]))
+    ]
+    return VaeModel(*nets, flat=flat)
 
 
 def reparameterize(mu: np.ndarray, logvar: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -141,11 +163,6 @@ def _check_binary(x: np.ndarray) -> None:
         raise DataError("vae_loss input must be binary (0/1 entries)")
 
 
-def _clip(reconstruction: np.ndarray) -> np.ndarray:
-    # keeps the logs and the gradient's divisions finite
-    return np.clip(reconstruction, 1e-12, 1.0 - 1e-12)
-
-
 def vae_loss(
     reconstruction: np.ndarray,
     batch: np.ndarray,
@@ -164,82 +181,77 @@ def vae_loss(
     if r.shape != x.shape:
         raise ValueError(f"reconstruction shape {r.shape} != input shape {x.shape}")
     _check_binary(x)
-    return _loss_terms(_clip(r), x, mu, logvar)
-
-
-def _loss_terms(
-    clipped: np.ndarray, x: np.ndarray, mu: np.ndarray, logvar: np.ndarray
-) -> tuple[float, float, float]:
-    # vae_loss on a checked batch and an already clipped reconstruction; the
-    # sum of x * log(c) + (1 - x) * log1p(-c), two batch-sized arrays at a time
-    n = x.shape[0]
-    misses = np.negative(clipped)
-    np.log1p(misses, out=misses)
-    misses *= 1.0 - x
-    hits = np.log(clipped)
-    hits *= x
-    hits += misses
-    recon = float(-np.sum(hits) / n)
-    # expm1 keeps e^lv - 1 - lv >= 0 even for tiny logvar, where exp() would
-    # round to 1.0 and drop below zero
-    kl = float(0.5 * np.sum(mu**2 + (np.expm1(logvar) - logvar)) / n)
+    terms = clamp_probabilities(r)
+    recon = float(-np.sum(bce_terms(terms, x, out=terms)) / len(x))
+    kl = _kl(mu, logvar, len(x))
     return recon + kl, recon, kl
 
 
-def _recon_gradient(clipped: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Gradient of the reconstruction term w.r.t. the clipped reconstruction,
-    ``(-(x / c) + (1 - x) / (1 - c)) / n``, written over ``clipped``."""
-    misses = np.subtract(1.0, clipped)
-    np.divide(1.0 - x, misses, out=misses)
-    grad = np.divide(x, clipped, out=clipped)
-    np.negative(grad, out=grad)
-    grad += misses
-    grad /= x.shape[0]
-    return grad
+def _kl(mu: np.ndarray, logvar: np.ndarray, n: int) -> float:
+    # expm1 keeps e^lv - 1 - lv >= 0 even for tiny logvar, where exp() would
+    # round to 1.0 and drop below zero
+    return float(0.5 * np.sum(mu**2 + (np.expm1(logvar) - logvar)) / n)
 
 
-@dataclass
-class _VaeCache:
-    trunk_acts: list[np.ndarray]
-    mu: np.ndarray
-    logvar: np.ndarray
-    eta: np.ndarray
-    decoder_acts: list[np.ndarray]
-    clipped: np.ndarray  # clipped as in vae_loss; _vae_backward overwrites it
+def _output_layer(work: np.ndarray, logits: np.ndarray, bits: np.ndarray) -> None:
+    """The decoder's Sigmoid output and its BCE against the bits, in row
+    blocks of about ``CHUNK`` elements, each element through the same IEEE
+    operations in the same order as the whole-array expressions.
+
+    ``logits`` holds the output pre-activation and ends holding the loss's
+    gradient w.r.t. it: (1 - a) * a times the BCE gradient at the clipped
+    output a.  ``work`` ends holding each element's :func:`bce_terms`.
+    """
+    n, width = bits.shape
+    rows = max(1, CHUNK // width)
+    for at in range(0, n, rows):
+        z, a, x = logits[at:at + rows], work[at:at + rows], bits[at:at + rows]
+        sigmoid(z, out=a)
+        check_finite(a, "forward output")
+        np.subtract(1.0, a, out=z)
+        z *= a
+        clamp_probabilities(a, out=a)
+        z *= bce_term_gradient(a, x, n, out=np.empty_like(a))
+        bce_terms(a, x, out=a)
 
 
-def _vae_forward(model: VaeModel, batch: np.ndarray, eta: np.ndarray) -> _VaeCache:
-    trunk_acts = forward(model.encoder_trunk, batch)
+def _gradient(
+    model: VaeModel, bits: np.ndarray, eta: np.ndarray,
+    work: np.ndarray, logits: np.ndarray, out: np.ndarray,
+) -> tuple[float, float]:
+    """The reconstruction and KL terms of one batch of uint8 ``bits``; the
+    gradient of their sum is written into ``out`` (laid out like ``model.flat``).
+
+    ``work`` and ``logits`` are float64 buffers shaped like ``bits``, and the
+    only batch-sized float arrays the step uses.  ``work`` holds the float batch for
+    the trunk's forward pass, then the clipped reconstruction, then the loss
+    terms, and the float batch again for the trunk's backward pass.
+    ``logits`` holds the decoder's output pre-activation, then the Sigmoid
+    factor, then the gradient w.r.t. the pre-activation.
+    """
+    n = len(bits)
+    np.copyto(work, bits)
+    trunk_acts = forward(model.encoder_trunk, work)
     h = trunk_acts[-1]
     mu = forward(model.mu_head, h)[-1]
     logvar = forward(model.logvar_head, h)[-1]
-    z = reparameterize(mu, logvar, eta)
-    decoder_acts = forward(model.decoder, z)
-    return _VaeCache(trunk_acts, mu, logvar, eta, decoder_acts, _clip(decoder_acts[-1]))
+    decoder_acts = forward(model.decoder, reparameterize(mu, logvar, eta), logits=logits)
+    _output_layer(work, logits, bits)
+    recon = float(-np.sum(work) / n)
 
-
-def _vae_backward(
-    model: VaeModel, cache: _VaeCache, batch: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """Gradients of the total loss, written into ``out`` (laid out like ``model.flat``)."""
-    x = np.asarray(batch, dtype=np.float64)
-    n = x.shape[0]
     trunk_out, mu_out, lv_out, dec_out = model.split(out)
-    _, d_z = backward_with_input(
-        model.decoder, cache.decoder_acts, _recon_gradient(cache.clipped, x), dec_out
-    )
-
+    _, d_z = backward_with_input(model.decoder, decoder_acts, logits, dec_out, from_logits=True)
+    del decoder_acts  # freed before the trunk's backward pass allocates its own
     # KL contributions (mean over batch)
-    d_mu = d_z + cache.mu / n
-    d_logvar = d_z * 0.5 * np.exp(0.5 * cache.logvar) * cache.eta
-    d_logvar += 0.5 * np.expm1(cache.logvar) / n
-
-    h = cache.trunk_acts[-1]
-    _, d_h = backward_with_input(model.mu_head, [h, cache.mu], d_mu, mu_out)
-    _, d_h_lv = backward_with_input(model.logvar_head, [h, cache.logvar], d_logvar, lv_out)
+    d_mu = d_z + mu / n
+    d_logvar = d_z * 0.5 * np.exp(0.5 * logvar) * eta
+    d_logvar += 0.5 * np.expm1(logvar) / n
+    _, d_h = backward_with_input(model.mu_head, [h, mu], d_mu, mu_out)
+    _, d_h_lv = backward_with_input(model.logvar_head, [h, logvar], d_logvar, lv_out)
     d_h += d_h_lv
-    backward(model.encoder_trunk, cache.trunk_acts, d_h, trunk_out)
-    return out
+    np.copyto(work, bits)
+    backward(model.encoder_trunk, trunk_acts, d_h, trunk_out)
+    return recon, _kl(mu, logvar, n)
 
 
 @dataclass
@@ -259,21 +271,6 @@ class VaeTrainLog:
         return np.array([r.total_loss for r in self.records])
 
 
-def _train_batch(
-    model: VaeModel, adam: AdamState, grad: np.ndarray, batch: np.ndarray,
-    eta: np.ndarray,
-) -> tuple[float, float]:
-    """One Adam step on a checked batch; returns its reconstruction and KL terms.
-
-    A function of its own so that the batch and its activations are freed
-    before the next batch's forward pass allocates its own.
-    """
-    cache = _vae_forward(model, batch, eta)
-    _, recon, kl = _loss_terms(cache.clipped, batch, cache.mu, cache.logvar)
-    adam_step(adam, model.flat, _vae_backward(model, cache, batch, grad))
-    return recon, kl
-
-
 def train_vae(
     config: VaeConfig, store: FeatureStore, rng: RngStream
 ) -> tuple[VaeModel, VaeTrainLog]:
@@ -281,7 +278,8 @@ def train_vae(
 
     Logs the sample-weighted epoch mean of the total loss, its two terms, and
     the epoch-over-epoch change (0.0 for the first epoch).  The store's bits
-    stay uint8: only the batch in hand is widened to float64.
+    stay uint8: each batch is widened into one of two batch-sized float64
+    buffers allocated once per call (see :func:`_gradient`).
     """
     if len(store) == 0:
         raise DataError("cannot train a VAE on an empty store")
@@ -299,6 +297,7 @@ def train_vae(
     _check_binary(bits)
     adam = AdamState.create(model.flat.size, config.learning_rate)
     grad = np.empty_like(model.flat)
+    work, logits = np.empty((2, min(n, config.batch_size), config.input_dim))
     prev_total = None
     for epoch in range(1, config.epochs + 1):
         order = rng.spawn("shuffle", epoch).permutation(n)
@@ -309,9 +308,9 @@ def train_vae(
             eta = noise.normal(len(idx) * config.latent_dim).reshape(
                 len(idx), config.latent_dim
             )
-            recon, kl = _train_batch(
-                model, adam, grad, bits[idx].astype(np.float64), eta
-            )
+            rows = len(idx)
+            recon, kl = _gradient(model, bits[idx], eta, work[:rows], logits[:rows], grad)
+            adam_step(adam, model.flat, grad)
             ep_recon += recon * len(idx)
             ep_kl += kl * len(idx)
         total = (ep_recon + ep_kl) / n
@@ -339,7 +338,7 @@ def embed(model: VaeModel, store: FeatureStore) -> FeatureStore:
 
 def save_vae(model: VaeModel, path) -> None:
     doc = {"vae": {part: ckpt.network_to_dict(getattr(model, part)) for part in _PARTS}}
-    ckpt.write_atomic(path, ckpt.dumps(doc) + "\n")
+    ckpt.save_document(path, doc)
 
 
 def load_vae(path) -> VaeModel:

@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from tierflow import checkpoint as ckpt
 from tierflow.checkpoint import (
     dumps,
     format_float,
@@ -14,10 +16,11 @@ from tierflow.checkpoint import (
     network_from_dict,
     network_to_dict,
     save_network,
+    write_atomic,
 )
 from tierflow.data import save_latents
 from tierflow.engine import IDENTITY, init_network
-from tierflow.errors import DataError
+from tierflow.errors import DataError, OutputError
 from tierflow.rng import RngStream
 from tierflow.vae import VaeConfig, build_vae, load_vae, save_vae
 from conftest import latent_store
@@ -118,6 +121,24 @@ def test_dumps_rejects_unsupported_type():
         dumps({"a": [1.0, {2.0}]})
 
 
+def test_failure_while_streaming_leaves_the_old_file(tmp_path):
+    path = tmp_path / "ckpt.json"
+    path.write_text("old\n", encoding="utf-8")
+
+    def pieces(error):
+        yield "{\"a\": "
+        raise error
+
+    with pytest.raises(TypeError, match="cannot serialize set"):
+        ckpt.save_document(path, {"a": np.zeros(3), "b": {2.0}})
+    with pytest.raises(OutputError, match="cannot write .*ckpt.json"):
+        write_atomic(path, pieces(OSError(28, "No space left on device")))
+    with pytest.raises(KeyboardInterrupt):
+        write_atomic(path, pieces(KeyboardInterrupt()))
+    assert path.read_text(encoding="utf-8") == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.json"]
+
+
 # ---------------------------------------------------------------- array writer
 
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308,
@@ -192,6 +213,17 @@ def reference_network_doc(net):
 
 
 def test_writers_match_per_float_reference_bytes(tmp_path):
+    write_reference_documents(tmp_path)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5])
+def test_writers_match_reference_bytes_across_format_chunks(tmp_path, chunk):
+    # pieces of 1, 2 or 5 floats split every array of the documents
+    with mock.patch.object(ckpt, "_FORMAT_CHUNK", chunk):
+        write_reference_documents(tmp_path)
+
+
+def write_reference_documents(tmp_path):
     net = init_network([5, 3, 1], 4, rng=RngStream(17))
     finite = [x for x in SPECIAL_FLOATS if np.isfinite(x)]
     net.flat[:len(finite)] = finite

@@ -74,7 +74,10 @@ def test_scale_data_path_script_reports_every_stage():
 def test_scale_data_path_vae_smoke(tmp_path):
     scale = load_script("scale_data_path")
     report = scale.run_vae(300, 96, 1, tmp_path)
-    assert list(report["stages"]) == ["generate", "load_bitvectors", "train_vae_one_epoch"]
+    assert list(report["stages"]) == [
+        "generate", "load_bitvectors", "train_vae_one_epoch", "save_vae",
+    ]
+    assert (tmp_path / "vae.json").stat().st_size > 0
     # 96 bits is nearest the chemical preset, whose shape the VAE takes
     assert (report["hidden"], report["latent"], report["batch_size"]) == ([256, 128], 64, 1000)
     assert report["peak_rss_mb"] >= max(s["peak_rss_mb"] for s in report["stages"].values())

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tierflow.checkpoint import network_from_dict, network_to_dict
-from tierflow.engine import _ADAM_CHUNK as CHUNK
 from tierflow.engine import (
     BETA1,
     BETA2,
+    CHUNK,
     EPSILON,
     IDENTITY,
     RELU,
@@ -26,6 +26,8 @@ from tierflow.engine import (
     bce_loss,
     forward,
     init_network,
+    parameter_count,
+    sigmoid,
 )
 from tierflow.rng import RngStream
 
@@ -65,6 +67,25 @@ def test_init_biases_zero_and_weights_bounded():
         assert np.all(layer.biases == 0.0)
         limit = math.sqrt(6.0 / (layer.in_dim + layer.out_dim))
         assert np.all(np.abs(layer.weights) <= limit)
+
+
+def test_init_draws_each_layer_as_one_uniform_block():
+    # the first layer's 75,000 weights span two CHUNK-sized draws; a network
+    # drawn into a slice of a longer vector adopts that slice
+    sizes, width = [300, 1], 250
+    vector = np.full(parameter_count(sizes, width) + 3, np.nan)
+    net = init_network(sizes, width, rng=RngStream(5), out=vector[2:-1])
+    assert np.shares_memory(net.flat, vector) and net.flat.size == vector.size - 3
+    assert np.isnan(vector[[0, 1, -1]]).all()
+    reference, fan_in = RngStream(5), width
+    for layer, size in zip(net.layers, sizes):
+        limit = np.sqrt(6.0 / (fan_in + size))
+        expected = reference.uniform(-limit, limit, size=size * fan_in).reshape(size, fan_in)
+        assert layer.weights.tobytes() == expected.tobytes()
+        assert not layer.biases.any()
+        fan_in = size
+    with pytest.raises(ValueError, match="the network needs"):
+        init_network(sizes, width, rng=RngStream(5), out=vector)
 
 
 def test_network_width_chaining_enforced():
@@ -291,6 +312,38 @@ def test_backward_matches_backward_with_input_bitwise():
     lean = forward(net, x, chain=False)
     assert len(lean) == 2 and lean[0] is acts[0]
     assert lean[-1].tobytes() == acts[-1].tobytes()
+
+
+def test_backward_from_logits_matches_the_sigmoid_chain_bitwise():
+    rng = RngStream(43)
+    net = init_network([9, 6, 5], 7, [RELU, RELU, SIGMOID], rng)
+    x = rng.uniform(-2, 2, size=30 * 7).reshape(30, 7)
+    g = rng.uniform(-1, 1, size=30 * 5).reshape(30, 5)
+    acts = forward(net, x)
+    expected, expected_input = backward_with_input(net, acts, g)
+    logits = np.full((30, 5), np.nan)
+    chain = forward(net, x, logits=logits)
+    assert chain[-1] is logits and all(a.tobytes() == b.tobytes()
+                                       for a, b in zip(chain[:-1], acts[:-1]))
+    a = np.empty_like(logits)
+    np.subtract(1.0, sigmoid(logits.copy(), a), out=logits)
+    logits *= a
+    logits *= g
+    grads, input_grad = backward_with_input(net, chain, logits, from_logits=True)
+    assert all(r.tobytes() == e.tobytes() for r, e in zip(grads, expected))
+    assert input_grad.tobytes() == expected_input.tobytes()
+
+
+def test_backward_leaves_the_callers_loss_gradient():
+    # hidden ReLU gradients are written over the pass's own arrays, never
+    # over the caller's
+    rng = RngStream(44)
+    net = init_network([6, 4], 3, [RELU, RELU], rng)
+    acts = forward(net, rng.uniform(-2, 2, size=8 * 3).reshape(8, 3))
+    g = rng.uniform(-1, 1, size=8 * 4).reshape(8, 4)
+    kept = g.copy()
+    backward_with_input(net, acts, g)
+    assert g.tobytes() == kept.tobytes()
 
 
 def test_backward_stale_activations_rejected():

@@ -1,21 +1,37 @@
 import tracemalloc
+from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from tierflow import vae as vae_module
 from tierflow.data import FeatureStore
-from tierflow.engine import SIGMOID, _activation_gradient
+from tierflow.engine import (
+    CHUNK,
+    IDENTITY,
+    RELU,
+    SIGMOID,
+    AdamState,
+    _activation_gradient,
+    adam_step,
+    backward,
+    backward_with_input,
+    forward,
+    init_network,
+)
 from tierflow.errors import DataError
 from tierflow.rng import RngStream
 from tierflow.vae import (
     VaeConfig,
-    _loss_terms,
-    _recon_gradient,
-    _vae_backward,
-    _vae_forward,
+    VaeEpochRecord,
+    VaeTrainLog,
+    _check_binary,
+    _gradient,
+    _output_layer,
     build_vae,
     chemical_preset,
     embed,
@@ -63,6 +79,38 @@ def test_build_same_seed_identical():
     a = build_vae(TINY, RngStream(42))
     b = build_vae(TINY, RngStream(42))
     assert np.array_equal(a.flat, b.flat)
+
+
+def test_build_draws_the_networks_in_order_into_one_vector():
+    # the four networks as separate init_network calls on one stream, the
+    # construction build_vae replaced, give the same bits
+    config = VaeConfig(300, (240, 7), 3, 1, 4, 1e-3)  # a 72,000-weight layer
+    model = build_vae(config, RngStream(8))
+    rng = RngStream(8)
+    parts = [
+        init_network([240, 7], 300, [RELU, RELU], rng),
+        init_network([3], 7, [IDENTITY], rng),
+        init_network([3], 7, [IDENTITY], rng),
+        init_network([7, 240, 300], 3, [RELU, RELU, SIGMOID], rng),
+    ]
+    assert model.flat.tobytes() == np.concatenate([net.flat for net in parts]).tobytes()
+    for net in (model.encoder_trunk, model.mu_head, model.logvar_head, model.decoder):
+        assert np.shares_memory(net.flat, model.flat)
+
+
+def test_build_holds_one_copy_of_the_parameters():
+    config = VaeConfig(8192, (64,), 4, 1, 4, 1e-3)
+    n_params = build_vae(config, RngStream(0)).flat.size  # 1.05M: 8.4 MB
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        build_vae(config, RngStream(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the parameters once, and the draws' scratch of a few CHUNK-sized blocks
+    assert peak - before <= n_params * 8 + 8 * CHUNK * 8
 
 
 def test_build_warns_when_latent_exceeds_input():
@@ -162,20 +210,25 @@ def test_kl_nonnegative(mus, lvs):
 
 
 def test_vae_gradient_matches_finite_differences():
+    # every parameter of all four networks, against the loss vae_loss gives
+    # on the engine's plain forward passes
     rng = RngStream(13)
     model = build_vae(TINY, rng)
-    x = (rng.uniform(size=3 * 8) < 0.5).astype(np.float64).reshape(3, 8)
+    bits = (rng.uniform(size=3 * 8) < 0.5).astype(np.uint8).reshape(3, 8)
+    x = bits.astype(np.float64)
     eta = rng.normal(3 * 2).reshape(3, 2)
 
     def total_loss():
-        cache = _vae_forward(model, x, eta)
-        total, _, _ = vae_loss(cache.decoder_acts[-1], x, cache.mu, cache.logvar)
+        h = forward(model.encoder_trunk, x)[-1]
+        mu, logvar = forward(model.mu_head, h)[-1], forward(model.logvar_head, h)[-1]
+        reconstruction = forward(model.decoder, reparameterize(mu, logvar, eta))[-1]
+        total, _, _ = vae_loss(reconstruction, x, mu, logvar)
         return total
 
-    cache = _vae_forward(model, x, eta)
-    out = np.full_like(model.flat, np.nan)
-    analytic = _vae_backward(model, cache, x, out)
-    assert analytic is out
+    work, logits = np.empty((2, 3, 8))
+    analytic = np.full_like(model.flat, np.nan)
+    recon, kl = _gradient(model, bits, eta, work, logits, analytic)
+    assert recon + kl == total_loss()
     flat_p, h = model.flat, 1e-5
     for i in range(flat_p.size):
         orig = flat_p[i]
@@ -202,22 +255,42 @@ clipped_values = st.one_of(
 )
 
 
+def reference_sigmoid(z):
+    # the engine's stable logistic as the whole-array expression it was
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), rows=st.integers(1, 6), cols=st.integers(1, 7))
-def test_in_place_loss_and_gradient_match_the_expressions_bitwise(data, rows, cols):
-    clipped = data.draw(arrays(np.float64, (rows, cols), elements=clipped_values))
-    x = data.draw(arrays(np.float64, (rows, cols), elements=st.sampled_from([0.0, 1.0])))
+@given(data=st.data(), rows=st.integers(1, 6), cols=st.integers(1, 7),
+       chunk=st.integers(1, 50))
+def test_in_place_loss_and_gradient_match_the_expressions_bitwise(data, rows, cols, chunk):
+    # logits whose Sigmoid rounds to 0 or 1 make the clip bind
+    logits = data.draw(arrays(np.float64, (rows, cols), elements=st.one_of(
+        st.sampled_from([0.0, -0.0, 40.0, -40.0, 800.0, -800.0]),
+        st.floats(min_value=-60, max_value=60),
+    )))
+    bits = data.draw(arrays(np.uint8, (rows, cols), elements=st.sampled_from([0, 1])))
     finite = st.floats(min_value=-30, max_value=30)
     mu = data.draw(arrays(np.float64, (rows, 2), elements=finite))
     logvar = data.draw(arrays(np.float64, (rows, 2), elements=finite))
-    n = rows
-    # the expressions the in-place code replaced, as they were written
-    recon = float(-np.sum(x * np.log(clipped) + (1.0 - x) * np.log1p(-clipped)) / n)
+    n, x = rows, bits.astype(np.float64)
+    # the expressions the chunked, in-place code replaced, as they were written
+    a = reference_sigmoid(logits)
+    clipped = np.clip(a, 1e-12, 1.0 - 1e-12)
+    terms = x * np.log(clipped) + (1.0 - x) * np.log1p(-clipped)
+    recon = float(-np.sum(terms) / n)
     kl = float(0.5 * np.sum(mu**2 + (np.expm1(logvar) - logvar)) / n)
     d_recon = (-(x / clipped) + (1.0 - x) / (1.0 - clipped)) / n
-    got = _loss_terms(clipped.copy(), x.copy(), mu, logvar)
+    # row blocks of max(1, chunk // cols) rows: one row, several, or all
+    work, dz = np.full((2, rows, cols), np.nan)
+    dz[...] = logits
+    with mock.patch.object(vae_module, "CHUNK", chunk):
+        _output_layer(work, dz, bits)
+    assert work.tobytes() == terms.tobytes()
+    assert dz.tobytes() == (d_recon * (a * (1.0 - a))).tobytes()
+    got = vae_loss(a, x, mu, logvar)
     assert list(map(bits_of, got)) == list(map(bits_of, (recon + kl, recon, kl)))
-    assert _recon_gradient(clipped.copy(), x.copy()).tobytes() == d_recon.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -307,6 +380,173 @@ def test_train_vae_holds_no_float_copy_of_the_store():
     # and the bits once more
     batch_bytes = config.batch_size * config.input_dim * 8
     assert peak - before <= 4 * n_params * 8 + 8 * batch_bytes + store.matrix.nbytes
+
+
+def test_train_vae_epoch_holds_two_batch_buffers():
+    # 256 x 4096 bits a batch: a float64 batch is 8 MiB, an output-layer
+    # chunk 0.5 MiB and every hidden activation a few KB, so a third
+    # batch-sized array would not fit the allowance below
+    config = VaeConfig(input_dim=4096, encoder_hidden=(8,), latent_dim=2,
+                       epochs=1, batch_size=256, learning_rate=1e-3)
+    rng = np.random.default_rng(6)
+    store = FeatureStore([f"v{i}" for i in range(600)], rng.random((600, 4096)) < 0.5)
+    n_params = build_vae(config, RngStream(0)).flat.size
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        train_vae(config, store, RngStream(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the parameters, two Adam moments and a gradient, and two float64
+    # batches; the allowance covers the uint8 batch and the chunks' scratch
+    batch_bytes = config.batch_size * config.input_dim * 8
+    assert peak - before <= 4 * n_params * 8 + 2 * batch_bytes + batch_bytes // 2
+
+
+# ---------------------------------------------------------------- reference step
+# The batch step as it was before the two-buffer step replaced it: whole-array
+# expressions over fresh arrays.  train_vae must match it bitwise.
+
+
+def reference_clip(reconstruction):
+    return np.clip(reconstruction, 1e-12, 1.0 - 1e-12)
+
+
+def reference_loss_terms(clipped, x, mu, logvar):
+    n = x.shape[0]
+    misses = np.negative(clipped)
+    np.log1p(misses, out=misses)
+    misses *= 1.0 - x
+    hits = np.log(clipped)
+    hits *= x
+    hits += misses
+    recon = float(-np.sum(hits) / n)
+    kl = float(0.5 * np.sum(mu**2 + (np.expm1(logvar) - logvar)) / n)
+    return recon + kl, recon, kl
+
+
+def reference_recon_gradient(clipped, x):
+    misses = np.subtract(1.0, clipped)
+    np.divide(1.0 - x, misses, out=misses)
+    grad = np.divide(x, clipped, out=clipped)
+    np.negative(grad, out=grad)
+    grad += misses
+    grad /= x.shape[0]
+    return grad
+
+
+@dataclass
+class ReferenceCache:
+    trunk_acts: list
+    mu: np.ndarray
+    logvar: np.ndarray
+    eta: np.ndarray
+    decoder_acts: list
+    clipped: np.ndarray
+
+
+def reference_forward(model, batch, eta):
+    trunk_acts = forward(model.encoder_trunk, batch)
+    h = trunk_acts[-1]
+    mu = forward(model.mu_head, h)[-1]
+    logvar = forward(model.logvar_head, h)[-1]
+    z = reparameterize(mu, logvar, eta)
+    decoder_acts = forward(model.decoder, z)
+    return ReferenceCache(trunk_acts, mu, logvar, eta, decoder_acts,
+                          reference_clip(decoder_acts[-1]))
+
+
+def reference_backward(model, cache, x, out):
+    n = x.shape[0]
+    trunk_out, mu_out, lv_out, dec_out = model.split(out)
+    _, d_z = backward_with_input(
+        model.decoder, cache.decoder_acts, reference_recon_gradient(cache.clipped, x), dec_out
+    )
+    d_mu = d_z + cache.mu / n
+    d_logvar = d_z * 0.5 * np.exp(0.5 * cache.logvar) * cache.eta
+    d_logvar += 0.5 * np.expm1(cache.logvar) / n
+    h = cache.trunk_acts[-1]
+    _, d_h = backward_with_input(model.mu_head, [h, cache.mu], d_mu, mu_out)
+    _, d_h_lv = backward_with_input(model.logvar_head, [h, cache.logvar], d_logvar, lv_out)
+    d_h += d_h_lv
+    backward(model.encoder_trunk, cache.trunk_acts, d_h, trunk_out)
+    return out
+
+
+def reference_train_vae(config, store, rng, model):
+    bits = store.matrix
+    n = len(bits)
+    log = VaeTrainLog()
+    _check_binary(bits)
+    adam = AdamState.create(model.flat.size, config.learning_rate)
+    grad = np.empty_like(model.flat)
+    prev_total = None
+    for epoch in range(1, config.epochs + 1):
+        order = rng.spawn("shuffle", epoch).permutation(n)
+        noise = rng.spawn("noise", epoch)
+        ep_recon = ep_kl = 0.0
+        for at in range(0, n, config.batch_size):
+            idx = order[at:at + config.batch_size]
+            eta = noise.normal(len(idx) * config.latent_dim).reshape(len(idx), config.latent_dim)
+            batch = bits[idx].astype(np.float64)
+            cache = reference_forward(model, batch, eta)
+            _, recon, kl = reference_loss_terms(cache.clipped, batch, cache.mu, cache.logvar)
+            adam_step(adam, model.flat, reference_backward(model, cache, batch, grad))
+            ep_recon += recon * len(idx)
+            ep_kl += kl * len(idx)
+        total = (ep_recon + ep_kl) / n
+        change = 0.0 if prev_total is None else total - prev_total
+        log.records.append(VaeEpochRecord(epoch, ep_recon / n, ep_kl / n, total, change))
+        prev_total = total
+    return model, log
+
+
+def saturated_build(bias):
+    """build_vae with the decoder's output biases set to +-bias by column, so
+    that at a large bias the Sigmoid rounds to 0 or 1 and the clip binds."""
+    def build(config, rng):
+        model = build_vae(config, rng)
+        biases = model.decoder.layers[-1].biases
+        biases[0::2], biases[1::2] = bias, -bias
+        return model
+    return build
+
+
+def assert_train_vae_matches_reference(config, store, bias):
+    build = saturated_build(bias)
+    expected_model, expected_log = reference_train_vae(
+        config, store, RngStream(4), build(config, RngStream(4).spawn("init"))
+    )
+    with mock.patch.object(vae_module, "build_vae", build):
+        model, log = train_vae(config, store, RngStream(4))
+    assert model.flat.tobytes() == expected_model.flat.tobytes()
+    assert log.records == expected_log.records
+
+
+@settings(max_examples=60, deadline=None)
+@given(width=st.integers(2, 24), batch=st.integers(2, 9), full=st.integers(0, 3),
+       short=st.integers(1, 8), chunk=st.integers(1, 60),
+       bias=st.sampled_from([0.0, 1.5, 40.0]), seed=st.integers(0, 2**16))
+@example(width=5, batch=4, full=2, short=3, chunk=7, bias=40.0, seed=1)
+def test_train_vae_equals_the_reference_step_bitwise(width, batch, full, short, chunk, bias, seed):
+    # the final batch is short, and a row block of max(1, chunk // width)
+    # rows need not divide a batch
+    rows = batch * full + min(short, batch - 1)
+    config = VaeConfig(input_dim=width, encoder_hidden=(6, 3), latent_dim=2,
+                       epochs=2, batch_size=batch, learning_rate=1e-2)
+    store = random_store(rows, width, seed=seed, density=0.4)
+    with mock.patch.object(vae_module, "CHUNK", chunk):
+        assert_train_vae_matches_reference(config, store, bias)
+
+
+def test_train_vae_equals_the_reference_step_bitwise_at_full_chunks():
+    # 700 bits a row: blocks of 93 rows, so the 100-row batches and the
+    # 50-row final batch each end in a partial block
+    config = VaeConfig(input_dim=700, encoder_hidden=(16,), latent_dim=3,
+                       epochs=2, batch_size=100, learning_rate=1e-2)
+    assert_train_vae_matches_reference(config, random_store(250, 700, seed=2), 40.0)
 
 
 def test_train_vae_kl_logged_nonnegative():
