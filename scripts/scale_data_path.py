@@ -44,13 +44,15 @@ from pathlib import Path
 import numpy as np
 
 from tierflow.data import (
+    GATHER_ROWS,
+    DataContext,
     TierSpec,
     load_bitvectors,
     load_interactions,
     load_latents,
     sample_negatives,
 )
-from tierflow.ftl import _GATHER_ROWS, DataContext, TrainSchedule, TrainStep, train_ftl
+from tierflow.ftl import TrainSchedule, TrainStep, tier_keys, train_ftl
 from tierflow.rng import RngStream
 from tierflow.vae import chemical_preset, protein_preset, save_vae, train_vae
 
@@ -113,9 +115,9 @@ def stager(report: dict):
 def gather_rows(ctx: DataContext, keys: np.ndarray) -> np.ndarray:
     """Gather the row of every key through ``DataContext.rows``, one
     evaluation-sized block at a time into one reused buffer; returns the buffer."""
-    block = np.empty((min(len(keys), _GATHER_ROWS), ctx.feature_dim))
-    for at in range(0, len(keys), _GATHER_ROWS):
-        ctx.rows(keys[at:at + _GATHER_ROWS], block)
+    block = np.empty((min(len(keys), GATHER_ROWS), ctx.feature_dim))
+    for at in range(0, len(keys), GATHER_ROWS):
+        ctx.rows(keys[at:at + GATHER_ROWS], block)
     return block
 
 
@@ -131,7 +133,7 @@ def run(records: int, seed: int, work: Path,
     ])
     ctx = stage("data_context", DataContext, table, *stores)
     del table, stores
-    positives = stage("tier_mask", ctx.tier_keys, STEP, "step 1")
+    positives = stage("tier_mask", tier_keys, ctx, STEP, "step 1")
     negatives = stage(
         "negatives", sample_negatives, len(ctx.compounds), len(ctx.proteins),
         ctx.positive_keys, len(positives), RngStream(seed),

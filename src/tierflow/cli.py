@@ -5,9 +5,9 @@ finishes with a manifest (config digest, seed, output checksums, wall-clock
 duration).  Every file is written atomically (``checkpoint.write_atomic``),
 so a failed run leaves no partial artifact under its final name.  Exit
 codes: 0 success, 1 config error or an output that cannot be written, 2 data
-error, 3 runtime numeric failure or memory that cannot be allocated.
-Verbosity comes from the TIERFLOW_LOG environment variable (error, info,
-debug).
+error, 3 runtime numeric failure or memory that cannot be allocated, 130
+interrupted (Ctrl-C).  Verbosity comes from the TIERFLOW_LOG environment
+variable (error, info, debug).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .config import (
 from .data import load_bitvectors, save_bitvectors, save_interactions, save_oracle
 from .diagnostics import drift_csv_lines, weight_drift_protocol
 from .errors import ConfigError, DataError, NumericError, OutputError
-from .ftl import metrics_csv_lines, run_experiment
+from .ftl import metrics_csv_lines, report_dict, run_experiment
 from .rng import RngStream
 from .vae import embed, save_vae, train_vae
 
@@ -202,22 +202,24 @@ def cmd_train(args) -> int:
         _print_plan(spec)
         return 0
     ctx = build_data_context(spec)
-    result = run_experiment(spec.arms, ctx, jobs=args.jobs)
+    results = run_experiment(spec.arms, ctx, jobs=args.jobs)
+    report = report_dict({name: result.log for name, result in results.items()})
     out = _out_dir(args)
     outputs = []
-    for name, outcome in result.arms.items():
+    for name, result in results.items():
         stem = _safe_name(name)
         csv_path = out / f"metrics_{stem}.csv"
-        ckpt.write_atomic(csv_path, "\n".join(metrics_csv_lines(outcome.log, name)) + "\n")
+        ckpt.write_atomic(csv_path, "\n".join(metrics_csv_lines(result.log, name)) + "\n")
         net_path = out / f"checkpoint_{stem}.json"
-        ckpt.save_network(outcome.network, net_path)
+        ckpt.save_network(result.network, net_path)
         outputs += [csv_path, net_path]
+        best = report["arms"][name]
         log.info(
             "arm %s: best validation loss %.6g, accuracy %.6g",
-            name, outcome.best_val_loss, outcome.best_val_accuracy,
+            name, best["best_val_loss"], best["best_val_accuracy"],
         )
     report_path = out / "report.json"
-    ckpt.write_atomic(report_path, ckpt.dumps(result.report_dict()) + "\n")
+    ckpt.write_atomic(report_path, ckpt.dumps(report) + "\n")
     outputs.append(report_path)
     _write_manifest(out, "train", doc, doc["seed"], outputs, started)
     return 0
@@ -338,6 +340,9 @@ def main(argv: list[str] | None = None) -> int:
     except OutputError as exc:
         log.error("output error: %s", exc)
         return 1
+    except KeyboardInterrupt:
+        log.error("interrupted")
+        return 130
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .data import (
+    DataContext,
     FeatureStore,
     SynthConfig,
     SynthTier,
@@ -18,10 +19,11 @@ from .data import (
     load_bitvectors,
     load_interactions,
     load_latents,
+    open_for_read,
     synth_generate,
 )
 from .errors import ConfigError, DataError
-from .ftl import DataContext, TrainSchedule, TrainStep
+from .ftl import TrainSchedule, TrainStep
 from .vae import VaeConfig, chemical_preset, protein_preset
 
 
@@ -238,9 +240,7 @@ def experiment_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentS
 
 def _load_features(path: Path) -> FeatureStore:
     """Feature files are either bit-vector stores (``#width=`` header) or latent TSVs."""
-    from .data import _open_for_read
-
-    with _open_for_read(path) as fh:
+    with open_for_read(path) as fh:
         first = fh.readline()
     store = (load_bitvectors if first.startswith("#width=") else load_latents)(path)
     if not len(store):

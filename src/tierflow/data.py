@@ -1,4 +1,5 @@
-"""Feature stores, confidence tiers, negative sampling, and synthetic data.
+"""Feature stores, confidence tiers, pair keys, negative sampling, the data
+context a training run reads, and synthetic data.
 
 File formats (UTF-8, LF):
 
@@ -17,7 +18,7 @@ import itertools
 import math
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +63,7 @@ class FeatureStore:
 
 
 @contextmanager
-def _open_for_read(path: Path):
+def open_for_read(path: Path):
     """A text handle on ``path``; failing to open or decode it is a DataError naming it."""
     try:
         with path.open(encoding="utf-8") as fh:
@@ -141,7 +142,7 @@ def load_bitvectors(path: str | Path) -> FeatureStore:
     path = Path(path)
     ids: list[str] = []
     seen: set[str] = set()
-    with _open_for_read(path) as fh:
+    with open_for_read(path) as fh:
         header = fh.readline().rstrip("\n")
         if not header.startswith("#width="):
             raise DataError(f"{path}:1: expected '#width=<int>' header, got {header!r}")
@@ -161,11 +162,12 @@ def load_bitvectors(path: str | Path) -> FeatureStore:
 
 
 def save_bitvectors(store: FeatureStore, path: str | Path) -> None:
-    lines = [f"#width={store.width}"]
-    for key, vec in zip(store.ids, store.matrix):
-        bits = ((vec != 0).view(np.uint8) + ord("0")).tobytes().decode("ascii")
-        lines.append(key + "\t" + bits)
-    write_atomic(path, "\n".join(lines) + "\n")
+    # one line at a time, so the file's text is never held whole
+    rows = (
+        key + "\t" + ((vec != 0).view(np.uint8) + ord("0")).tobytes().decode("ascii") + "\n"
+        for key, vec in zip(store.ids, store.matrix)
+    )
+    write_atomic(path, itertools.chain([f"#width={store.width}\n"], rows))
 
 
 def _columns(lines: list[str], width: int) -> list[list[str]] | None:
@@ -246,7 +248,7 @@ def load_latents(path: str | Path) -> FeatureStore:
     matrix = np.empty((0, 0))
     seen: set[str] = set()
     shapes: set[tuple[int, ...]] = set()  # row shapes, added in file order
-    with _open_for_read(path) as fh:
+    with open_for_read(path) as fh:
         for start, lines in _line_blocks(fh, 1):
             columns = _columns(lines, 2)
             vecs = None if columns is None else _latent_block(*columns, seen)
@@ -271,11 +273,10 @@ def load_latents(path: str | Path) -> FeatureStore:
 
 
 def save_latents(store: FeatureStore, path: str | Path) -> None:
-    lines = [
-        key + "\t" + format_floats(vec, ",")
+    write_atomic(path, (
+        key + "\t" + format_floats(vec, ",") + "\n"
         for key, vec in zip(store.ids, store.matrix)
-    ]
-    write_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
+    ))
 
 
 @dataclass(frozen=True)
@@ -402,7 +403,7 @@ def load_interactions(path: str | Path) -> InteractionTable:
     compounds, proteins = _Interner(), _Interner()
     blocks: list[list[np.ndarray]] = [[], [], []]  # of each column, freed as it is joined
     out_of_range = None  # (line, score) of the first score outside [0, 1000]
-    with _open_for_read(path) as fh:
+    with open_for_read(path) as fh:
         for start, lines in _line_blocks(fh, 1):
             columns = _columns(lines, 3)
             scores = None if columns is None else _scores(columns[2])
@@ -424,11 +425,15 @@ def load_interactions(path: str | Path) -> InteractionTable:
 
 
 def save_interactions(table: InteractionTable, path: str | Path) -> None:
-    rows = zip(
-        table.compound_ids.tolist(), table.protein_ids.tolist(), table.scores.astype(str)
-    )
-    lines = "\n".join(map("\t".join, rows))
-    write_atomic(path, lines + ("\n" if len(table) else ""))
+    compounds, proteins = table.compound_vocab.tolist(), table.protein_vocab.tolist()
+    # codes are read a block at a time, so no column of ids is built
+    blocks = (slice(at, at + _BLOCK_LINES) for at in range(0, len(table), _BLOCK_LINES))
+    write_atomic(path, (
+        f"{compounds[c]}\t{proteins[p]}\t{score}\n"
+        for block in blocks
+        for c, p, score in zip(table.compound_codes[block].tolist(),
+                               table.protein_codes[block].tolist(), table.scores[block].tolist())
+    ))
 
 
 def tier_filter(table: InteractionTable, tier: TierSpec) -> np.ndarray:
@@ -505,6 +510,115 @@ def sample_negatives(
         fresh = (index_of(forbidden_keys, unique) < 0) & (index_of(np.sort(chosen), unique) < 0)
         chosen = np.concatenate([chosen, keys[np.sort(first[fresh])][:count - len(chosen)]])
     return chosen
+
+
+# rows per evaluation block and per block of a feature gather: a block's
+# index and feature temporaries stay a few MB.  A blocked forward may differ
+# from a whole-matrix one in the last ulp; 4096 keeps the benchmark's pinned
+# digests on the build that pinned them, so changing it may change metrics
+GATHER_ROWS = 4096
+
+
+def labels(positive_keys: np.ndarray, negative_keys: np.ndarray) -> np.ndarray:
+    """1.0 for each positive, then 0.0 for each negative."""
+    return np.repeat([1.0, 0.0], [len(positive_keys), len(negative_keys)])
+
+
+def _sorted_into(store: FeatureStore, out: np.ndarray) -> np.ndarray:
+    """The store's ids sorted; its matrix rows are widened to float64 into
+    ``out`` in that order (a float64 matrix is not copied first)."""
+    ids = np.array(store.ids, dtype=str)
+    order = np.argsort(ids, kind="stable")
+    np.take(store.matrix.astype(np.float64, copy=False), order, axis=0, out=out)
+    return ids[order]
+
+
+@dataclass
+class DataContext:
+    """Everything a training run consumes: positives, features, id universes.
+
+    Built once from the three fields and kept as arrays, so the feature stores
+    are not held (nor pickled into ``--jobs`` workers): ``compounds`` and
+    ``proteins`` are the sorted id arrays.  The feature rows in sorted-id
+    order, widened to float64, live in one stacked table, protein rows first,
+    cut into sub-rows ``g = gcd(wp, wc)`` wide; ``protein_matrix`` and
+    ``compound_matrix`` are views of it.  A pair is the int64 key
+    ``ci * len(proteins) + pi`` of its compound and protein rows.
+    ``row_keys`` holds each record's key, or -1 where an id has no features,
+    and ``positive_keys`` the sorted keys of the records with known ids.
+    """
+
+    interactions: InteractionTable
+    compound_features: InitVar[FeatureStore]
+    protein_features: InitVar[FeatureStore]
+
+    def __post_init__(self, compound_features: FeatureStore, protein_features: FeatureStore):
+        self._widths = wp, wc = protein_features.width, compound_features.width
+        self._g = g = math.gcd(wp, wc) or 1
+        # the sub-row where the compound rows start
+        self._split = len(protein_features) * wp // g
+        self._table = np.empty((self._split + len(compound_features) * wc // g, g))
+        self.proteins = _sorted_into(
+            protein_features, self._table[:self._split].reshape(len(protein_features), wp))
+        self.compounds = _sorted_into(
+            compound_features, self._table[self._split:].reshape(len(compound_features), wc))
+        t = self.interactions
+        # each distinct id is looked up once
+        ci = index_of(self.compounds, t.compound_vocab)[t.compound_codes]
+        pi = index_of(self.proteins, t.protein_vocab)[t.protein_codes]
+        self.row_keys = np.where((ci < 0) | (pi < 0), -1, ci * len(self.proteins) + pi)
+        self.positive_keys = np.sort(self.row_keys[self.row_keys >= 0])
+
+    @property
+    def protein_matrix(self) -> np.ndarray:
+        return self._table[:self._split].reshape(len(self.proteins), self._widths[0])
+
+    @property
+    def compound_matrix(self) -> np.ndarray:
+        return self._table[self._split:].reshape(len(self.compounds), self._widths[1])
+
+    @property
+    def feature_dim(self) -> int:
+        return sum(self._widths)
+
+    def rows(self, keys: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the ``[protein features || compound features]`` row of each pair
+        key into ``out[:len(keys)]`` and return that view.
+
+        ``out`` is a C-contiguous float64 array ``feature_dim`` wide; the rows
+        are copied bit for bit from the stacked table by one ``np.take``.
+        """
+        n_grid = len(self.compounds) * len(self.proteins)
+        if keys.size and (keys.min() < 0 or keys.max() >= n_grid):
+            raise ValueError(f"pair keys must lie in [0, {n_grid})")
+        if not out.flags.c_contiguous or out.shape[1:] != (self.feature_dim,):
+            raise ValueError(f"out must be C-contiguous and {self.feature_dim} wide")
+        (wp, wc), g = self._widths, self._g
+        kp, kc = wp // g, wc // g
+        ci, pi = np.divmod(keys, len(self.proteins))
+        subrows = np.empty((len(keys), kp + kc), np.intp)
+        np.add.outer(pi * kp, np.arange(kp), out=subrows[:, :kp])
+        np.add.outer(ci * kc + self._split, np.arange(kc), out=subrows[:, kp:])
+        block = out[:len(keys)]
+        # the keys are range-checked above; mode="raise" would buffer the output
+        np.take(self._table, subrows, axis=0, out=block.reshape(len(keys), kp + kc, g),
+                mode="clip")
+        return block
+
+    def feature_matrix(
+        self, positive_keys: np.ndarray, negative_keys: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of the positives then the negatives, and their labels.
+
+        Training and evaluation gather from keys and never call this; it
+        builds the whole matrix ``GATHER_ROWS`` rows at a time through
+        :meth:`rows`.
+        """
+        keys = np.concatenate([positive_keys, negative_keys])
+        x = np.empty((len(keys), self.feature_dim))
+        for at in range(0, len(keys), GATHER_ROWS):
+            self.rows(keys[at:at + GATHER_ROWS], x[at:])
+        return x, labels(positive_keys, negative_keys)
 
 
 @dataclass(frozen=True)
@@ -666,7 +780,7 @@ def save_oracle(
 
 def load_oracle(path: str | Path) -> dict[tuple[str, str], int]:
     oracle: dict[tuple[str, str], int] = {}
-    with _open_for_read(Path(path)) as fh:
+    with open_for_read(Path(path)) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:

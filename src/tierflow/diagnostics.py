@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import DenseNetwork
-from .ftl import DataContext, FtlResult, TrainSchedule, train_ftl
+from .data import DataContext
+from .ftl import FtlResult, TrainSchedule, train_ftl
 
 __all__ = [
     "LayerDistance",

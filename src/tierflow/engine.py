@@ -440,15 +440,13 @@ def adam_step(state: AdamState, p: np.ndarray, g: np.ndarray) -> None:
         check_finite(pc, "parameters after Adam step")
 
 
-def accuracy(predictions: np.ndarray, labels: np.ndarray, threshold: float = 0.5) -> float:
-    """Percentage of correct threshold classifications; ties (p == threshold) go positive."""
+def accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
+    """Percentage of correct threshold-0.5 classifications; ties (p == 0.5) go positive."""
     p = np.asarray(predictions, dtype=np.float64).reshape(-1)
     y = np.asarray(labels, dtype=np.float64).reshape(-1)
     if p.size == 0:
         raise ValueError("accuracy needs at least one prediction")
     if p.shape != y.shape:
         raise ValueError(f"length mismatch: {p.shape[0]} predictions, {y.shape[0]} labels")
-    if not (0.0 < threshold < 1.0):
-        raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
-    predicted = (p >= threshold).astype(np.float64)
+    predicted = (p >= 0.5).astype(np.float64)
     return float(100.0 * np.mean(predicted == y))

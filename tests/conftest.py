@@ -5,10 +5,10 @@ from tierflow.data import (
     FeatureStore,
     SynthConfig,
     SynthTier,
+    DataContext,
     TierSpec,
     synth_generate,
 )
-from tierflow.ftl import DataContext
 
 
 def latent_store(rows: dict) -> FeatureStore:

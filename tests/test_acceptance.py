@@ -41,12 +41,7 @@ from tierflow.engine import (
     forward,
     init_network,
 )
-from tierflow.ftl import (
-    TrainSchedule,
-    TrainStep,
-    train_ftl,
-    train_single,
-)
+from tierflow.ftl import TrainSchedule, TrainStep, train_ftl
 from tierflow.rng import RngStream
 from tierflow.vae import VaeConfig, train_vae
 from conftest import bit_store, latent_store
@@ -328,17 +323,19 @@ def test_c06_ftl_ordering_benchmark():
 
 
 def test_c07_degenerate_equivalence(tiny_ctx):
-    tier, val = TierSpec(700, 900), TierSpec(900, 1000)
+    # a one-step baseline equals the first step of a two-step FTL schedule
+    tier, later, val = TierSpec(700, 900), TierSpec(300, 700), TierSpec(900, 1000)
+    settings = dict(batch_size=64, learning_rate=1e-3, seed=70, hidden_layers=(8, 4))
+    base = train_ftl(TrainSchedule([TrainStep(tier, 5)], val, **settings), tiny_ctx)
     ftl = train_ftl(
-        TrainSchedule([TrainStep(tier, 5)], val, batch_size=64,
-                      learning_rate=1e-3, seed=70, hidden_layers=(8, 4)),
-        tiny_ctx,
+        TrainSchedule([TrainStep(tier, 5), TrainStep(later, 3)], val, **settings),
+        tiny_ctx, stop=(1, 5),
     )
-    single = train_single(
-        tier, 5, tiny_ctx, validation_tier=val, batch_size=64,
-        learning_rate=1e-3, seed=70, hidden_layers=(8, 4),
+    identical = (
+        ftl.at == base.at == (1, 5)
+        and ftl.log.records == base.log.records
+        and np.array_equal(ftl.network.flat, base.network.flat)
     )
-    identical = ftl.log.records == single.log.records
     _report(
         "criterion 7 degenerate-equivalence",
         identical,

@@ -732,6 +732,25 @@ def test_unallocatable_network_exit_3(tmp_path, jobs):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("module, attr", [
+    ("tierflow.ftl", "adam_step"),  # while an arm trains
+    ("tierflow.checkpoint", "format_floats"),  # while a checkpoint is written
+])
+def test_interrupt_exit_130(tmp_path, experiment_config, monkeypatch, caplog, capsys,
+                            module, attr):
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(f"{module}.{attr}", interrupt)
+    out = tmp_path / "o"
+    assert main(["train", "--config", experiment_config, "--out", str(out)]) == 130
+    assert [(r.levelname, r.getMessage()) for r in caplog.records
+            if r.levelno >= 30] == [("ERROR", "interrupted")]
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+    assert not list(out.glob("*.tmp"))
+
+
 MUTATION_POOL = [None, True, "x", -1, 0, 1.5, float("nan"), [], [0], {}]
 MUTABLE_FIELDS = (
     [[key] for key in [*EXPERIMENT_DOC, "reset_optimizer_between_steps"]]

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from tierflow.data import _BLOCK_LINES as BLOCK_LINES
 from tierflow.data import (
+    GATHER_ROWS,
+    DataContext,
     FeatureStore,
     InteractionTable,
     SynthConfig,
@@ -17,6 +19,7 @@ from tierflow.data import (
     load_bitvectors,
     load_interactions,
     load_latents,
+    open_for_read,
     percentile_cutoff,
     sample_negatives,
     save_bitvectors,
@@ -26,11 +29,9 @@ from tierflow.data import (
     synth_generate,
     tier_filter,
     _line_blocks,
-    _open_for_read,
 )
 from tierflow.errors import ConfigError, DataError
-from tierflow.ftl import _GATHER_ROWS as GATHER_ROWS
-from tierflow.ftl import DataContext
+from tierflow.ftl import tier_keys
 from tierflow.rng import RngStream
 from conftest import bit_store, latent_store, tiny_synth_config
 
@@ -431,7 +432,7 @@ def test_tier_keys_unknown_id_named():
     table = InteractionTable(["c", "ghost"], ["p", "p"], [950, 960])
     ctx = context_of({"c": np.zeros(2)}, {"p": np.zeros(2)}, table)
     with pytest.raises(DataError, match="unknown compound id 'ghost'"):
-        ctx.tier_keys(TierSpec(900, 1000), "validation")
+        tier_keys(ctx, TierSpec(900, 1000), "validation")
 
 
 COMPOUND_POOL = [f"c{i}" for i in range(12)]  # "c10" sorts between "c1" and "c2"
@@ -487,7 +488,7 @@ def test_context_keys_match_dict_reference(records, compound_ids, protein_ids, s
 
     def tier_outcome(tier):
         try:
-            return ctx.tier_keys(tier, "step 1").tolist()
+            return tier_keys(ctx, tier, "step 1").tolist()
         except DataError as exc:
             return f"DataError: {exc}"
 
@@ -682,6 +683,69 @@ def test_latents_width_consistency():
         FeatureStore(["a", "b", "a"], np.zeros((3, 2)))
 
 
+# the writers as they were when each built its whole text before writing it
+def joined_bitvectors(store):
+    lines = [f"#width={store.width}"]
+    for key, vec in zip(store.ids, store.matrix):
+        lines.append(key + "\t" + ((vec != 0).view(np.uint8) + ord("0")).tobytes().decode())
+    return "\n".join(lines) + "\n"
+
+
+def joined_latents(store):
+    lines = [key + "\t" + ",".join(format(float(x), ".17g") for x in vec)
+             for key, vec in zip(store.ids, store.matrix)]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def joined_interactions(table):
+    rows = zip(table.compound_ids.tolist(), table.protein_ids.tolist(),
+               table.scores.astype(str))
+    return "\n".join(map("\t".join, rows)) + ("\n" if len(table) else "")
+
+
+def writer_case(kind, size):
+    rng = np.random.default_rng(8)
+    if kind == "bits":
+        ids = [f"id{i}" for i in rng.permutation(size)]
+        return save_bitvectors, joined_bitvectors, FeatureStore(
+            ids, rng.integers(0, 2, (size, 1024), dtype=np.uint8))
+    if kind == "latents":
+        ids = [f"id{i}" for i in rng.permutation(size)]
+        return save_latents, joined_latents, FeatureStore(ids, rng.standard_normal((size, 16)))
+    keys = rng.permutation(500 * 400)[:size].tolist()
+    return save_interactions, joined_interactions, InteractionTable(
+        [f"c{k // 400}" for k in keys], [f"p{k % 400}" for k in keys],
+        rng.integers(0, 1001, size))
+
+
+@pytest.mark.parametrize("kind, size", [("bits", 3000), ("latents", 5000),
+                                        ("interactions", 200_000)])
+def test_writers_stream_their_lines(tmp_path, kind, size):
+    # a writer holds a line (or a block of codes) at a time, not the file's
+    # text: the join-based writers peaked at 3 to 20 times the file's size
+    save, joined, data = writer_case(kind, size)
+    path = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        save(data, path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    text = path.read_text(encoding="utf-8")
+    assert text == joined(data)
+    assert peak < len(text) / 4
+
+
+@pytest.mark.parametrize("kind", ["bits", "latents", "interactions"])
+@pytest.mark.parametrize("size", [0, 1])
+def test_small_writes_equal_joined_text(tmp_path, kind, size):
+    save, joined, data = writer_case(kind, size)
+    save(data, tmp_path / "out")
+    assert (tmp_path / "out").read_text(encoding="utf-8") == joined(data)
+
+
 # ---------------------------------------------------------------- block loaders
 
 
@@ -695,7 +759,7 @@ def reference_bitvectors(path):
     """The per-line bit-vector parser the block loader replaced, as ids in file
     order and row bytes.  It raised a ValueError for an empty id, which the
     loader now reports as a DataError naming the line."""
-    with _open_for_read(path) as fh:
+    with open_for_read(path) as fh:
         header = fh.readline().rstrip("\n")
         if not header.startswith("#width="):
             raise DataError(f"{path}:1: expected '#width=<int>' header, got {header!r}")
@@ -732,7 +796,7 @@ def reference_latents(path):
     """The per-line latent parser the block loader replaced, as ids in file
     order and row bytes."""
     entries = {}
-    with _open_for_read(path) as fh:
+    with open_for_read(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -761,7 +825,7 @@ def reference_latents(path):
 def reference_interactions(path):
     """The per-line interaction parser the block loader replaced, as its columns."""
     compounds, proteins, scores = [], [], []
-    with _open_for_read(path) as fh:
+    with open_for_read(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:

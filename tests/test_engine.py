@@ -494,11 +494,6 @@ def test_accuracy_empty_rejected():
         accuracy(np.array([]), np.array([]))
 
 
-def test_accuracy_threshold_domain():
-    with pytest.raises(ValueError):
-        accuracy(np.array([0.5]), np.array([1.0]), threshold=1.0)
-
-
 # ---------------------------------------------------------------- global invariants
 
 

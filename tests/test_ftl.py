@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tierflow import ftl
-from tierflow.data import InteractionTable, TierSpec, synth_generate, tier_filter
+from tierflow.data import (
+    GATHER_ROWS,
+    DataContext,
+    InteractionTable,
+    TierSpec,
+    synth_generate,
+    tier_filter,
+)
 from tierflow.engine import (
     DenseLayer,
     DenseNetwork,
@@ -17,17 +25,15 @@ from tierflow.engine import (
     init_network,
 )
 from tierflow.errors import DataError
-from tierflow.ftl import _GATHER_ROWS as GATHER_ROWS
 from tierflow.ftl import (
-    DataContext,
     MetricsLog,
     TrainSchedule,
     TrainStep,
     evaluate,
     metrics_csv_lines,
+    report_dict,
     run_experiment,
     train_ftl,
-    train_single,
 )
 from tierflow.rng import RngStream
 from conftest import latent_store, tiny_synth_config
@@ -60,14 +66,16 @@ def test_step_needs_positive_epochs():
         TrainStep(LOW, 0)
 
 
-def test_degenerate_schedule_equals_train_single(tiny_ctx):
-    ftl = train_ftl(fast_schedule([TrainStep(HIGH, 4)], seed=77), tiny_ctx)
-    single = train_single(
-        HIGH, 4, tiny_ctx, validation_tier=VAL, seed=77, **FAST
-    )
-    assert ftl.log.records == single.log.records
-    for a, b in zip(ftl.network.parameters(), single.network.parameters()):
+def test_degenerate_schedule_equals_first_step(tiny_ctx):
+    # a one-step baseline is the first step of a longer schedule on its tier
+    base = train_ftl(fast_schedule([TrainStep(HIGH, 4)], seed=77), tiny_ctx)
+    two_step = fast_schedule([TrainStep(HIGH, 4), TrainStep(LOW, 2)], seed=77)
+    head = train_ftl(two_step, tiny_ctx, stop=(1, 4))
+    assert base.at == head.at == (1, 4)
+    assert base.log.records == head.log.records
+    for a, b in zip(base.network.parameters(), head.network.parameters(), strict=True):
         assert np.array_equal(a, b)
+    assert np.array_equal(base.adam.m, head.adam.m) and np.array_equal(base.adam.v, head.adam.v)
 
 
 def test_same_seed_bit_identical(tiny_ctx):
@@ -100,17 +108,17 @@ def step_keys(monkeypatch):
     """``step_keys()`` lists the (positives, negatives) pair keys of every
     training step the test has run, in order, as ``train_ftl`` drew them."""
     positives, negatives = [], []
-    tier_keys, sample = DataContext.tier_keys, ftl.sample_negatives
+    tier_keys, sample = ftl.tier_keys, ftl.sample_negatives
 
-    def record_tier_keys(self, tier, role):
-        positives.append((role, tier_keys(self, tier, role)))
+    def record_tier_keys(ctx, tier, role):
+        positives.append((role, tier_keys(ctx, tier, role)))
         return positives[-1][1]
 
     def record_negatives(*args):
         negatives.append(sample(*args))
         return negatives[-1]
 
-    monkeypatch.setattr(DataContext, "tier_keys", record_tier_keys)
+    monkeypatch.setattr(ftl, "tier_keys", record_tier_keys)
     monkeypatch.setattr(ftl, "sample_negatives", record_negatives)
     # a run draws its validation negatives first, then each step's right
     # after that step's positives
@@ -243,7 +251,7 @@ def test_evaluate_constant_half_predictor(tiny_ctx):
         [DenseLayer(np.zeros((1, tiny_ctx.feature_dim)), np.zeros(1), "sigmoid")],
         tiny_ctx.feature_dim,
     )
-    pos = tiny_ctx.tier_keys(VAL, "validation")
+    pos = ftl.tier_keys(tiny_ctx, VAL, "validation")
     loss, acc = evaluate(net, tiny_ctx, pos, np.ones(len(pos)))
     assert loss == pytest.approx(math.log(2), rel=1e-12)
     assert acc == 100.0  # every pair labeled 1, ties classify positive
@@ -321,11 +329,11 @@ def test_run_experiment_identical_arms_zero_deltas(tiny_ctx):
         "a": fast_schedule([TrainStep(HIGH, 2)], seed=13),
         "b": fast_schedule([TrainStep(HIGH, 2)], seed=13),
     }
-    result = run_experiment(arms, tiny_ctx)
-    report = result.report_dict()
+    results = run_experiment(arms, tiny_ctx)
+    report = report_dict({name: result.log for name, result in results.items()})
     assert report["deltas"]["a_vs_b"]["best_val_loss"] == 0.0
     assert report["deltas"]["a_vs_b"]["best_val_accuracy"] == 0.0
-    assert result.arms["a"].log.records == result.arms["b"].log.records
+    assert results["a"].log.records == results["b"].log.records
 
 
 def test_run_experiment_parallel_matches_sequential(tiny_ctx):
@@ -335,8 +343,24 @@ def test_run_experiment_parallel_matches_sequential(tiny_ctx):
     }
     seq = run_experiment(arms, tiny_ctx, jobs=1)
     par = run_experiment(arms, tiny_ctx, jobs=2)
-    for name in seq.arms:
-        assert seq.arms[name].log.records == par.arms[name].log.records
+    assert list(seq) == list(par) == ["baseline", "ftl"]
+    for name in seq:
+        assert seq[name].log.records == par[name].log.records
+        assert seq[name].at == par[name].at
+        assert np.array_equal(seq[name].network.flat, par[name].network.flat)
+
+
+def test_failed_arm_stops_the_other_workers(tiny_ctx):
+    # the first arm's tier holds no positives; the second trains for about 20 s
+    arms = {
+        "empty": fast_schedule([TrainStep(TierSpec(0, 300), 1)]),
+        "long": fast_schedule([TrainStep(HIGH, 20_000)]),
+    }
+    with pytest.raises(DataError, match=r"step 1 tier \[0,300\) has no positives"):
+        run_experiment(arms, tiny_ctx, jobs=2)
+    for worker in multiprocessing.active_children():
+        worker.join(timeout=5)
+    assert not multiprocessing.active_children()
 
 
 @pytest.mark.parametrize("fork_at", [(1, 2), (1, 3), (2, 1)])
