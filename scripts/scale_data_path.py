@@ -20,9 +20,10 @@ With ``--vae-entries N --vae-bits W`` it measures the VAE front end instead:
 it writes N random W-bit vectors as a bit-vector file, loads them, and trains
 one epoch of a VAE shaped like the preset whose input width is nearest W
 (``chemical``, 1024 bits, or ``protein``, 5508 bits: its hidden and latent
-widths and batch size, with input width W), then saves the trained model as a
-checkpoint.  So the memory of the protein preset is measured, not
-extrapolated from the chemical one.
+widths and batch size, with input width W), computes every vector's
+posterior mean (``vae.embed``, as ``tierflow embed`` does), then saves the
+trained model as a checkpoint.  So the memory of the protein preset is
+measured, not extrapolated from the chemical one.
 
 Each stage reports its wall seconds and the process's peak RSS after it
 (``getrusage``, MiB), so the stage that sets the peak shows.  The last line of
@@ -54,7 +55,7 @@ from tierflow.data import (
 )
 from tierflow.ftl import TrainSchedule, TrainStep, tier_keys, train_ftl
 from tierflow.rng import RngStream
-from tierflow.vae import chemical_preset, protein_preset, save_vae, train_vae
+from tierflow.vae import chemical_preset, embed, protein_preset, save_vae, train_vae
 
 WIDTHS = (64, 128)  # compound, protein
 STEP = TierSpec(319, 700)
@@ -165,8 +166,8 @@ def generate_bits(entries: int, width: int, seed: int, path: Path) -> None:
 
 def run_vae(entries: int, width: int, seed: int, work: Path) -> dict:
     """Generate ``entries`` ``width``-bit vectors under ``work``, load them, train
-    one epoch of the nearest preset's shape on them, save the model, and return
-    the report."""
+    one epoch of the nearest preset's shape on them, compute their posterior
+    means, save the model, and return the report."""
     preset = min((chemical_preset(), protein_preset()),
                  key=lambda config: abs(config.input_dim - width))
     config = dataclasses.replace(preset, input_dim=width, epochs=1)
@@ -179,7 +180,10 @@ def run_vae(entries: int, width: int, seed: int, work: Path) -> dict:
     store = stage("load_bitvectors", load_bitvectors, path)
     report["store_mb"] = round(store.matrix.nbytes / 2**20, 1)
     model, _ = stage("train_vae_one_epoch", train_vae, config, store, RngStream(seed))
+    # held, as ``tierflow embed`` holds them, until the model is saved
+    latents = stage("embed", embed, model, store)
     stage("save_vae", save_vae, model, work / "vae.json")
+    report["latents_mb"] = round(latents.matrix.nbytes / 2**20, 1)
     report["peak_rss_mb"] = round(peak_rss_mb(), 1)
     return report
 

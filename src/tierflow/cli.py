@@ -17,6 +17,7 @@ import hashlib
 import json
 import logging
 import os
+import platform
 import re
 import sys
 import time
@@ -71,6 +72,22 @@ def _file_digest(path: Path) -> str:
     return "sha256:" + digest.hexdigest()
 
 
+def _environment() -> dict:
+    """The Python, numpy and BLAS versions and BLAS thread variables an
+    artifact's bytes depend on; "unknown" where numpy cannot say."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # before numpy 1.26, show_config takes no mode
+        blas = {}
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {key: str(blas.get(key, "unknown")) for key in ("name", "version")},
+        "threads": {var: os.environ.get(var) for var in threads},
+    }
+
+
 def _write_manifest(
     out_dir: Path, command: str, doc: dict, seed: int, outputs: list[Path], started: float
 ) -> None:
@@ -80,6 +97,7 @@ def _write_manifest(
         "seed": seed,
         "outputs": {p.name: _file_digest(p) for p in sorted(outputs)},
         "duration_seconds": round(time.monotonic() - started, 3),
+        "environment": _environment(),
     }
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     ckpt.write_atomic(out_dir / "manifest.json", text)

@@ -50,6 +50,13 @@ def _expect(value, kind: str, where: str):
     return value
 
 
+def _known(doc: dict, fields, where: str) -> None:
+    """ConfigError naming the first field of ``doc`` that is not in ``fields``."""
+    for key in doc:
+        if key not in fields:
+            raise ConfigError(f"{where}: unknown field {key!r}")
+
+
 _REQUIRED = object()
 
 
@@ -82,11 +89,18 @@ def load_json(path: str | Path) -> dict:
     return doc
 
 
+_SYNTH_FIELDS = (
+    "n_compounds", "n_proteins", "compound_bits", "protein_bits", "seed",
+    "tiers", "validation_tier", "bit_density", "true_rate",
+)
+
+
 def synth_config_from_dict(doc: dict, where: str = "synth") -> SynthConfig:
+    _known(doc, _SYNTH_FIELDS, where)
     tiers = []
     for i, entry in enumerate(_field(doc, "tiers", "a list", where)):
         spot = f"{where}.tiers[{i}]"
-        _expect(entry, "an object", spot)
+        _known(_expect(entry, "an object", spot), ("range", "count", "flip_rate"), spot)
         tier = _tier(_require(entry, "range", spot), f"{spot}.range")
         count = _field(entry, "count", "an integer", spot)
         flip_rate = float(_field(entry, "flip_rate", "a number", spot))
@@ -118,14 +132,16 @@ def vae_config_from_dict(doc: dict, where: str = "vae") -> VaeConfig:
     """A preset, whose schedule fields the document may override, or a full config."""
     preset, arch = None, {}
     if "preset" in doc:
-        name = doc["preset"]
+        name = _field(doc, "preset", "a non-empty string", where)
         if name not in _VAE_PRESETS:
             raise ConfigError(
                 f"{where}.preset: unknown preset {name!r}, "
                 f"choose from {sorted(_VAE_PRESETS)}"
             )
         preset = _VAE_PRESETS[name]()
+        _known(doc, ("preset", "seed", *_VAE_SCHEDULE), where)
     else:
+        _known(doc, ("input_dim", "encoder_hidden", "latent_dim", "seed", *_VAE_SCHEDULE), where)
         arch["input_dim"] = _field(doc, "input_dim", "an integer", where)
         arch["encoder_hidden"] = tuple(
             _expect(v, "an integer", f"{where}.encoder_hidden[{i}]")
@@ -173,6 +189,7 @@ _SCHEDULE = {
 def experiment_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentSpec:
     """Build and check every arm's schedule, so a dry run rejects what a real run would."""
     where = "experiment"
+    _known(doc, ("synth", "data", "arms", "validation_tier", "seed", *_SCHEDULE), where)
     validation_tier = _tier(
         _require(doc, "validation_tier", where), f"{where}.validation_tier"
     )
@@ -193,7 +210,7 @@ def experiment_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentS
     arms: dict[str, TrainSchedule] = {}
     for i, entry in enumerate(_field(doc, "arms", "a list", where)):
         spot = f"{where}.arms[{i}]"
-        _expect(entry, "an object", spot)
+        _known(_expect(entry, "an object", spot), ("name", "validation_tier", "steps"), spot)
         name = _field(entry, "name", "a non-empty string", spot)
         if name in arms:
             raise ConfigError(f"{spot}: duplicate arm name {name!r}")
@@ -207,7 +224,7 @@ def experiment_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentS
         steps = []
         for j, step in enumerate(_field(entry, "steps", "a list", spot)):
             sspot = f"{spot}.steps[{j}]"
-            _expect(step, "an object", sspot)
+            _known(_expect(step, "an object", sspot), ("tier", "epochs"), sspot)
             tier = _tier(_require(step, "tier", sspot), f"{sspot}.tier")
             epochs = _field(step, "epochs", "an integer", sspot)
             try:
@@ -230,10 +247,11 @@ def experiment_from_dict(doc: dict, base_dir: Path | None = None) -> ExperimentS
         return ExperimentSpec(arms, synth=synth_config_from_dict(synth))
 
     data = _field(doc, "data", "an object", where)
+    keys = ("interactions", "compound_features", "protein_features")
+    _known(data, keys, f"{where}.data")
     base = base_dir or Path(".")
     paths = DataPaths(*(
-        base / _field(data, key, "a non-empty string", f"{where}.data")
-        for key in ("interactions", "compound_features", "protein_features")
+        base / _field(data, key, "a non-empty string", f"{where}.data") for key in keys
     ))
     return ExperimentSpec(arms, paths=paths)
 

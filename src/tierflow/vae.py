@@ -193,64 +193,72 @@ def _kl(mu: np.ndarray, logvar: np.ndarray, n: int) -> float:
     return float(0.5 * np.sum(mu**2 + (np.expm1(logvar) - logvar)) / n)
 
 
-def _output_layer(work: np.ndarray, logits: np.ndarray, bits: np.ndarray) -> None:
+def _output_layer(buf: np.ndarray, bits: np.ndarray) -> float:
     """The decoder's Sigmoid output and its BCE against the bits, in row
     blocks of about ``CHUNK`` elements, each element through the same IEEE
     operations in the same order as the whole-array expressions.
 
-    ``logits`` holds the output pre-activation and ends holding the loss's
+    ``buf`` holds the output pre-activation and ends holding the loss's
     gradient w.r.t. it: (1 - a) * a times the BCE gradient at the clipped
-    output a.  ``work`` ends holding each element's :func:`bce_terms`.
+    output a.  Returns the sum of the :func:`bce_terms`, each block's summed
+    in block order; the output passes through one block-sized scratch.
     """
     n, width = bits.shape
     rows = max(1, CHUNK // width)
+    scratch = np.empty((min(n, rows), width))
+    total = 0.0
     for at in range(0, n, rows):
-        z, a, x = logits[at:at + rows], work[at:at + rows], bits[at:at + rows]
+        z, a, x = buf[at:at + rows], scratch[:n - at], bits[at:at + rows]
         sigmoid(z, out=a)
         check_finite(a, "forward output")
         np.subtract(1.0, a, out=z)
         z *= a
         clamp_probabilities(a, out=a)
         z *= bce_term_gradient(a, x, n, out=np.empty_like(a))
-        bce_terms(a, x, out=a)
+        total += np.sum(bce_terms(a, x, out=a))
+    return total
 
 
 def _gradient(
     model: VaeModel, bits: np.ndarray, eta: np.ndarray,
-    work: np.ndarray, logits: np.ndarray, out: np.ndarray,
+    buf: np.ndarray, grad: np.ndarray, update,
 ) -> tuple[float, float]:
-    """The reconstruction and KL terms of one batch of uint8 ``bits``; the
-    gradient of their sum is written into ``out`` (laid out like ``model.flat``).
+    """The reconstruction and KL terms of one batch of uint8 ``bits``.
 
-    ``work`` and ``logits`` are float64 buffers shaped like ``bits``, and the
-    only batch-sized float arrays the step uses.  ``work`` holds the float batch for
-    the trunk's forward pass, then the clipped reconstruction, then the loss
-    terms, and the float batch again for the trunk's backward pass.
-    ``logits`` holds the decoder's output pre-activation, then the Sigmoid
-    factor, then the gradient w.r.t. the pre-activation.
+    The gradient of their sum is backpropagated through the decoder, the
+    heads and the trunk into the front of ``grad`` (as long as the largest
+    network), each network's handed to ``update(part, gradient)`` as soon as
+    its pass ends; no network's parameters are read after that.  ``buf``, a
+    float64 buffer shaped like ``bits``, is the only batch-sized float array:
+    it holds the float batch for the trunk's forward pass, the decoder's
+    output pre-activation, the gradient w.r.t. it, and the float batch again
+    for the trunk's backward pass.
     """
     n = len(bits)
-    np.copyto(work, bits)
-    trunk_acts = forward(model.encoder_trunk, work)
+    np.copyto(buf, bits)
+    trunk_acts = forward(model.encoder_trunk, buf)
     h = trunk_acts[-1]
     mu = forward(model.mu_head, h)[-1]
     logvar = forward(model.logvar_head, h)[-1]
-    decoder_acts = forward(model.decoder, reparameterize(mu, logvar, eta), logits=logits)
-    _output_layer(work, logits, bits)
-    recon = float(-np.sum(work) / n)
+    decoder_acts = forward(model.decoder, reparameterize(mu, logvar, eta), logits=buf)
+    recon = float(-_output_layer(buf, bits) / n)
 
-    trunk_out, mu_out, lv_out, dec_out = model.split(out)
-    _, d_z = backward_with_input(model.decoder, decoder_acts, logits, dec_out, from_logits=True)
+    trunk_out, mu_out, lv_out, dec_out = (grad[:getattr(model, p).flat.size] for p in _PARTS)
+    _, d_z = backward_with_input(model.decoder, decoder_acts, buf, dec_out, from_logits=True)
     del decoder_acts  # freed before the trunk's backward pass allocates its own
+    update("decoder", dec_out)
     # KL contributions (mean over batch)
     d_mu = d_z + mu / n
     d_logvar = d_z * 0.5 * np.exp(0.5 * logvar) * eta
     d_logvar += 0.5 * np.expm1(logvar) / n
     _, d_h = backward_with_input(model.mu_head, [h, mu], d_mu, mu_out)
+    update("mu_head", mu_out)
     _, d_h_lv = backward_with_input(model.logvar_head, [h, logvar], d_logvar, lv_out)
+    update("logvar_head", lv_out)
     d_h += d_h_lv
-    np.copyto(work, bits)
+    np.copyto(buf, bits)
     backward(model.encoder_trunk, trunk_acts, d_h, trunk_out)
+    update("encoder_trunk", trunk_out)
     return recon, _kl(mu, logvar, n)
 
 
@@ -278,8 +286,8 @@ def train_vae(
 
     Logs the sample-weighted epoch mean of the total loss, its two terms, and
     the epoch-over-epoch change (0.0 for the first epoch).  The store's bits
-    stay uint8: each batch is widened into one of two batch-sized float64
-    buffers allocated once per call (see :func:`_gradient`).
+    stay uint8, and each network has its own Adam state, stepped as soon as
+    its gradient is done; see :func:`_gradient` for the buffers.
     """
     if len(store) == 0:
         raise DataError("cannot train a VAE on an empty store")
@@ -295,9 +303,13 @@ def train_vae(
         return model, log
 
     _check_binary(bits)
-    adam = AdamState.create(model.flat.size, config.learning_rate)
-    grad = np.empty_like(model.flat)
-    work, logits = np.empty((2, min(n, config.batch_size), config.input_dim))
+    adam = {p: AdamState.create(getattr(model, p).flat.size, config.learning_rate) for p in _PARTS}
+    grad = np.empty(max(state.m.size for state in adam.values()))
+    buf = np.empty((min(n, config.batch_size), config.input_dim))
+
+    def update(part: str, gradient: np.ndarray) -> None:
+        adam_step(adam[part], getattr(model, part).flat, gradient)
+
     prev_total = None
     for epoch in range(1, config.epochs + 1):
         order = rng.spawn("shuffle", epoch).permutation(n)
@@ -308,9 +320,7 @@ def train_vae(
             eta = noise.normal(len(idx) * config.latent_dim).reshape(
                 len(idx), config.latent_dim
             )
-            rows = len(idx)
-            recon, kl = _gradient(model, bits[idx], eta, work[:rows], logits[:rows], grad)
-            adam_step(adam, model.flat, grad)
+            recon, kl = _gradient(model, bits[idx], eta, buf[:len(idx)], grad, update)
             ep_recon += recon * len(idx)
             ep_kl += kl * len(idx)
         total = (ep_recon + ep_kl) / n

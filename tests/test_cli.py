@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import platform
 import subprocess
 import sys
 import tempfile
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tierflow import cli as cli_module
 from tierflow.cli import main
 from tierflow.config import experiment_from_dict, synth_config_from_dict
 from tierflow.data import (
@@ -127,6 +129,36 @@ def test_synth_seed_override_changes_output(synth_config, tmp_path):
     main(["synth", "--config", synth_config, "--out", str(out_a)])
     main(["synth", "--config", synth_config, "--out", str(out_b), "--seed", "99"])
     assert (out_a / "interactions.tsv").read_bytes() != (out_b / "interactions.tsv").read_bytes()
+
+
+def test_manifest_records_the_environment(synth_config, tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "2")
+    manifests = []
+    for run in ("a", "b"):
+        assert main(["synth", "--config", synth_config, "--out", str(tmp_path / run)]) == 0
+        manifests.append(json.loads((tmp_path / run / "manifest.json").read_text()))
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert manifests[0]["environment"] == {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {"name": blas["name"], "version": blas["version"]},
+        "threads": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
+                    "MKL_NUM_THREADS": "2"},
+    }
+    # a rerun's manifest differs only in its duration
+    for manifest in manifests:
+        del manifest["duration_seconds"]
+    assert manifests[0] == manifests[1]
+
+
+def test_manifest_blas_unknown_where_numpy_cannot_say(monkeypatch):
+    # numpy before 1.26: show_config() takes no mode and returns nothing
+    monkeypatch.setattr(np, "show_config", lambda: None)
+    environment = cli_module._environment()
+    assert environment["blas"] == {"name": "unknown", "version": "unknown"}
+    assert environment["numpy"] == np.__version__
 
 
 # ---------------------------------------------------------------- embed
@@ -488,8 +520,11 @@ def test_train_on_bit_files_matches_train_on_latent_files(tmp_path):
      "vae: encoder_hidden sizes must be >= 1, got [0]"),
     ("embed", {"preset": "chemical", "learning_rate": -1},
      "vae: learning_rate must be finite and > 0, got -1.0"),
+    ("embed", {"preset": ["chemical"]},
+     "vae.preset: expected a non-empty string, got ['chemical']"),
 ], ids=["preset-epochs-string", "preset-batch-0", "preset-lr-string", "vae-seed-float",
-        "synth-count-float", "synth-seed-string", "vae-hidden-0", "preset-lr-negative"])
+        "synth-count-float", "synth-seed-string", "vae-hidden-0", "preset-lr-negative",
+        "preset-list"])
 def test_invalid_synth_or_vae_document_exit_1(tmp_path, command, doc, message, dry_run):
     config = write_json(tmp_path / "config.json", doc)
     out = tmp_path / "o"
@@ -500,6 +535,39 @@ def test_invalid_synth_or_vae_document_exit_1(tmp_path, command, doc, message, d
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [f"ERROR: config error: {message}"]
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("dry_run", [True, False])
+@pytest.mark.parametrize("command, doc, message", [
+    ("embed", {"preset": "chemical", "epoch": 4, "input_dim": 2048, "seed": 1},
+     "vae: unknown field 'epoch'"),
+    ("embed", {"preset": "chemical", "latent_dim": 8}, "vae: unknown field 'latent_dim'"),
+    ("embed", {**VAE_DOC, "preset_name": "chemical"}, "vae: unknown field 'preset_name'"),
+    ("synth", {**SYNTH_DOC, "n_compund": 50}, "synth: unknown field 'n_compund'"),
+    ("synth", with_field(SYNTH_DOC, ["tiers", 1, "flip"], 0.1),
+     "synth.tiers[1]: unknown field 'flip'"),
+    ("train", {**missing_data_doc(), "batch_szie": 8},
+     "experiment: unknown field 'batch_szie'"),
+    ("train", with_field(missing_data_doc(), ["data", "oracle"], "oracle.tsv"),
+     "experiment.data: unknown field 'oracle'"),
+    ("train", with_field(missing_data_doc(), ["arms", 1, "epochs"], 4),
+     "experiment.arms[1]: unknown field 'epochs'"),
+    ("diagnose", with_field(missing_data_doc(), ["arms", 0, "steps", 1, "tiers"], [700, 900]),
+     "experiment.arms[0].steps[1]: unknown field 'tiers'"),
+    ("train", with_field(EXPERIMENT_DOC, ["synth", "seeds"], 2), "synth: unknown field 'seeds'"),
+], ids=["preset-misspelled", "preset-arch-field", "vae-full", "synth", "synth-tier",
+        "experiment", "data", "arm", "step", "experiment-synth"])
+def test_unknown_field_exit_1(tmp_path, command, doc, message, dry_run):
+    # every data or bit-vector file named is missing, so a run that read one
+    # would exit 2, and a synth run that ignored the field would exit 0
+    config = write_json(tmp_path / "config.json", doc)
+    out = tmp_path / "o"
+    extra = ["--bitvectors", str(tmp_path / "nope.bits")] if command == "embed" else []
+    proc = run_cli(command, "--config", config, "--out", str(out), *extra,
+                   *(["--dry-run"] if dry_run else []))
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [f"ERROR: config error: {message}"]
+    assert not out.exists()
 
 
 def write_grid_data(root, compound_rows=None, protein_rows=None, extra_rows=()):

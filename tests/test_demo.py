@@ -75,8 +75,9 @@ def test_scale_data_path_vae_smoke(tmp_path):
     scale = load_script("scale_data_path")
     report = scale.run_vae(300, 96, 1, tmp_path)
     assert list(report["stages"]) == [
-        "generate", "load_bitvectors", "train_vae_one_epoch", "save_vae",
+        "generate", "load_bitvectors", "train_vae_one_epoch", "embed", "save_vae",
     ]
+    assert report["latents_mb"] == round(300 * 64 * 8 / 2**20, 1)
     assert (tmp_path / "vae.json").stat().st_size > 0
     # 96 bits is nearest the chemical preset, whose shape the VAE takes
     assert (report["hidden"], report["latent"], report["batch_size"]) == ([256, 128], 64, 1000)

@@ -225,9 +225,19 @@ def test_vae_gradient_matches_finite_differences():
         total, _, _ = vae_loss(reconstruction, x, mu, logvar)
         return total
 
-    work, logits = np.empty((2, 3, 8))
+    # the four networks' gradients, as each is handed over, collected into
+    # one vector laid out like model.flat
     analytic = np.full_like(model.flat, np.nan)
-    recon, kl = _gradient(model, bits, eta, work, logits, analytic)
+    views = dict(zip(vae_module._PARTS, model.split(analytic)))
+    handed = []
+
+    def collect(part, gradient):
+        handed.append(part)
+        np.copyto(views[part], gradient)
+
+    grad = np.full(max(view.size for view in views.values()), np.nan)
+    recon, kl = _gradient(model, bits, eta, np.empty((3, 8)), grad, collect)
+    assert handed == ["decoder", "mu_head", "logvar_head", "encoder_trunk"]
     assert recon + kl == total_loss()
     flat_p, h = model.flat, 1e-5
     for i in range(flat_p.size):
@@ -253,6 +263,16 @@ clipped_values = st.one_of(
     st.sampled_from([1e-12, 1.0 - 1e-12, 0.5]),
     st.floats(min_value=1e-12, max_value=1.0 - 1e-12),
 )
+
+
+def block_sum(terms, chunk):
+    """The sum of ``terms`` taken as the output layer takes it: each row
+    block's ``np.sum``, blocks of max(1, chunk // width) rows, in order."""
+    rows = max(1, chunk // terms.shape[1])
+    total = 0.0
+    for at in range(0, len(terms), rows):
+        total += np.sum(terms[at:at + rows])
+    return total
 
 
 def reference_sigmoid(z):
@@ -283,11 +303,10 @@ def test_in_place_loss_and_gradient_match_the_expressions_bitwise(data, rows, co
     kl = float(0.5 * np.sum(mu**2 + (np.expm1(logvar) - logvar)) / n)
     d_recon = (-(x / clipped) + (1.0 - x) / (1.0 - clipped)) / n
     # row blocks of max(1, chunk // cols) rows: one row, several, or all
-    work, dz = np.full((2, rows, cols), np.nan)
-    dz[...] = logits
+    dz = logits.copy()
     with mock.patch.object(vae_module, "CHUNK", chunk):
-        _output_layer(work, dz, bits)
-    assert work.tobytes() == terms.tobytes()
+        total = _output_layer(dz, bits)
+    assert bits_of(total) == bits_of(block_sum(terms, chunk))
     assert dz.tobytes() == (d_recon * (a * (1.0 - a))).tobytes()
     got = vae_loss(a, x, mu, logvar)
     assert list(map(bits_of, got)) == list(map(bits_of, (recon + kl, recon, kl)))
@@ -382,32 +401,61 @@ def test_train_vae_holds_no_float_copy_of_the_store():
     assert peak - before <= 4 * n_params * 8 + 8 * batch_bytes + store.matrix.nbytes
 
 
-def test_train_vae_epoch_holds_two_batch_buffers():
-    # 256 x 4096 bits a batch: a float64 batch is 8 MiB, an output-layer
-    # chunk 0.5 MiB and every hidden activation a few KB, so a third
-    # batch-sized array would not fit the allowance below
-    config = VaeConfig(input_dim=4096, encoder_hidden=(8,), latent_dim=2,
-                       epochs=1, batch_size=256, learning_rate=1e-3)
-    rng = np.random.default_rng(6)
-    store = FeatureStore([f"v{i}" for i in range(600)], rng.random((600, 4096)) < 0.5)
-    n_params = build_vae(config, RngStream(0)).flat.size
+def train_vae_peak(config, store):
+    """tracemalloc's peak over one ``train_vae`` call, above what was held
+    before it."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         train_vae(config, store, RngStream(1))
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    # the parameters, two Adam moments and a gradient, and two float64
-    # batches; the allowance covers the uint8 batch and the chunks' scratch
+
+
+def parameter_and_largest_network_bytes(config):
+    model = build_vae(config, RngStream(0))
+    return model.flat.nbytes, max(getattr(model, p).flat.nbytes for p in vae_module._PARTS)
+
+
+def test_train_vae_epoch_holds_one_batch_buffer():
+    # 256 x 4096 bits a batch: a float64 batch is 8 MiB, an output-layer
+    # chunk 0.5 MiB and every hidden activation a few KB, so a second
+    # batch-sized array would not fit the allowance below
+    config = VaeConfig(input_dim=4096, encoder_hidden=(8,), latent_dim=2,
+                       epochs=1, batch_size=256, learning_rate=1e-3)
+    rng = np.random.default_rng(6)
+    store = FeatureStore([f"v{i}" for i in range(600)], rng.random((600, 4096)) < 0.5)
+    params, largest = parameter_and_largest_network_bytes(config)
+    # the parameters, two Adam moments, one gradient as long as the largest
+    # network, and one float64 batch; the allowance covers the uint8 batch
+    # and the chunks' scratch
     batch_bytes = config.batch_size * config.input_dim * 8
-    assert peak - before <= 4 * n_params * 8 + 2 * batch_bytes + batch_bytes // 2
+    assert train_vae_peak(config, store) <= (
+        3 * params + largest + batch_bytes + batch_bytes // 2
+    )
+
+
+def test_train_vae_holds_one_gradient_as_long_as_the_largest_network():
+    # 4096 -> 64 -> 2: the trunk and the decoder hold 2 MiB of parameters
+    # each and a batch of 16 rows is one 0.5 MiB output-layer chunk, so a
+    # gradient as long as the whole model would not fit the allowance below
+    config = VaeConfig(input_dim=4096, encoder_hidden=(64,), latent_dim=2,
+                       epochs=1, batch_size=16, learning_rate=1e-3)
+    rng = np.random.default_rng(7)
+    store = FeatureStore([f"v{i}" for i in range(64)], rng.random((64, 4096)) < 0.5)
+    params, largest = parameter_and_largest_network_bytes(config)
+    # as above, with five chunks for the output layer's scratch and temporaries
+    batch_bytes = config.batch_size * config.input_dim * 8
+    assert train_vae_peak(config, store) <= 3 * params + largest + batch_bytes + 5 * CHUNK * 8
 
 
 # ---------------------------------------------------------------- reference step
-# The batch step as it was before the two-buffer step replaced it: whole-array
-# expressions over fresh arrays.  train_vae must match it bitwise.
+# The batch step as it was before the one-buffer step replaced it: whole-array
+# expressions over fresh arrays, and one Adam state stepping the whole
+# parameter vector once per batch.  train_vae must match it bitwise; only the
+# logged reconstruction term is summed by row blocks, as the output layer sums it.
 
 
 def reference_clip(reconstruction):
@@ -422,7 +470,7 @@ def reference_loss_terms(clipped, x, mu, logvar):
     hits = np.log(clipped)
     hits *= x
     hits += misses
-    recon = float(-np.sum(hits) / n)
+    recon = float(-block_sum(hits, vae_module.CHUNK) / n)
     kl = float(0.5 * np.sum(mu**2 + (np.expm1(logvar) - logvar)) / n)
     return recon + kl, recon, kl
 
