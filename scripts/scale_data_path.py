@@ -73,10 +73,13 @@ def generate(records: int, seed: int, work: Path, compounds: int, proteins: int)
         raise ValueError(f"{records} records do not fit a {compounds} x {proteins} grid")
     rng = np.random.default_rng(seed)
     # distinct pairs drawn in rounds: memory stays O(records), where a choice
-    # without replacement may permute the whole grid
+    # without replacement may permute the whole grid; each round's union is a
+    # sort and a mask of adjacent repeats, as np.union1d is slow on large arrays
     flat = np.empty(0, dtype=np.int64)
     while len(flat) < records:
-        flat = np.union1d(flat, rng.integers(0, compounds * proteins, records - len(flat)))
+        flat = np.sort(np.concatenate(
+            [flat, rng.integers(0, compounds * proteins, records - len(flat))]))
+        flat = flat[np.concatenate([[True], flat[1:] != flat[:-1]])]
     flat = rng.permutation(flat)
     # most records sit in the weakest tier, few clear 700 or 900
     scores = np.minimum(1000, 150 + rng.exponential(200.0, size=records)).astype(np.int64)

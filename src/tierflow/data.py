@@ -339,16 +339,12 @@ class InteractionTable:
         if (ordered[1:] == ordered[:-1]).any():
             order = np.argsort(keys, kind="stable")
             i = order[1:][keys[order[1:]] == keys[order[:-1]]].min()
-            pair = str(self.compound_ids[i]), str(self.protein_ids[i])
-            raise ValueError(f"duplicate pair {pair}")
+            raise ValueError(f"duplicate pair {self.pair(i)}")
 
-    @property
-    def compound_ids(self) -> np.ndarray:
-        return self.compound_vocab[self.compound_codes]
-
-    @property
-    def protein_ids(self) -> np.ndarray:
-        return self.protein_vocab[self.protein_codes]
+    def pair(self, row: int) -> tuple[str, str]:
+        """The compound and protein ids of one record."""
+        c, p = self.compound_codes[row], self.protein_codes[row]
+        return str(self.compound_vocab[c]), str(self.protein_vocab[p])
 
     def __len__(self) -> int:
         return len(self.scores)
@@ -541,11 +537,11 @@ class DataContext:
     are not held (nor pickled into ``--jobs`` workers): ``compounds`` and
     ``proteins`` are the sorted id arrays.  The feature rows in sorted-id
     order, widened to float64, live in one stacked table, protein rows first,
-    cut into sub-rows ``g = gcd(wp, wc)`` wide; ``protein_matrix`` and
-    ``compound_matrix`` are views of it.  A pair is the int64 key
-    ``ci * len(proteins) + pi`` of its compound and protein rows.
-    ``row_keys`` holds each record's key, or -1 where an id has no features,
-    and ``positive_keys`` the sorted keys of the records with known ids.
+    cut into sub-rows ``g = gcd(wp, wc)`` wide, which :meth:`rows` gathers
+    from.  A pair is the int64 key ``ci * len(proteins) + pi`` of its
+    compound and protein rows.  ``row_keys`` holds each record's key, or -1
+    where an id has no features, and ``positive_keys`` the sorted keys of the
+    records with known ids.
     """
 
     interactions: InteractionTable
@@ -568,14 +564,6 @@ class DataContext:
         pi = index_of(self.proteins, t.protein_vocab)[t.protein_codes]
         self.row_keys = np.where((ci < 0) | (pi < 0), -1, ci * len(self.proteins) + pi)
         self.positive_keys = np.sort(self.row_keys[self.row_keys >= 0])
-
-    @property
-    def protein_matrix(self) -> np.ndarray:
-        return self._table[:self._split].reshape(len(self.proteins), self._widths[0])
-
-    @property
-    def compound_matrix(self) -> np.ndarray:
-        return self._table[self._split:].reshape(len(self.compounds), self._widths[1])
 
     @property
     def feature_dim(self) -> int:

@@ -109,7 +109,7 @@ class DenseNetwork:
     The parameters live in one float64 vector ``flat``, in :meth:`parameters`
     order; the layers are rebuilt around reshaped views of it, so the caller's
     arrays are copied, never re-homed.  ``flat`` is a fresh vector unless the
-    constructor is given one to adopt.  Copy a network with :meth:`copy`:
+    constructor is given one.  Copy a network with :meth:`copy`:
     ``copy.deepcopy`` would copy each view on its own, detached from ``flat``.
     """
 
@@ -129,17 +129,12 @@ class DenseNetwork:
                     f"layer {i} expects input width {layer.in_dim}, previous width is {prev}"
                 )
             prev = layer.out_dim
-        self.adopt(np.empty(sum(p.size for p in self.parameters())) if flat is None else flat)
-
-    def adopt(self, vector: np.ndarray) -> None:
-        """Copy the parameters into ``vector``, laid out like ``flat``, as the new ``flat``.
-
-        A parameter that already is the view of ``vector`` it would be copied
-        to is left in place: numpy skips a copy onto the same memory.
-        """
-        np.concatenate([p.ravel() for p in self.parameters()], out=vector)
-        self.flat = vector
-        views = self.split(vector)
+        if flat is None:
+            flat = np.empty(sum(p.size for p in self.parameters()))
+        # numpy skips copying a parameter that already is its own view of flat
+        np.concatenate([p.ravel() for p in self.parameters()], out=flat)
+        self.flat = flat
+        views = self.split(flat)
         self.layers = [
             DenseLayer(w, b, layer.activation)
             for layer, w, b in zip(self.layers, views[0::2], views[1::2])
@@ -179,16 +174,13 @@ def init_network(
     input_dim: int,
     activation_plan: list[str] | None = None,
     rng: RngStream | None = None,
-    out: np.ndarray | None = None,
 ) -> DenseNetwork:
     """Build a network with Glorot-uniform weights and zero biases.
 
     Weights are drawn uniformly from +-sqrt(6 / (fan_in + fan_out)), row-major
     draw order, so a given seed fixes them exactly.  ``activation_plan``
     defaults to ReLU on hidden layers and Sigmoid on the last.  The weights
-    are drawn ``CHUNK`` at a time straight into the network's ``flat``: into
-    ``out`` when given (a vector of :func:`parameter_count` elements), else a
-    fresh vector.
+    are drawn ``CHUNK`` at a time straight into the network's ``flat``.
     """
     if not layer_sizes:
         raise ValueError("layer_sizes must be non-empty")
@@ -202,28 +194,19 @@ def init_network(
         raise ValueError("activation_plan length must match layer_sizes")
     if rng is None:
         rng = RngStream(0)
-    count = parameter_count(layer_sizes, input_dim)
-    if out is None:
-        out = np.empty(count)
-    elif out.shape != (count,):
-        raise ValueError(f"out has shape {out.shape}, the network needs ({count},)")
-
+    flat = np.empty(sum((fan_in + 1) * size
+                        for fan_in, size in zip([input_dim, *layer_sizes], layer_sizes)))
     layers = []
     fan_in, at = input_dim, 0
     for size, act in zip(layer_sizes, activation_plan):
         limit = np.sqrt(6.0 / (fan_in + size))
-        w, b = out[at:at + size * fan_in], out[at + size * fan_in:at + (fan_in + 1) * size]
+        w, b = flat[at:at + size * fan_in], flat[at + size * fan_in:at + (fan_in + 1) * size]
         for start in range(0, w.size, CHUNK):
             w[start:start + CHUNK] = rng.uniform(-limit, limit, size=min(CHUNK, w.size - start))
         b.fill(0.0)
         layers.append(DenseLayer(w.reshape(size, fan_in), b, act))
         fan_in, at = size, at + (fan_in + 1) * size
-    return DenseNetwork(layers, input_dim, out)
-
-
-def parameter_count(layer_sizes, input_dim: int) -> int:
-    """Weights and biases of a dense network with these layer sizes."""
-    return sum((fan_in + 1) * size for fan_in, size in zip([input_dim, *layer_sizes], layer_sizes))
+    return DenseNetwork(layers, input_dim, flat)
 
 
 def forward(

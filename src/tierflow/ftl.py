@@ -31,6 +31,7 @@ from .data import (
     DataContext,
     DataError,
     TierSpec,
+    index_of,
     labels,
     sample_negatives,
     tier_filter,
@@ -135,10 +136,10 @@ def tier_keys(ctx: DataContext, tier: TierSpec, role: str) -> np.ndarray:
     if not keys.size:
         raise DataError(f"{role} tier {tier} has no positives")
     if keys.min() < 0:
-        row, t = np.flatnonzero(mask)[np.argmin(keys)], ctx.interactions
-        if t.protein_ids[row] not in ctx.proteins:
-            raise DataError(f"unknown protein id {str(t.protein_ids[row])!r}")
-        raise DataError(f"unknown compound id {str(t.compound_ids[row])!r}")
+        compound, protein = ctx.interactions.pair(np.flatnonzero(mask)[np.argmin(keys)])
+        if protein not in ctx.proteins:
+            raise DataError(f"unknown protein id {protein!r}")
+        raise DataError(f"unknown compound id {compound!r}")
     return keys
 
 
@@ -212,7 +213,8 @@ def train_ftl(
     grad = np.empty_like(net.flat)
     val_keys = np.concatenate([val_pos, val_negs])
     val_labels = labels(val_pos, val_negs)
-    forbidden = np.union1d(ctx.positive_keys, val_negs)
+    # their union: the positives are unique and val_negs avoids them
+    forbidden = np.sort(np.concatenate([ctx.positive_keys, val_negs]))
     stop_step, stop_epoch = stop or (len(schedule.steps), schedule.steps[-1].epochs)
     start_step, start_epoch = stopped = start.at if start else (1, 0)
 
@@ -229,7 +231,7 @@ def train_ftl(
             RngStream(derive_seed(schedule.seed, "negatives", k)),
         )
         keys = np.concatenate([positives, negatives])
-        if np.intersect1d(keys, val_keys).size:
+        if (index_of(np.sort(val_keys), keys) >= 0).any():
             raise DataError(f"step {k}: validation pairs leaked into a training step")
 
         y = labels(positives, negatives)

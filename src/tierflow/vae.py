@@ -10,7 +10,7 @@ are always the posterior mean, never a sample.
 from __future__ import annotations
 
 import warnings
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .engine import (
     clamp_probabilities,
     forward,
     init_network,
-    parameter_count,
     sigmoid,
 )
 from .errors import DataError
@@ -70,22 +69,21 @@ def chemical_preset() -> VaeConfig:
     return VaeConfig(1024, (256, 128), 64, 500, 1000, 1e-4)
 
 
-# a model's networks, in checkpoint and parameter order
+# a model's networks, in checkpoint and draw order
 _PARTS = ("encoder_trunk", "mu_head", "logvar_head", "decoder")
 
 
 @dataclass
 class VaeModel:
-    """Four networks whose parameters are consecutive slices of one vector,
-    ``flat``: a fresh vector unless the constructor is given one to adopt."""
+    """Four networks, each with its own parameter vector ``flat``, whose
+    widths chain from the trunk through both heads to the decoder."""
 
     encoder_trunk: DenseNetwork
     mu_head: DenseNetwork
     logvar_head: DenseNetwork
     decoder: DenseNetwork
-    flat: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self, flat):
+    def __post_init__(self):
         latent = self.mu_head.output_dim
         if self.mu_head.input_dim != self.encoder_trunk.output_dim or (
             self.logvar_head.input_dim != self.encoder_trunk.output_dim
@@ -97,11 +95,6 @@ class VaeModel:
             raise ValueError("decoder input width must equal the latent width")
         if self.decoder.layers[-1].activation != SIGMOID:
             raise ValueError("decoder must end in a Sigmoid output")
-        if flat is None:
-            flat = np.empty(sum(getattr(self, part).flat.size for part in _PARTS))
-        self.flat = flat
-        for part, view in zip(_PARTS, self.split(self.flat)):
-            getattr(self, part).adopt(view)
 
     @property
     def input_dim(self) -> int:
@@ -111,37 +104,26 @@ class VaeModel:
     def latent_dim(self) -> int:
         return self.mu_head.output_dim
 
-    def split(self, vector: np.ndarray) -> list[np.ndarray]:
-        """Slices of a vector laid out like ``flat``, one per network in ``_PARTS`` order."""
-        return np.split(vector, np.cumsum([getattr(self, p).flat.size for p in _PARTS])[:-1])
-
 
 def build_vae(config: VaeConfig, rng: RngStream) -> VaeModel:
     """Trunk, twin linear heads, and a mirrored decoder, all seeded.
 
-    Each network is drawn straight into its slice of the model's ``flat``, so
-    building holds one copy of the parameters.
+    The networks are drawn from ``rng`` in ``_PARTS`` order, each straight
+    into its own ``flat``, so building holds one copy of the parameters.
     """
     if config.latent_dim > config.input_dim:
         warnings.warn(
             f"latent_dim {config.latent_dim} exceeds input_dim {config.input_dim}; "
             "the model will not compress", stacklevel=2,
         )
-    hidden = list(config.encoder_hidden)
-    decoder_sizes = hidden[::-1] + [config.input_dim]
-    plans = [  # (layer sizes, input width, activations), in _PARTS order
-        (hidden, config.input_dim, [RELU] * len(hidden)),
-        ([config.latent_dim], hidden[-1], [IDENTITY]),
-        ([config.latent_dim], hidden[-1], [IDENTITY]),
-        (decoder_sizes, config.latent_dim, [RELU] * (len(decoder_sizes) - 1) + [SIGMOID]),
-    ]
-    counts = [parameter_count(sizes, width) for sizes, width, _ in plans]
-    flat = np.empty(sum(counts))
-    nets = [
-        init_network(sizes, width, acts, rng, out=view)
-        for (sizes, width, acts), view in zip(plans, np.split(flat, np.cumsum(counts)[:-1]))
-    ]
-    return VaeModel(*nets, flat=flat)
+    hidden, latent = list(config.encoder_hidden), [config.latent_dim]
+    return VaeModel(  # arguments are evaluated, so drawn, left to right
+        init_network(hidden, config.input_dim, [RELU] * len(hidden), rng),
+        init_network(latent, hidden[-1], [IDENTITY], rng),
+        init_network(latent, hidden[-1], [IDENTITY], rng),
+        init_network(hidden[::-1] + [config.input_dim], config.latent_dim,
+                     [RELU] * len(hidden) + [SIGMOID], rng),
+    )
 
 
 def reparameterize(mu: np.ndarray, logvar: np.ndarray, eta: np.ndarray) -> np.ndarray:

@@ -17,6 +17,11 @@ def latent_store(rows: dict) -> FeatureStore:
     return FeatureStore(list(rows), matrix.reshape(len(rows), -1) if rows else np.empty((0, 0)))
 
 
+def id_columns(table) -> tuple[np.ndarray, np.ndarray]:
+    """An interaction table's compound and protein ids, one per record."""
+    return table.compound_vocab[table.compound_codes], table.protein_vocab[table.protein_codes]
+
+
 def bit_store(width: int, rows: dict) -> FeatureStore:
     """A bit-vector store holding the ``{id: bits}`` rows in their order."""
     matrix = np.array(list(rows.values()), dtype=np.uint8).reshape(len(rows), width)

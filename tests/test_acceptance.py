@@ -44,7 +44,7 @@ from tierflow.engine import (
 from tierflow.ftl import TrainSchedule, TrainStep, train_ftl
 from tierflow.rng import RngStream
 from tierflow.vae import VaeConfig, train_vae
-from conftest import bit_store, latent_store
+from conftest import bit_store, id_columns, latent_store
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -178,7 +178,8 @@ def test_c03_tier_algebra():
 
         def pairs_in(tier):
             mask = tier_filter(table, tier)
-            return list(zip(table.compound_ids[mask].tolist(), table.protein_ids[mask].tolist()))
+            compound_ids, protein_ids = id_columns(table)
+            return list(zip(compound_ids[mask].tolist(), protein_ids[mask].tolist()))
 
         lo, hi = sorted(rng.integers(1000, size=2).tolist())
         hi += 1
@@ -471,4 +472,31 @@ def test_c10_format_round_trips(tmp_path):
         "criterion 10 format-round-trips",
         ok,
         ", ".join(f"{k} {'ok' if v else 'BROKEN'}" for k, v in results.items()),
+    )
+
+
+# ------------------------------------------------------------------ 11
+
+
+def test_c11_drift_pattern():
+    # the paper's drift claim at desk scale: across the step transition, the
+    # first layer keeps moving while the later ones slow, relative to
+    # continued same-tier training (fold change = FTL drift / baseline drift)
+    started = time.monotonic()
+    doc = json.loads(BENCHMARK_CONFIG.read_text(encoding="utf-8"))
+    ctx = build_data_context(experiment_from_dict(doc))  # the synth block keeps its seed
+    folds = []
+    for seed in range(1, 11):
+        doc["seed"] = seed
+        schedule = experiment_from_dict(doc).arms["ftl_2step"]
+        folds.append(weight_drift_protocol(schedule, ctx, delta=20).fold_changes)
+    folds = np.array(folds, dtype=np.float64)  # a zero baseline drift (None) is nan
+    first_above = int(np.sum(np.all(folds[:, :1] > folds[:, 1:], axis=1)))
+    medians = np.median(folds, axis=0)
+    elapsed = time.monotonic() - started
+    _report(
+        "criterion 11 drift-pattern",
+        folds.shape == (10, 4) and first_above == 10 and bool(np.all(medians[1:] < 1.0)),
+        f"layer 0 above layers 1-3 in {first_above}/10 seeds, median fold changes "
+        f"{', '.join(f'{m:.2f}' for m in medians)}, {elapsed:.0f}s",
     )

@@ -33,7 +33,7 @@ from tierflow.data import (
 from tierflow.errors import ConfigError, DataError
 from tierflow.ftl import tier_keys
 from tierflow.rng import RngStream
-from conftest import bit_store, latent_store, tiny_synth_config
+from conftest import bit_store, id_columns, latent_store, tiny_synth_config
 
 
 def table_of(scores, prefix="x"):
@@ -45,7 +45,8 @@ def table_of(scores, prefix="x"):
 
 def pairs_of(table, mask=slice(None)):
     """The (compound, protein) pairs of the table's rows, in row order."""
-    return list(zip(table.compound_ids[mask].tolist(), table.protein_ids[mask].tolist()))
+    compounds, proteins = id_columns(table)
+    return list(zip(compounds[mask].tolist(), proteins[mask].tolist()))
 
 
 def truth_of(data, pairs):
@@ -168,6 +169,61 @@ def test_interactions_round_trip(tmp_path):
 def test_interactions_duplicate_pair_rejected():
     with pytest.raises(ValueError, match="duplicate"):
         InteractionTable(["c", "c"], ["p", "p"], [10, 20])
+
+
+def long_id_columns():
+    """Every pair of a 500 x 400 grid, shuffled, as two lists of 40-character
+    ids; a NumPy unicode column of them is 160 bytes a record."""
+    keys = np.random.default_rng(7).permutation(500 * 400).tolist()
+    pad = "x" * 32
+    return [f"{pad}c{k // 400:06d}" for k in keys], [f"{pad}p{k % 400:06d}" for k in keys]
+
+
+def raising_peak(fn, error, message):
+    """tracemalloc's peak above its start over ``fn()``, which must raise
+    ``error`` matching ``message``."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(error, match=message):
+            fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_duplicate_pair_message_builds_no_id_column():
+    compounds, proteins = long_id_columns()
+    column = np.array(compounds, dtype=str).nbytes
+    # the last record repeats the sixth
+    peak = raising_peak(
+        lambda: InteractionTable(compounds + [compounds[5]], proteins + [proteins[5]],
+                                 [500] * (len(compounds) + 1)),
+        ValueError, rf"^duplicate pair \('{compounds[5]}', '{proteins[5]}'\)$",
+    )
+    assert peak < column
+
+
+@pytest.mark.parametrize("unknown", ["compound", "protein"])
+def test_unknown_id_message_builds_no_id_column(unknown):
+    compounds, proteins = long_id_columns()
+    n = len(compounds)
+    # one validation-tier record, whose compound or protein has no features
+    table = InteractionTable(
+        compounds + ["GHOST" if unknown == "compound" else compounds[0]],
+        proteins + ["GHOST" if unknown == "protein" else proteins[0]],
+        [500] * n + [950],
+    )
+    ctx = DataContext(
+        table,
+        FeatureStore(sorted(set(compounds)), np.zeros((500, 1))),
+        FeatureStore(sorted(set(proteins)), np.zeros((400, 1))),
+    )
+    peak = raising_peak(lambda: tier_keys(ctx, TierSpec(900, 1000), "validation"),
+                        DataError, f"^unknown {unknown} id 'GHOST'$")
+    # the tier mask and its temporaries, a few bytes a record; one id column
+    # would be 160
+    assert peak < 8 * n
 
 
 def test_interaction_score_range():
@@ -536,17 +592,18 @@ def test_context_from_bit_stores_equals_context_from_float_stores(
                            FeatureStore(protein_ids, pbits.astype(dtype)))
 
     bits, floats = context(np.uint8), context(np.float64)
-    for name in ("protein_matrix", "compound_matrix", "row_keys"):
-        a, b = getattr(bits, name), getattr(floats, name)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    keys = rng.integers(0, n_compounds * n_proteins, 50)
-    out_bits, out_floats = np.empty((50, wp + wc)), np.empty((50, wp + wc))
+    assert bits.row_keys.dtype == floats.row_keys.dtype
+    assert bits.row_keys.tobytes() == floats.row_keys.tobytes()
+    # every pair of the grid, so every feature row of either side
+    keys = np.arange(n_compounds * n_proteins)
+    out_bits, out_floats = (np.empty((len(keys), wp + wc)) for _ in range(2))
     assert bits.rows(keys, out_bits).tobytes() == floats.rows(keys, out_floats).tobytes()
 
 
 def random_context(rng, n_compounds, n_proteins, wc, wp):
-    """Latent stores of the given sizes and widths, with -0.0, inf and nan among
-    the values so that a gather has to copy bits, not just values."""
+    """A context over latent stores of the given sizes and widths, with -0.0,
+    inf and nan among the values so that a gather has to copy bits, not just
+    values; and the protein and compound rows in sorted-id order."""
     specials = np.array([-0.0, np.inf, -np.inf, np.nan, 5e-324])
 
     def store(prefix, count, width):
@@ -555,7 +612,9 @@ def random_context(rng, n_compounds, n_proteins, wc, wp):
         values[hit] = rng.choice(specials, size=hit.sum())
         return {f"{prefix}{i}": values[i] for i in rng.permutation(count)}
 
-    return context_of(store("c", n_compounds, wc), store("p", n_proteins, wp))
+    compounds, proteins = store("c", n_compounds, wc), store("p", n_proteins, wp)
+    return (context_of(compounds, proteins), sorted_reference(proteins),
+            sorted_reference(compounds))
 
 
 @settings(max_examples=40, deadline=None)
@@ -569,13 +628,13 @@ def random_context(rng, n_compounds, n_proteins, wc, wp):
 )
 def test_feature_matrix_equals_hstack_reference(seed, rows, negatives, wc, wp):
     rng = np.random.default_rng(seed)
-    ctx = random_context(rng, 30, 20, wc, wp)
+    ctx, P, C = random_context(rng, 30, 20, wc, wp)
     grid = len(ctx.compounds) * len(ctx.proteins)
     pos = rng.integers(0, grid, rows)
     neg = rng.integers(0, grid, negatives)
     x, y = ctx.feature_matrix(pos, neg)
     ci, pi = np.divmod(np.concatenate([pos, neg]), len(ctx.proteins))
-    reference = np.hstack([ctx.protein_matrix[pi], ctx.compound_matrix[ci]])
+    reference = np.hstack([P[pi], C[ci]])
     assert x.dtype == reference.dtype and x.shape == reference.shape == (
         rows + negatives, wp + wc)
     assert x.tobytes() == reference.tobytes()
@@ -587,7 +646,7 @@ def test_feature_matrix_allocates_only_its_outputs():
     # 48k rows x 96 columns: x is 37 MB, a full-size temporary would be 12 MB
     # or more, and a block's temporaries stay under 3 MB
     rng = np.random.default_rng(4)
-    ctx = random_context(rng, 400, 300, 32, 64)
+    ctx, _, _ = random_context(rng, 400, 300, 32, 64)
     pos = rng.integers(0, 400 * 300, 30_000)
     neg = rng.integers(0, 400 * 300, 18_000)
     tracemalloc.start()
@@ -627,9 +686,11 @@ def test_rows_equal_hstack_of_the_store_rows(seed, widths, count, last, spare):
             vector[rng.random(len(vector)) < 0.2] = rng.choice([-0.0, np.nan, np.inf, 5e-324])
     ctx = context_of(compounds, proteins)
     P, C = sorted_reference(proteins), sorted_reference(compounds)
-    assert P.tobytes() == ctx.protein_matrix.tobytes()
-    assert C.tobytes() == ctx.compound_matrix.tobytes()
     grid = len(compounds) * len(proteins)
+    # every pair of the grid: the stacked table holds every store row
+    ci, pi = np.divmod(np.arange(grid), len(proteins))
+    everything = ctx.rows(np.arange(grid), np.empty((grid, wp + wc)))
+    assert everything.tobytes() == np.hstack([P[pi], C[ci]]).tobytes()
     keys = rng.integers(0, grid, count)
     if last and count:
         keys[-1] = grid - 1
@@ -698,8 +759,8 @@ def joined_latents(store):
 
 
 def joined_interactions(table):
-    rows = zip(table.compound_ids.tolist(), table.protein_ids.tolist(),
-               table.scores.astype(str))
+    compounds, proteins = id_columns(table)
+    rows = zip(compounds.tolist(), proteins.tolist(), table.scores.astype(str))
     return "\n".join(map("\t".join, rows)) + ("\n" if len(table) else "")
 
 
@@ -855,8 +916,9 @@ def reference_interactions(path):
 
 
 def columns_of(table):
-    return (str(table.compound_ids.dtype), table.compound_ids.tolist(),
-            table.protein_ids.tolist(), table.scores.tobytes())
+    compounds, proteins = id_columns(table)
+    return (str(compounds.dtype), compounds.tolist(), proteins.tolist(),
+            table.scores.tobytes())
 
 
 def outcome(load, path):

@@ -26,7 +26,6 @@ from tierflow.engine import (
     bce_loss,
     forward,
     init_network,
-    parameter_count,
     sigmoid,
 )
 from tierflow.rng import RngStream
@@ -70,13 +69,9 @@ def test_init_biases_zero_and_weights_bounded():
 
 
 def test_init_draws_each_layer_as_one_uniform_block():
-    # the first layer's 75,000 weights span two CHUNK-sized draws; a network
-    # drawn into a slice of a longer vector adopts that slice
+    # the first layer's 75,000 weights span two CHUNK-sized draws
     sizes, width = [300, 1], 250
-    vector = np.full(parameter_count(sizes, width) + 3, np.nan)
-    net = init_network(sizes, width, rng=RngStream(5), out=vector[2:-1])
-    assert np.shares_memory(net.flat, vector) and net.flat.size == vector.size - 3
-    assert np.isnan(vector[[0, 1, -1]]).all()
+    net = init_network(sizes, width, rng=RngStream(5))
     reference, fan_in = RngStream(5), width
     for layer, size in zip(net.layers, sizes):
         limit = np.sqrt(6.0 / (fan_in + size))
@@ -84,8 +79,6 @@ def test_init_draws_each_layer_as_one_uniform_block():
         assert layer.weights.tobytes() == expected.tobytes()
         assert not layer.biases.any()
         fan_in = size
-    with pytest.raises(ValueError, match="the network needs"):
-        init_network(sizes, width, rng=RngStream(5), out=vector)
 
 
 def test_network_width_chaining_enforced():

@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from tierflow.ftl import (
     train_ftl,
 )
 from tierflow.rng import RngStream
-from conftest import latent_store, tiny_synth_config
+from conftest import id_columns, latent_store, tiny_synth_config
 
 LOW = TierSpec(300, 700)
 HIGH = TierSpec(700, 900)
@@ -140,7 +141,8 @@ def test_filtering_semantics(tiny_ctx, step_keys):
     table = tiny_ctx.interactions
     for (positives, _), step in zip(step_keys(), sched.steps, strict=True):
         mask = tier_filter(table, step.tier)
-        expected = set(zip(table.compound_ids[mask].tolist(), table.protein_ids[mask].tolist()))
+        compounds, proteins = id_columns(table)
+        expected = set(zip(compounds[mask].tolist(), proteins[mask].tolist()))
         assert pairs(tiny_ctx, positives) == expected
 
 
@@ -161,7 +163,7 @@ def test_negatives_are_one_to_one_and_clean(tiny_ctx, step_keys):
     [(positives, negatives)] = step_keys()
     assert len(negatives) == len(positives)
     table = tiny_ctx.interactions
-    all_pos = set(zip(table.compound_ids.tolist(), table.protein_ids.tolist()))
+    all_pos = set(zip(*(ids.tolist() for ids in id_columns(table))))
     assert not pairs(tiny_ctx, negatives) & all_pos
 
 
@@ -226,6 +228,7 @@ def test_step_peak_stays_below_one_step_matrix(metrics):
 def test_unknown_id_stops_the_step_before_it_trains(monkeypatch):
     data = synth_generate(tiny_synth_config())
     table = data.interactions
+    compounds, proteins = id_columns(table)
     updates = []
     adam_step = ftl.adam_step
     monkeypatch.setattr(ftl, "adam_step", lambda *args: (updates.append(1), adam_step(*args)))
@@ -235,8 +238,8 @@ def test_unknown_id_stops_the_step_before_it_trains(monkeypatch):
     # has no features
     for score, expected in ((800, 2 * step1_batches), (950, 0)):
         ghost = InteractionTable(
-            [*table.compound_ids.tolist(), "GHOST"],
-            [*table.protein_ids.tolist(), str(table.protein_ids[0])],
+            [*compounds.tolist(), "GHOST"],
+            [*proteins.tolist(), str(proteins[0])],
             [*table.scores.tolist(), score],
         )
         ctx = DataContext(ghost, data.compounds, data.proteins)
@@ -244,6 +247,52 @@ def test_unknown_id_stops_the_step_before_it_trains(monkeypatch):
         with pytest.raises(DataError, match="^unknown compound id 'GHOST'$"):
             train_ftl(sched, ctx)
         assert len(updates) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), n_c=st.integers(3, 25), n_p=st.integers(3, 25),
+       inject=st.sampled_from(["none", "validation", "any"]), at=st.integers(0, 2**16))
+def test_forbidden_keys_and_leak_check_equal_the_set_operations(seed, n_c, n_p, inject, at):
+    # train_ftl sorts instead of calling np.union1d and looks keys up instead
+    # of calling np.intersect1d; a step's negatives may have one key replaced
+    # by a validation key or by any key of the grid
+    rng = np.random.default_rng(seed)
+    grid = n_c * n_p
+    keys = rng.permutation(grid)[:grid // 3]
+    scores = rng.choice([500, 950], len(keys))
+    scores[:2] = 500, 950
+    ctx = DataContext(
+        InteractionTable([f"c{k // n_p}" for k in keys.tolist()],
+                         [f"p{k % n_p}" for k in keys.tolist()], scores),
+        latent_store({f"c{i}": rng.standard_normal(2) for i in range(n_c)}),
+        latent_store({f"p{j}": rng.standard_normal(2) for j in range(n_p)}),
+    )
+    val_pos = ftl.tier_keys(ctx, VAL, "validation")
+    calls, real = [], ftl.sample_negatives
+
+    def sample(*args):
+        chosen = real(*args)
+        if calls and inject != "none":
+            pool = (np.concatenate([val_pos, calls[0][1]]) if inject == "validation"
+                    else np.arange(grid))
+            chosen[at % len(chosen)] = pool[at % len(pool)]
+        calls.append((args[2], chosen))
+        return chosen
+
+    with mock.patch.object(ftl, "sample_negatives", sample):
+        try:
+            train_ftl(fast_schedule([TrainStep(LOW, 1)], seed=seed), ctx, stop=(1, 0))
+            leaked = False
+        except DataError as exc:
+            assert str(exc) == "step 1: validation pairs leaked into a training step"
+            leaked = True
+    (_, val_negs), (forbidden, step_negs) = calls
+    union = np.union1d(ctx.positive_keys, val_negs)
+    assert forbidden.dtype == union.dtype and forbidden.tobytes() == union.tobytes()
+    step_keys = np.concatenate([ftl.tier_keys(ctx, LOW, "step 1"), step_negs])
+    assert leaked == bool(np.intersect1d(step_keys, np.concatenate([val_pos, val_negs])).size)
+    if inject == "validation":
+        assert leaked
 
 
 def test_evaluate_constant_half_predictor(tiny_ctx):

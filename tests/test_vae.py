@@ -16,6 +16,7 @@ from tierflow.engine import (
     RELU,
     SIGMOID,
     AdamState,
+    DenseNetwork,
     _activation_gradient,
     adam_step,
     backward,
@@ -28,6 +29,7 @@ from tierflow.rng import RngStream
 from tierflow.vae import (
     VaeConfig,
     VaeEpochRecord,
+    VaeModel,
     VaeTrainLog,
     _check_binary,
     _gradient,
@@ -46,6 +48,12 @@ from conftest import bit_store
 
 TINY = VaeConfig(input_dim=8, encoder_hidden=(4,), latent_dim=2,
                  epochs=5, batch_size=4, learning_rate=1e-3)
+
+
+def flat_of(model):
+    """A copy of the model's parameters: its networks' ``flat`` vectors, in
+    ``_PARTS`` order."""
+    return np.concatenate([getattr(model, p).flat for p in vae_module._PARTS])
 
 
 def random_store(n, width, seed=0, density=0.5):
@@ -78,12 +86,12 @@ def test_build_chemical_preset_heads():
 def test_build_same_seed_identical():
     a = build_vae(TINY, RngStream(42))
     b = build_vae(TINY, RngStream(42))
-    assert np.array_equal(a.flat, b.flat)
+    assert np.array_equal(flat_of(a), flat_of(b))
 
 
-def test_build_draws_the_networks_in_order_into_one_vector():
-    # the four networks as separate init_network calls on one stream, the
-    # construction build_vae replaced, give the same bits
+def test_build_draws_the_networks_in_order():
+    # the four networks as init_network calls on one stream, trunk, heads,
+    # decoder, in that order
     config = VaeConfig(300, (240, 7), 3, 1, 4, 1e-3)  # a 72,000-weight layer
     model = build_vae(config, RngStream(8))
     rng = RngStream(8)
@@ -93,14 +101,13 @@ def test_build_draws_the_networks_in_order_into_one_vector():
         init_network([3], 7, [IDENTITY], rng),
         init_network([7, 240, 300], 3, [RELU, RELU, SIGMOID], rng),
     ]
-    assert model.flat.tobytes() == np.concatenate([net.flat for net in parts]).tobytes()
-    for net in (model.encoder_trunk, model.mu_head, model.logvar_head, model.decoder):
-        assert np.shares_memory(net.flat, model.flat)
+    for part, net in zip(vae_module._PARTS, parts, strict=True):
+        assert getattr(model, part).flat.tobytes() == net.flat.tobytes()
 
 
 def test_build_holds_one_copy_of_the_parameters():
     config = VaeConfig(8192, (64,), 4, 1, 4, 1e-3)
-    n_params = build_vae(config, RngStream(0)).flat.size  # 1.05M: 8.4 MB
+    n_params = flat_of(build_vae(config, RngStream(0))).size  # 1.05M: 8.4 MB
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -225,33 +232,33 @@ def test_vae_gradient_matches_finite_differences():
         total, _, _ = vae_loss(reconstruction, x, mu, logvar)
         return total
 
-    # the four networks' gradients, as each is handed over, collected into
-    # one vector laid out like model.flat
-    analytic = np.full_like(model.flat, np.nan)
-    views = dict(zip(vae_module._PARTS, model.split(analytic)))
-    handed = []
+    # each network's gradient, copied as it is handed over
+    analytic, handed = {}, []
 
     def collect(part, gradient):
         handed.append(part)
-        np.copyto(views[part], gradient)
+        analytic[part] = gradient.copy()
 
-    grad = np.full(max(view.size for view in views.values()), np.nan)
+    grad = np.full(max(getattr(model, p).flat.size for p in vae_module._PARTS), np.nan)
     recon, kl = _gradient(model, bits, eta, np.empty((3, 8)), grad, collect)
     assert handed == ["decoder", "mu_head", "logvar_head", "encoder_trunk"]
     assert recon + kl == total_loss()
-    flat_p, h = model.flat, 1e-5
-    for i in range(flat_p.size):
-        orig = flat_p[i]
-        flat_p[i] = orig + h
-        up = total_loss()
-        flat_p[i] = orig - h
-        down = total_loss()
-        flat_p[i] = orig
-        fd = (up - down) / (2 * h)
-        if abs(analytic[i]) < 1e-8:
-            assert abs(analytic[i] - fd) < 1e-8
-        else:
-            assert abs(analytic[i] - fd) / max(abs(fd), 1e-8) < 1e-4
+    h = 1e-5
+    for part, g in analytic.items():
+        flat_p = getattr(model, part).flat
+        assert g.shape == flat_p.shape
+        for i in range(flat_p.size):
+            orig = flat_p[i]
+            flat_p[i] = orig + h
+            up = total_loss()
+            flat_p[i] = orig - h
+            down = total_loss()
+            flat_p[i] = orig
+            fd = (up - down) / (2 * h)
+            if abs(g[i]) < 1e-8:
+                assert abs(g[i] - fd) < 1e-8
+            else:
+                assert abs(g[i] - fd) / max(abs(fd), 1e-8) < 1e-4
 
 
 def bits_of(value) -> bytes:
@@ -347,7 +354,7 @@ def test_train_vae_zero_epochs_is_initialization():
     model, log = train_vae(config, store, rng)
     fresh = build_vae(config, RngStream(33).spawn("init"))
     assert log.records == []
-    assert np.array_equal(model.flat, fresh.flat)
+    assert np.array_equal(flat_of(model), flat_of(fresh))
 
 
 def test_train_vae_deterministic():
@@ -386,7 +393,7 @@ def test_train_vae_holds_no_float_copy_of_the_store():
                        epochs=1, batch_size=64, learning_rate=1e-3)
     rng = np.random.default_rng(5)
     store = FeatureStore([f"v{i}" for i in range(4000)], rng.random((4000, 512)) < 0.5)
-    n_params = build_vae(config, RngStream(0)).flat.size
+    n_params = flat_of(build_vae(config, RngStream(0))).size
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -416,7 +423,7 @@ def train_vae_peak(config, store):
 
 def parameter_and_largest_network_bytes(config):
     model = build_vae(config, RngStream(0))
-    return model.flat.nbytes, max(getattr(model, p).flat.nbytes for p in vae_module._PARTS)
+    return flat_of(model).nbytes, max(getattr(model, p).flat.nbytes for p in vae_module._PARTS)
 
 
 def test_train_vae_epoch_holds_one_batch_buffer():
@@ -508,7 +515,8 @@ def reference_forward(model, batch, eta):
 
 def reference_backward(model, cache, x, out):
     n = x.shape[0]
-    trunk_out, mu_out, lv_out, dec_out = model.split(out)
+    sizes = [getattr(model, p).flat.size for p in vae_module._PARTS]
+    trunk_out, mu_out, lv_out, dec_out = np.split(out, np.cumsum(sizes)[:-1])
     _, d_z = backward_with_input(
         model.decoder, cache.decoder_acts, reference_recon_gradient(cache.clipped, x), dec_out
     )
@@ -523,13 +531,25 @@ def reference_backward(model, cache, x, out):
     return out
 
 
+def joined(model):
+    """The model rebuilt over one vector holding its networks' parameters in
+    ``_PARTS`` order, and that vector."""
+    nets = [getattr(model, p) for p in vae_module._PARTS]
+    vector = flat_of(model)
+    views = np.split(vector, np.cumsum([net.flat.size for net in nets])[:-1])
+    return VaeModel(*(DenseNetwork(net.layers, net.input_dim, view)
+                      for net, view in zip(nets, views, strict=True))), vector
+
+
 def reference_train_vae(config, store, rng, model):
+    # one Adam state and one gradient over the whole model
+    model, flat = joined(model)
     bits = store.matrix
     n = len(bits)
     log = VaeTrainLog()
     _check_binary(bits)
-    adam = AdamState.create(model.flat.size, config.learning_rate)
-    grad = np.empty_like(model.flat)
+    adam = AdamState.create(flat.size, config.learning_rate)
+    grad = np.empty_like(flat)
     prev_total = None
     for epoch in range(1, config.epochs + 1):
         order = rng.spawn("shuffle", epoch).permutation(n)
@@ -541,7 +561,7 @@ def reference_train_vae(config, store, rng, model):
             batch = bits[idx].astype(np.float64)
             cache = reference_forward(model, batch, eta)
             _, recon, kl = reference_loss_terms(cache.clipped, batch, cache.mu, cache.logvar)
-            adam_step(adam, model.flat, reference_backward(model, cache, batch, grad))
+            adam_step(adam, flat, reference_backward(model, cache, batch, grad))
             ep_recon += recon * len(idx)
             ep_kl += kl * len(idx)
         total = (ep_recon + ep_kl) / n
@@ -569,7 +589,7 @@ def assert_train_vae_matches_reference(config, store, bias):
     )
     with mock.patch.object(vae_module, "build_vae", build):
         model, log = train_vae(config, store, RngStream(4))
-    assert model.flat.tobytes() == expected_model.flat.tobytes()
+    assert flat_of(model).tobytes() == flat_of(expected_model).tobytes()
     assert log.records == expected_log.records
 
 
@@ -640,4 +660,4 @@ def test_vae_checkpoint_round_trip(tmp_path):
     save_vae(load_vae(first), second)
     assert first.read_bytes() == second.read_bytes()
     loaded = load_vae(first)
-    assert np.array_equal(model.flat, loaded.flat)
+    assert np.array_equal(flat_of(model), flat_of(loaded))
