@@ -89,12 +89,12 @@ def _environment() -> dict:
 
 
 def _write_manifest(
-    out_dir: Path, command: str, doc: dict, seed: int, outputs: list[Path], started: float
+    out_dir: Path, command: str, doc: dict, outputs: list[Path], started: float
 ) -> None:
     manifest = {
         "command": command,
         "config_digest": _digest(doc),
-        "seed": seed,
+        "seed": doc.get("seed", 0),
         "outputs": {p.name: _file_digest(p) for p in sorted(outputs)},
         "duration_seconds": round(time.monotonic() - started, 3),
         "environment": _environment(),
@@ -120,18 +120,14 @@ def _out_dir(args) -> Path:
     return out
 
 
-def cmd_synth(args) -> int:
-    started = time.monotonic()
-    doc = load_json(args.config)
-    if args.seed is not None:
-        doc["seed"] = args.seed
+def cmd_synth(args, doc: dict) -> list[Path] | None:
     config = synth_config_from_dict(doc, where="synth")
     if args.dry_run:
         print(f"synth: {config.n_compounds} compounds x {config.n_proteins} proteins")
         for t in config.tiers:
             print(f"  tier {t.tier}: {t.count} positives, flip_rate {t.flip_rate}")
         print(f"  validation tier {config.validation_tier}, seed {config.seed}")
-        return 0
+        return None
     from .data import synth_generate
 
     data = synth_generate(config)
@@ -145,15 +141,10 @@ def cmd_synth(args) -> int:
         out / "interactions.tsv", out / "oracle.tsv",
     ]
     log.info("synth: wrote %d interactions under %s", len(data.interactions), out)
-    _write_manifest(out, "synth", doc, config.seed, outputs, started)
-    return 0
+    return outputs
 
 
-def cmd_embed(args) -> int:
-    started = time.monotonic()
-    doc = load_json(args.config)
-    if args.seed is not None:
-        doc["seed"] = args.seed
+def cmd_embed(args, doc: dict) -> list[Path] | None:
     seed = _field(doc, "seed", "an integer", "vae", 0)
     config = vae_config_from_dict(doc, where="vae")
     if args.dry_run:
@@ -161,7 +152,7 @@ def cmd_embed(args) -> int:
             f"embed: input_dim {config.input_dim}, hidden {list(config.encoder_hidden)}, "
             f"latent {config.latent_dim}, {config.epochs} epochs, seed {seed}"
         )
-        return 0
+        return None
     store = load_bitvectors(args.bitvectors)
     model, train_log = train_vae(config, store, RngStream(seed))
     latents = embed(model, store)
@@ -171,16 +162,14 @@ def cmd_embed(args) -> int:
 
     save_latents(latents, out / "latents.tsv")
     lines = ["epoch,recon_loss,kl_loss,total_loss,total_change"]
-    for r in train_log.records:
+    for r in train_log:
         lines.append(
             f"{r.epoch},{r.recon_loss:.9g},{r.kl_loss:.9g},"
             f"{r.total_loss:.9g},{r.total_change:.9g}"
         )
     ckpt.write_atomic(out / "metrics.csv", "\n".join(lines) + "\n")
-    outputs = [out / "vae.json", out / "latents.tsv", out / "metrics.csv"]
     log.info("embed: %d latent vectors of width %d", len(latents), config.latent_dim)
-    _write_manifest(out, "embed", doc, seed, outputs, started)
-    return 0
+    return [out / "vae.json", out / "latents.tsv", out / "metrics.csv"]
 
 
 def _plan(steps) -> str:
@@ -201,24 +190,21 @@ def _print_plan(spec: ExperimentSpec) -> None:
         print(f"  arm {name}: {_plan(schedule.steps)}")
 
 
-def _parse_experiment(args) -> tuple[dict, ExperimentSpec]:
-    """The experiment document with the flag overrides applied, and its spec."""
+def _parse_experiment(args, doc: dict) -> ExperimentSpec:
+    """The spec of the experiment document, once the flags' overrides are
+    applied to the document itself (so the manifest digests them too)."""
     if args.jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {args.jobs}")
-    doc = load_json(args.config)
-    if args.seed is not None:
-        doc["seed"] = args.seed
     if args.reset_optimizer:
         doc["reset_optimizer_between_steps"] = True
-    return doc, experiment_from_dict(doc, base_dir=Path(args.config).parent)
+    return experiment_from_dict(doc, base_dir=Path(args.config).parent)
 
 
-def cmd_train(args) -> int:
-    started = time.monotonic()
-    doc, spec = _parse_experiment(args)
+def cmd_train(args, doc: dict) -> list[Path] | None:
+    spec = _parse_experiment(args, doc)
     if args.dry_run:
         _print_plan(spec)
-        return 0
+        return None
     ctx = build_data_context(spec)
     results = run_experiment(spec.arms, ctx, jobs=args.jobs)
     report = report_dict({name: result.log for name, result in results.items()})
@@ -238,14 +224,11 @@ def cmd_train(args) -> int:
         )
     report_path = out / "report.json"
     ckpt.write_atomic(report_path, ckpt.dumps(report) + "\n")
-    outputs.append(report_path)
-    _write_manifest(out, "train", doc, doc["seed"], outputs, started)
-    return 0
+    return outputs + [report_path]
 
 
-def cmd_diagnose(args) -> int:
-    started = time.monotonic()
-    doc, spec = _parse_experiment(args)
+def cmd_diagnose(args, doc: dict) -> list[Path] | None:
+    spec = _parse_experiment(args, doc)
     if args.arm is not None:
         if args.arm not in spec.arms:
             raise ConfigError(f"no arm named {args.arm!r} in config")
@@ -265,15 +248,14 @@ def cmd_diagnose(args) -> int:
             f"diagnose: arm {name} ({_plan(schedule.steps)}), "
             f"transition window {args.delta} epochs"
         )
-        return 0
+        return None
     ctx = build_data_context(spec)
     comparison = weight_drift_protocol(schedule, ctx, delta=args.delta)
     out = _out_dir(args)
     csv_path = out / "weight_drift.csv"
     ckpt.write_atomic(csv_path, "\n".join(drift_csv_lines(comparison)) + "\n")
     log.info("diagnose: wrote %s", csv_path)
-    _write_manifest(out, "diagnose", doc, doc["seed"], [csv_path], started)
-    return 0
+    return [csv_path]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -336,10 +318,17 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_out(Path(args.out))
+        started = time.monotonic()
+        doc = load_json(args.config)
+        if args.seed is not None:
+            doc["seed"] = args.seed
         # an overflow or invalid operation anywhere is a numeric failure, not
         # a warning followed by a finite but meaningless result
         with np.errstate(over="raise", invalid="raise"):
-            return _COMMANDS[args.command](args)
+            outputs = _COMMANDS[args.command](args, doc)
+        if outputs is not None:  # None: a dry run, which writes nothing
+            _write_manifest(Path(args.out), args.command, doc, outputs, started)
+        return 0
     except ConfigError as exc:
         log.error("config error: %s", exc)
         return 1

@@ -335,8 +335,10 @@ class InteractionTable:
         self.compound_vocab, self.compound_codes = compounds.vocab(c)
         self.protein_vocab, self.protein_codes = proteins.vocab(p)
         keys = self.compound_codes * np.int64(len(self.protein_vocab)) + self.protein_codes
-        ordered = np.sort(keys)
-        if (ordered[1:] == ordered[:-1]).any():
+        keys.sort()
+        if (keys[1:] == keys[:-1]).any():
+            # rebuilt in record order, only to name the first repeated pair
+            keys = self.compound_codes * np.int64(len(self.protein_vocab)) + self.protein_codes
             order = np.argsort(keys, kind="stable")
             i = order[1:][keys[order[1:]] == keys[order[:-1]]].min()
             raise ValueError(f"duplicate pair {self.pair(i)}")

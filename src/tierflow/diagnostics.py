@@ -1,12 +1,12 @@
 """Per-layer weight-drift analysis between two networks' weights.
 
 A weight snapshot is a network: a fork returned by ``train_ftl`` holds the
-weights where its run stopped.  The headline quantity is the Euclidean
-distance between two snapshots of a layer, normalized by that layer's
-parameter count (weights plus biases, divided by the count itself, not its
-square root).  Fold changes compare the
-drift across an FTL step transition against the drift under continued
-same-tier training over the same number of epochs.
+weights where its run stopped, at its ``at`` (step, epoch).  The headline
+quantity is the Euclidean distance between two snapshots of a layer,
+normalized by that layer's parameter count (weights plus biases, divided by
+the count itself, not its square root).  Fold changes compare the drift
+across an FTL step transition against the drift under continued same-tier
+training over the same number of epochs.
 """
 
 from __future__ import annotations
@@ -19,83 +19,43 @@ from .engine import DenseNetwork
 from .data import DataContext
 from .ftl import FtlResult, TrainSchedule, train_ftl
 
-__all__ = [
-    "LayerDistance",
-    "LayerDistanceReport",
-    "layer_distance",
-    "fold_change",
-    "DriftComparison",
-    "weight_drift_protocol",
-    "drift_csv_lines",
-]
 
-
-@dataclass(frozen=True)
-class LayerDistance:
-    layer_index: int
-    n_weights: int
-    distance: float
-
-
-@dataclass
-class LayerDistanceReport:
-    tag_a: str
-    tag_b: str
-    layers: list[LayerDistance]
-
-    def distances(self) -> np.ndarray:
-        return np.array([l.distance for l in self.layers])
-
-
-def layer_distance(
-    a: DenseNetwork, b: DenseNetwork, tag_a: str, tag_b: str
-) -> LayerDistanceReport:
-    """Per layer: ||params_a - params_b||_2 / parameter count, biases included.
-
-    ``tag_a`` and ``tag_b`` name the two snapshots in the report.
-    """
+def layer_distance(a: DenseNetwork, b: DenseNetwork) -> np.ndarray:
+    """Per layer: ||params_a - params_b||_2 / parameter count, biases included."""
     if len(a.layers) != len(b.layers):
         raise ValueError(f"snapshots have {len(a.layers)} vs {len(b.layers)} layers")
-    layers = []
+    distances = np.empty(len(a.layers))
     for i, (la, lb) in enumerate(zip(a.layers, b.layers)):
         wa, ba, wb, bb = la.weights, la.biases, lb.weights, lb.biases
         if wa.shape != wb.shape or ba.shape != bb.shape:
             raise ValueError(f"layer {i} shapes differ between snapshots")
         sq = float(np.sum((wa - wb) ** 2) + np.sum((ba - bb) ** 2))
-        n = wa.size + ba.size
-        layers.append(LayerDistance(i, n, float(np.sqrt(sq) / n)))
-    return LayerDistanceReport(tag_a, tag_b, layers)
+        distances[i] = np.sqrt(sq) / (wa.size + ba.size)
+    return distances
 
 
-def fold_change(
-    ftl_report: LayerDistanceReport, baseline_report: LayerDistanceReport
-) -> list[float | None]:
+def fold_change(ftl: np.ndarray, baseline: np.ndarray) -> list[float | None]:
     """Per-layer ratio ftl/baseline; None marks a zero-baseline layer."""
-    if len(ftl_report.layers) != len(baseline_report.layers):
-        raise ValueError("reports cover different layer counts")
-    ratios: list[float | None] = []
-    for f, b in zip(ftl_report.layers, baseline_report.layers):
-        if b.distance == 0.0:
-            ratios.append(None)
-        else:
-            ratios.append(f.distance / b.distance)
-    return ratios
+    if len(ftl) != len(baseline):
+        raise ValueError("drifts cover different layer counts")
+    return [None if b == 0.0 else f / b for f, b in zip(ftl.tolist(), baseline.tolist())]
 
 
 @dataclass
 class DriftComparison:
-    """Both arms' per-layer drift from the shared (1, E1) snapshot, and fold changes.
+    """The step-1 prefix, its two forks, and each fork's per-layer drift from it.
 
-    ``ftl_result`` ends at (2, delta) and ``baseline_result`` at (1, E1 + delta);
-    each one's network is the snapshot its drift was measured to.  Both were
-    trained without per-epoch evaluation, so their logs are empty.
+    ``prefix`` ends at (1, E1), ``ftl`` at (2, delta) and ``baseline`` at
+    (1, E1 + delta); each one's network is the snapshot at its ``at``.  All
+    three were trained without per-epoch evaluation, so their logs are empty.
     """
 
-    ftl_report: LayerDistanceReport
-    baseline_report: LayerDistanceReport
+    prefix: FtlResult
+    ftl: FtlResult
+    baseline: FtlResult
+    ftl_drift: np.ndarray
+    baseline_drift: np.ndarray
     fold_changes: list[float | None]
-    ftl_result: FtlResult
-    baseline_result: FtlResult
 
 
 def weight_drift_protocol(
@@ -122,35 +82,34 @@ def weight_drift_protocol(
         raise ValueError(f"delta must lie in [0, {e2}], got {delta}")
 
     prefix = train_ftl(schedule, ctx, stop=(1, e1), metrics=False)
-    ftl_result, base_result = (
+    ftl, baseline = (
         train_ftl(schedule, ctx, start=prefix, stop=end, metrics=False)
         for end in ((2, delta), (1, e1 + delta))
     )
-    at_e1 = f"step1_epoch{e1}"
-    ftl_report = layer_distance(
-        prefix.network, ftl_result.network, at_e1, f"step2_epoch{delta}")
-    base_report = layer_distance(
-        prefix.network, base_result.network, at_e1, f"step1_epoch{e1 + delta}")
+    ftl_drift = layer_distance(prefix.network, ftl.network)
+    baseline_drift = layer_distance(prefix.network, baseline.network)
     return DriftComparison(
-        ftl_report, base_report, fold_change(ftl_report, base_report),
-        ftl_result, base_result,
+        prefix, ftl, baseline, ftl_drift, baseline_drift,
+        fold_change(ftl_drift, baseline_drift),
     )
 
 
 def drift_csv_lines(comparison: DriftComparison) -> list[str]:
     """CSV rows: layer,n_weights,dist_ftl,dist_baseline,fold_change.
 
-    The first line is a comment naming the snapshot pairs; undefined fold
-    changes (zero baseline drift) are written as NA.
+    The first line is a comment naming the snapshot pairs, each
+    ``step{k}_epoch{e}`` from a fork's ``at``; undefined fold changes (zero
+    baseline drift) are written as NA.
     """
-    ftl, base = comparison.ftl_report, comparison.baseline_report
+    c = comparison
+    start, ftl, base = ("step{}_epoch{}".format(*r.at) for r in (c.prefix, c.ftl, c.baseline))
     lines = [
-        f"# ftl: {ftl.tag_a} -> {ftl.tag_b}; baseline: {base.tag_a} -> {base.tag_b}",
+        f"# ftl: {start} -> {ftl}; baseline: {start} -> {base}",
         "layer,n_weights,dist_ftl,dist_baseline,fold_change",
     ]
-    for lf, lb, ratio in zip(ftl.layers, base.layers, comparison.fold_changes):
+    drifts = zip(c.ftl_drift.tolist(), c.baseline_drift.tolist(), c.fold_changes)
+    for i, (layer, (d_ftl, d_base, ratio)) in enumerate(zip(c.prefix.network.layers, drifts)):
         cell = "NA" if ratio is None else f"{ratio:.9g}"
-        lines.append(
-            f"{lf.layer_index},{lf.n_weights},{lf.distance:.9g},{lb.distance:.9g},{cell}"
-        )
+        n = layer.weights.size + layer.biases.size
+        lines.append(f"{i},{n},{d_ftl:.9g},{d_base:.9g},{cell}")
     return lines

@@ -49,7 +49,7 @@ from .engine import (
     init_network,
 )
 from .errors import ConfigError
-from .rng import RngStream, derive_seed
+from .rng import RngStream
 
 
 @dataclass(frozen=True)
@@ -196,15 +196,16 @@ def train_ftl(
     No step matrix is built: every batch and every evaluation block is
     gathered from the step's pair keys.
     """
+    root = RngStream(schedule.seed)
     if start is None:
         val_pos = tier_keys(ctx, schedule.validation_tier, "validation")
         val_negs = sample_negatives(
             len(ctx.compounds), len(ctx.proteins), ctx.positive_keys, len(val_pos),
-            RngStream(derive_seed(schedule.seed, "validation-negatives")),
+            root.spawn("validation-negatives"),
         )
         net = init_network(
             list(schedule.hidden_layers) + [1], ctx.feature_dim, None,
-            RngStream(derive_seed(schedule.seed, "init")),
+            root.spawn("init"),
         )
         adam = AdamState.create(net.flat.size, schedule.learning_rate)
     else:
@@ -228,7 +229,7 @@ def train_ftl(
         positives = tier_keys(ctx, step.tier, f"step {k}")
         negatives = sample_negatives(
             len(ctx.compounds), len(ctx.proteins), forbidden, len(positives),
-            RngStream(derive_seed(schedule.seed, "negatives", k)),
+            root.spawn("negatives", k),
         )
         keys = np.concatenate([positives, negatives])
         if (index_of(np.sort(val_keys), keys) >= 0).any():
@@ -241,7 +242,7 @@ def train_ftl(
             adam = AdamState.create(net.flat.size, schedule.learning_rate)
 
         for epoch in range(first, last + 1):
-            order = RngStream(derive_seed(schedule.seed, "shuffle", k, epoch)).permutation(n)
+            order = root.spawn("shuffle", k, epoch).permutation(n)
             for at in range(0, n, schedule.batch_size):
                 idx = order[at:at + schedule.batch_size]
                 acts = forward(net, ctx.rows(keys[idx], batch))

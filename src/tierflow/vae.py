@@ -10,7 +10,7 @@ are always the posterior mean, never a sample.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -253,23 +253,16 @@ class VaeEpochRecord:
     total_change: float
 
 
-@dataclass
-class VaeTrainLog:
-    records: list[VaeEpochRecord] = field(default_factory=list)
-
-    def totals(self) -> np.ndarray:
-        return np.array([r.total_loss for r in self.records])
-
-
 def train_vae(
     config: VaeConfig, store: FeatureStore, rng: RngStream
-) -> tuple[VaeModel, VaeTrainLog]:
+) -> tuple[VaeModel, list[VaeEpochRecord]]:
     """Train with Adam over shuffled mini-batches; the short final batch is kept.
 
-    Logs the sample-weighted epoch mean of the total loss, its two terms, and
-    the epoch-over-epoch change (0.0 for the first epoch).  The store's bits
-    stay uint8, and each network has its own Adam state, stepped as soon as
-    its gradient is done; see :func:`_gradient` for the buffers.
+    Returns one record per epoch: the sample-weighted epoch mean of the total
+    loss, its two terms, and the epoch-over-epoch change (0.0 for the first
+    epoch).  The store's bits stay uint8, and each network has its own Adam
+    state, stepped as soon as its gradient is done; see :func:`_gradient` for
+    the buffers.
     """
     if len(store) == 0:
         raise DataError("cannot train a VAE on an empty store")
@@ -280,7 +273,7 @@ def train_vae(
     bits = store.matrix
     n = len(bits)
     model = build_vae(config, rng.spawn("init"))
-    log = VaeTrainLog()
+    log: list[VaeEpochRecord] = []
     if config.epochs == 0:
         return model, log
 
@@ -307,9 +300,7 @@ def train_vae(
             ep_kl += kl * len(idx)
         total = (ep_recon + ep_kl) / n
         change = 0.0 if prev_total is None else total - prev_total
-        log.records.append(
-            VaeEpochRecord(epoch, ep_recon / n, ep_kl / n, total, change)
-        )
+        log.append(VaeEpochRecord(epoch, ep_recon / n, ep_kl / n, total, change))
         prev_total = total
     return model, log
 

@@ -961,7 +961,7 @@ def test_numeric_failure_exit_3(monkeypatch, tmp_path, synth_config):
     from tierflow import cli
     from tierflow.errors import NumericError
 
-    def explode(args):
+    def explode(args, doc):
         raise NumericError("non-finite values in forward output")
 
     monkeypatch.setitem(cli._COMMANDS, "synth", explode)

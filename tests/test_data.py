@@ -204,6 +204,26 @@ def test_duplicate_pair_message_builds_no_id_column():
     assert peak < column
 
 
+def test_load_interactions_holds_one_pair_key_column(tmp_path):
+    # every pair of a 500 x 400 grid, shuffled
+    n = 500 * 400
+    keys = np.random.default_rng(7).permutation(n).tolist()
+    path = tmp_path / "table.tsv"
+    path.write_text("".join(f"c{k // 400}\tp{k % 400}\t{k % 1001}\n" for k in keys))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = load_interactions(path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    held = table.compound_codes.nbytes + table.protein_codes.nbytes + table.scores.nbytes
+    # beyond the table's 16 bytes a record: the joined code columns (8), one
+    # int64 pair key column sorted in place (8) and its adjacent-equal mask
+    # (1); a sorted copy of the keys would be 8 more
+    assert peak <= held + 24 * n
+
+
 @pytest.mark.parametrize("unknown", ["compound", "protein"])
 def test_unknown_id_message_builds_no_id_column(unknown):
     compounds, proteins = long_id_columns()

@@ -30,7 +30,6 @@ from tierflow.vae import (
     VaeConfig,
     VaeEpochRecord,
     VaeModel,
-    VaeTrainLog,
     _check_binary,
     _gradient,
     _output_layer,
@@ -340,7 +339,7 @@ def test_train_vae_loss_improves():
                        epochs=50, batch_size=50, learning_rate=1e-2)
     store = random_store(200, 32, seed=6)
     _, log = train_vae(config, store, RngStream(1))
-    totals = log.totals()
+    totals = np.array([r.total_loss for r in log])
     assert len(totals) == 50
     # smoothed endpoint comparison: mean of last 5 epochs vs first epoch
     assert totals[-5:].mean() < totals[0]
@@ -353,7 +352,7 @@ def test_train_vae_zero_epochs_is_initialization():
     rng = RngStream(33)
     model, log = train_vae(config, store, rng)
     fresh = build_vae(config, RngStream(33).spawn("init"))
-    assert log.records == []
+    assert log == []
     assert np.array_equal(flat_of(model), flat_of(fresh))
 
 
@@ -361,7 +360,7 @@ def test_train_vae_deterministic():
     store = random_store(30, 8, seed=3)
     _, log_a = train_vae(TINY, store, RngStream(9))
     _, log_b = train_vae(TINY, store, RngStream(9))
-    assert log_a.records == log_b.records
+    assert log_a == log_b
 
 
 def test_train_vae_empty_store_rejected():
@@ -546,7 +545,7 @@ def reference_train_vae(config, store, rng, model):
     model, flat = joined(model)
     bits = store.matrix
     n = len(bits)
-    log = VaeTrainLog()
+    log = []
     _check_binary(bits)
     adam = AdamState.create(flat.size, config.learning_rate)
     grad = np.empty_like(flat)
@@ -566,7 +565,7 @@ def reference_train_vae(config, store, rng, model):
             ep_kl += kl * len(idx)
         total = (ep_recon + ep_kl) / n
         change = 0.0 if prev_total is None else total - prev_total
-        log.records.append(VaeEpochRecord(epoch, ep_recon / n, ep_kl / n, total, change))
+        log.append(VaeEpochRecord(epoch, ep_recon / n, ep_kl / n, total, change))
         prev_total = total
     return model, log
 
@@ -590,7 +589,7 @@ def assert_train_vae_matches_reference(config, store, bias):
     with mock.patch.object(vae_module, "build_vae", build):
         model, log = train_vae(config, store, RngStream(4))
     assert flat_of(model).tobytes() == flat_of(expected_model).tobytes()
-    assert log.records == expected_log.records
+    assert log == expected_log
 
 
 @settings(max_examples=60, deadline=None)
@@ -620,7 +619,7 @@ def test_train_vae_equals_the_reference_step_bitwise_at_full_chunks():
 def test_train_vae_kl_logged_nonnegative():
     store = random_store(40, 8, seed=4)
     _, log = train_vae(TINY, store, RngStream(5))
-    assert all(r.kl_loss >= 0.0 for r in log.records)
+    assert all(r.kl_loss >= 0.0 for r in log)
 
 
 # ---------------------------------------------------------------- embed
