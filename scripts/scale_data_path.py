@@ -22,8 +22,8 @@ one epoch of a VAE shaped like the preset whose input width is nearest W
 (``chemical``, 1024 bits, or ``protein``, 5508 bits: its hidden and latent
 widths and batch size, with input width W), computes every vector's
 posterior mean (``vae.embed``, as ``tierflow embed`` does), then saves the
-trained model as a checkpoint.  So the memory of the protein preset is
-measured, not extrapolated from the chemical one.
+trained model as a checkpoint and the means as a latent store.  So the memory
+of the protein preset is measured, not extrapolated from the chemical one.
 
 Each stage reports its wall seconds and the process's peak RSS after it
 (``getrusage``, MiB), so the stage that sets the peak shows.  The last line of
@@ -52,6 +52,7 @@ from tierflow.data import (
     load_interactions,
     load_latents,
     sample_negatives,
+    save_latents,
 )
 from tierflow.ftl import TrainSchedule, TrainStep, tier_keys, train_ftl
 from tierflow.rng import RngStream
@@ -170,7 +171,7 @@ def generate_bits(entries: int, width: int, seed: int, path: Path) -> None:
 def run_vae(entries: int, width: int, seed: int, work: Path) -> dict:
     """Generate ``entries`` ``width``-bit vectors under ``work``, load them, train
     one epoch of the nearest preset's shape on them, compute their posterior
-    means, save the model, and return the report."""
+    means, save the model and the means, and return the report."""
     preset = min((chemical_preset(), protein_preset()),
                  key=lambda config: abs(config.input_dim - width))
     config = dataclasses.replace(preset, input_dim=width, epochs=1)
@@ -183,9 +184,10 @@ def run_vae(entries: int, width: int, seed: int, work: Path) -> dict:
     store = stage("load_bitvectors", load_bitvectors, path)
     report["store_mb"] = round(store.matrix.nbytes / 2**20, 1)
     model, _ = stage("train_vae_one_epoch", train_vae, config, store, RngStream(seed))
-    # held, as ``tierflow embed`` holds them, until the model is saved
+    # held, as ``tierflow embed`` holds them, while the model is saved
     latents = stage("embed", embed, model, store)
     stage("save_vae", save_vae, model, work / "vae.json")
+    stage("save_latents", save_latents, latents, work / "latents.tsv")
     report["latents_mb"] = round(latents.matrix.nbytes / 2**20, 1)
     report["peak_rss_mb"] = round(peak_rss_mb(), 1)
     return report

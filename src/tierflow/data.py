@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import format_floats, write_atomic
+from .checkpoint import format_rows, write_atomic
 from .errors import ConfigError, DataError
 from .rng import RngStream
 
@@ -272,10 +272,17 @@ def load_latents(path: str | Path) -> FeatureStore:
     return FeatureStore(ids, matrix[:len(ids)])
 
 
+# floats in a block of latent rows rendered at once: with the renderer's
+# scratch of about 106 bytes a float, a block needs about 0.1 MB
+_LATENT_BLOCK = 1024
+
+
 def save_latents(store: FeatureStore, path: str | Path) -> None:
+    rows = max(1, _LATENT_BLOCK // max(1, store.width))
     write_atomic(path, (
-        key + "\t" + format_floats(vec, ",") + "\n"
-        for key, vec in zip(store.ids, store.matrix)
+        "".join(map("{}\t{}\n".format, store.ids[at:at + rows],
+                    format_rows(store.matrix[at:at + rows], ",").split("\n")))
+        for at in range(0, len(store.ids), rows)
     ))
 
 
@@ -305,14 +312,18 @@ class _Interner(dict):
         codes = map(self.setdefault, ids, map(len, itertools.repeat(self)))
         return np.fromiter(codes, np.int32, len(ids))
 
-    def vocab(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The sorted ids, and ``codes`` as positions among them."""
+    def vocab(self, codes: np.ndarray) -> np.ndarray:
+        """The sorted ids; ``codes`` become positions among them in place, a
+        block at a time, so no second code column is built."""
         key = next((k for k in self if "\x00" in k), None)
         if key is not None:
             raise ValueError(f"NUL in id {key!r}")
         ids = np.array(list(self), dtype=str)
         order = np.argsort(ids)
-        return ids[order], np.argsort(order).astype(np.int32)[codes]
+        position = np.argsort(order).astype(np.int32)
+        for at in range(0, len(codes), _BLOCK_LINES):
+            codes[at:at + _BLOCK_LINES] = position[codes[at:at + _BLOCK_LINES]]
+        return ids[order]
 
 
 class InteractionTable:
@@ -332,8 +343,8 @@ class InteractionTable:
         bad = np.flatnonzero((self.scores < 0) | (self.scores > 1000))
         if bad.size:
             raise ValueError(f"score {self.scores[bad[0]]} outside [0, 1000]")
-        self.compound_vocab, self.compound_codes = compounds.vocab(c)
-        self.protein_vocab, self.protein_codes = proteins.vocab(p)
+        self.compound_vocab, self.compound_codes = compounds.vocab(c), c
+        self.protein_vocab, self.protein_codes = proteins.vocab(p), p
         keys = self.compound_codes * np.int64(len(self.protein_vocab)) + self.protein_codes
         keys.sort()
         if (keys[1:] == keys[:-1]).any():

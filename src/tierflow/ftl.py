@@ -303,13 +303,17 @@ def run_experiment(
                 while todo and len(running) < jobs:
                     name, schedule = todo.pop()
                     pool = ProcessPoolExecutor(1, spawn, initializer=initializer)
-                    running[pool.submit(train_ftl, schedule, ctx)] = name, pool
+                    future = pool.submit(train_ftl, schedule, ctx)
+                    [worker] = pool._processes.values()  # its exit code tells how it ended
+                    running[future] = name, pool, worker
                 for future in wait(running, return_when=FIRST_COMPLETED).done:
-                    name, pool = running.pop(future)
-                    pool.shutdown()
+                    name, pool, worker = running.pop(future)
+                    pool.shutdown()  # joins the worker
                     if isinstance(future.exception(), BrokenExecutor):
+                        code = worker.exitcode
                         raise BrokenExecutor(
-                            f"the worker process of arm {name!r} ended abruptly")
+                            f"the worker process of arm {name!r} ended abruptly "
+                            + (f"(signal {-code})" if code < 0 else f"(exit code {code})"))
                     results[name] = future.result()
         except BaseException:  # a dead worker, a failed arm or an interrupt
             for worker in multiprocessing.active_children():

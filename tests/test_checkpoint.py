@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -156,6 +156,82 @@ SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308,
 @example(arr=np.array([[1.0, 2.0], [3.0, 4.5]]), sep=", ")
 def test_format_floats_equals_per_float_join(arr, sep):
     assert format_floats(arr, sep) == sep.join(map(format_float, arr.ravel()))
+
+
+# the block renderer against the per-value "%.17g", under the CLI's errstate
+
+def percent_join(values, sep) -> str:
+    return sep.join("%.17g" % x for x in np.asarray(values, dtype=np.float64).ravel().tolist())
+
+
+def assert_renders_like_percent(values, sep):
+    with np.errstate(over="raise", invalid="raise"):
+        assert format_floats(values, sep) == percent_join(values, sep)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bits=st.lists(st.integers(0, 2**64 - 1), max_size=40), sep=st.sampled_from([", ", ","]))
+def test_format_floats_renders_any_bit_pattern(bits, sep):
+    assert_renders_like_percent(np.array(bits, dtype=np.uint64).view(np.float64), sep)
+
+
+def halfway_ties():
+    """Doubles with 18 significant digits, the last a 5, one run per decimal
+    exponent in [-6, 0]: their 17-digit rendering rounds half to even."""
+    rng = np.random.default_rng(3)
+    ties = []
+    for exp in range(-6, 1):
+        shift = 17 - exp  # the 18th significant digit is the last one of m / 2**shift
+        lo, hi = int(10.0**exp * 2**shift), int(10.0**(exp + 1) * 2**shift)
+        ties.append((rng.integers(lo, hi, 200) | 1) / 2.0**shift)
+    return np.concatenate(ties)
+
+
+EDGE_FLOATS = np.concatenate([
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -2.2250738585072009e-308,
+     float("inf"), float("-inf"), float("nan"), 0.99999999999999995, 9.9999999999999995e-6,
+     1e-6, 10.0, 1.0, -1.0],
+    *([np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)]
+      for x in (float(f"1e{k}") for k in range(-12, 18))),
+    halfway_ties(),
+])
+
+
+@pytest.mark.parametrize("sep", [", ", ","])
+def test_format_floats_renders_edge_values(sep):
+    assert_renders_like_percent(EDGE_FLOATS, sep)
+    assert_renders_like_percent(-EDGE_FLOATS, sep)
+    for x in EDGE_FLOATS:
+        assert_renders_like_percent(np.array([x]), sep)
+
+
+@pytest.mark.parametrize("sep", [", ", ","])
+@pytest.mark.parametrize("length", [1, ckpt._FORMAT_CHUNK - 1, ckpt._FORMAT_CHUNK,
+                                    ckpt._FORMAT_CHUNK + 1])
+def test_format_floats_renders_chunk_lengths(length, sep):
+    rng = np.random.default_rng(length)
+    values = rng.standard_normal(length) * 10.0 ** rng.integers(-8, 3, length)
+    values[::7] = rng.choice(EDGE_FLOATS, values[::7].size)
+    assert_renders_like_percent(values, sep)
+
+
+def test_format_floats_renders_a_million_values():
+    rng = np.random.default_rng(23)
+    values = np.concatenate([
+        rng.integers(0, 2**64, 250_000, dtype=np.uint64).view(np.float64),
+        rng.standard_normal(250_000) * 0.05,
+        np.exp(rng.uniform(np.log(1e-8), np.log(1e3), 250_000)) * rng.choice([-1.0, 1.0], 250_000),
+        rng.integers(1, 2**40, 250_000) / 2.0 ** rng.integers(1, 60, 250_000),
+    ])
+    assert_renders_like_percent(values, ", ")
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (1, 1), (5, 1), (2, 0), (0, 3)])
+def test_format_rows_ends_each_row_with_a_newline(shape):
+    values = np.random.default_rng(1).choice(EDGE_FLOATS, shape)
+    with np.errstate(over="raise", invalid="raise"):
+        text = ckpt.format_rows(values, ",")
+    assert text == "".join(percent_join(row, ",") + "\n" for row in values)
 
 
 def reference_render(obj, pieces):

@@ -940,9 +940,22 @@ def test_dying_worker_exit_3(tmp_path, monkeypatch, experiment_config):
                    TIERFLOW_LOG="error")
     assert proc.returncode == 3
     assert proc.stderr.splitlines() == [
-        "ERROR: worker died: the worker process of arm 'ftl' ended abruptly"
+        "ERROR: worker died: the worker process of arm 'ftl' ended abruptly (exit code 9)"
     ]
     assert not (out / "manifest.json").exists()
+
+
+def test_killed_worker_names_its_signal(tmp_path, monkeypatch, experiment_config):
+    # a SIGKILL, as the kernel's out-of-memory killer sends
+    killing = DYING_WORKER.replace("os._exit(9)", "os.kill(os.getpid(), 9)")
+    (tmp_path / "sitecustomize.py").write_text(killing, encoding="utf-8")
+    monkeypatch.setenv("PYTHONPATH", str(tmp_path))
+    proc = run_cli("train", "--config", experiment_config, "--out", str(tmp_path / "o"),
+                   "--jobs", "2", TIERFLOW_LOG="error")
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == [
+        "ERROR: worker died: the worker process of arm 'ftl' ended abruptly (signal 9)"
+    ]
 
 
 def test_train_reset_optimizer_flag_changes_metrics(experiment_config, tmp_path):

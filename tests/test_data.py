@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tierflow.data import _BLOCK_LINES as BLOCK_LINES
+from tierflow.data import _Interner
 from tierflow.data import (
     GATHER_ROWS,
     DataContext,
@@ -218,10 +219,28 @@ def test_load_interactions_holds_one_pair_key_column(tmp_path):
     finally:
         tracemalloc.stop()
     held = table.compound_codes.nbytes + table.protein_codes.nbytes + table.scores.nbytes
-    # beyond the table's 16 bytes a record: the joined code columns (8), one
-    # int64 pair key column sorted in place (8) and its adjacent-equal mask
-    # (1); a sorted copy of the keys would be 8 more
-    assert peak <= held + 24 * n
+    # beyond the table's 16 bytes a record: one int64 pair key column sorted
+    # in place (8) and its adjacent-equal mask (1); re-mapped copies of the
+    # code columns would be 8 more, and a sorted copy of the keys 8 more again
+    assert peak <= held + 16 * n
+
+
+def test_vocab_remaps_codes_in_place():
+    interner = _Interner()
+    ids = [f"id{k}" for k in np.random.default_rng(4).integers(0, 3000, 1_000_000)]
+    codes = interner.codes(ids)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        vocab = interner.vocab(codes)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert vocab.tolist() == sorted(set(ids))
+    assert vocab[codes].tolist() == ids
+    # the 3000 ids' arrays (0.2 MB) and a block of codes; a re-mapped copy of
+    # the column would be all of its 4 MB
+    assert peak < codes.nbytes / 4
 
 
 @pytest.mark.parametrize("unknown", ["compound", "protein"])

@@ -76,9 +76,11 @@ def test_scale_data_path_vae_smoke(tmp_path):
     report = scale.run_vae(300, 96, 1, tmp_path)
     assert list(report["stages"]) == [
         "generate", "load_bitvectors", "train_vae_one_epoch", "embed", "save_vae",
+        "save_latents",
     ]
     assert report["latents_mb"] == round(300 * 64 * 8 / 2**20, 1)
     assert (tmp_path / "vae.json").stat().st_size > 0
+    assert len((tmp_path / "latents.tsv").read_text(encoding="utf-8").splitlines()) == 300
     # 96 bits is nearest the chemical preset, whose shape the VAE takes
     assert (report["hidden"], report["latent"], report["batch_size"]) == ([256, 128], 64, 1000)
     assert report["peak_rss_mb"] >= max(s["peak_rss_mb"] for s in report["stages"].values())
