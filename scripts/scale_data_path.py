@@ -11,8 +11,9 @@ tierflow data files in a temporary directory.  Then it runs, in this process
 and in order, the stages of the data path for one training step on the tier
 [319, 700): loading the three files, building the ``DataContext``, the tier
 mask, the step's negatives, gathering the step's rows from their pair keys in
-4096-row blocks (as evaluation does; no step matrix is built), and one epoch
-of a ``[128, 64, 32, 16, 8]`` classifier (a one-step, one-epoch ``train_ftl``
+blocks of ``min(n, 1000)`` rows, the default batch size (as training and
+evaluation do; no step matrix is built), and one epoch of a
+``[128, 64, 32, 16, 8]`` classifier (a one-step, one-epoch ``train_ftl``
 call with metrics off, which samples its own step and validation sets and
 gathers each batch from keys).
 
@@ -45,7 +46,6 @@ from pathlib import Path
 import numpy as np
 
 from tierflow.data import (
-    GATHER_ROWS,
     DataContext,
     TierSpec,
     load_bitvectors,
@@ -117,12 +117,13 @@ def stager(report: dict):
     return stage
 
 
-def gather_rows(ctx: DataContext, keys: np.ndarray) -> np.ndarray:
-    """Gather the row of every key through ``DataContext.rows``, one
-    evaluation-sized block at a time into one reused buffer; returns the buffer."""
-    block = np.empty((min(len(keys), GATHER_ROWS), ctx.feature_dim))
-    for at in range(0, len(keys), GATHER_ROWS):
-        ctx.rows(keys[at:at + GATHER_ROWS], block)
+def gather_rows(ctx: DataContext, keys: np.ndarray, batch_size: int) -> np.ndarray:
+    """Gather the row of every key through ``DataContext.rows``, ``batch_size``
+    rows at a time into one reused buffer, as training and evaluation do;
+    returns the buffer."""
+    block = np.empty((min(len(keys), batch_size), ctx.feature_dim))
+    for at in range(0, len(keys), batch_size):
+        ctx.rows(keys[at:at + batch_size], block)
     return block
 
 
@@ -144,13 +145,13 @@ def run(records: int, seed: int, work: Path,
         ctx.positive_keys, len(positives), RngStream(seed),
     )
     keys = np.concatenate([positives, negatives])
-    block = stage("row_gather", gather_rows, ctx, keys)
-    report["step_rows"], report["block_mb"] = len(keys), round(block.nbytes / 2**20, 1)
-    del keys, block
     schedule = TrainSchedule(
         steps=[TrainStep(STEP, 1)], validation_tier=VALIDATION, seed=seed,
         hidden_layers=HIDDEN,
     )
+    block = stage("row_gather", gather_rows, ctx, keys, schedule.batch_size)
+    report["step_rows"], report["block_mb"] = len(keys), round(block.nbytes / 2**20, 1)
+    del keys, block
     stage("train_one_epoch", lambda: train_ftl(schedule, ctx, metrics=False))
     report["peak_rss_mb"] = round(peak_rss_mb(), 1)
     return report

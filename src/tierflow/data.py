@@ -521,10 +521,9 @@ def sample_negatives(
     return chosen
 
 
-# rows per evaluation block and per block of a feature gather: a block's
-# index and feature temporaries stay a few MB.  A blocked forward may differ
-# from a whole-matrix one in the last ulp; 4096 keeps the benchmark's pinned
-# digests on the build that pinned them, so changing it may change metrics
+# rows per block of DataContext.feature_matrix's gather: a block's index
+# temporaries stay a few MB.  The rows are copied bit for bit, so the block
+# size cannot change a result
 GATHER_ROWS = 4096
 
 

@@ -14,15 +14,12 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .errors import NumericError
-from .rng import RngStream
+from .rng import CHUNK, RngStream
 
 RELU = "relu"
 SIGMOID = "sigmoid"
 IDENTITY = "identity"
 ACTIVATIONS = (RELU, SIGMOID, IDENTITY)
-# elements per block of the chunked elementwise passes (Adam's update, weight
-# draws, the VAE's output layer): a block's scratch stays in cache
-CHUNK = 65536
 
 
 def sigmoid(z: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import (
-    GATHER_ROWS,
     DataContext,
     DataError,
     TierSpec,
@@ -157,20 +156,27 @@ class FtlResult:
 
 
 def evaluate(
-    net: DenseNetwork, ctx: DataContext, keys: np.ndarray, labels: np.ndarray
+    net: DenseNetwork, ctx: DataContext, keys: np.ndarray, labels: np.ndarray,
+    rows: np.ndarray,
 ) -> tuple[float, float]:
-    """Mean BCE and threshold-0.5 accuracy over the pairs ``keys``; pure function.
+    """Mean BCE and threshold-0.5 accuracy over the pairs ``keys``; a pure
+    function apart from overwriting ``rows``.
 
-    The forward pass runs over ``GATHER_ROWS``-row blocks gathered from the
-    keys into one output vector, which the loss and accuracy then read whole.
+    ``rows`` is a gather buffer as ``DataContext.rows`` takes it: the forward
+    pass runs over ``len(rows)``-row blocks of the keys, each gathered into
+    it, and fills one output vector, which the loss and accuracy read whole.
+    The block size is part of the arithmetic, because a matrix product's
+    summation order may depend on its row count: on OpenBLAS 0.3.31 (SkylakeX
+    core, one thread) the 8 -> 1 output layer can differ in the last ulp in a
+    block's last few rows, while :func:`train_ftl`'s blocks keep every digest
+    pinned on that build.
     """
     if not len(keys):
         raise ValueError("evaluate needs a non-empty example set")
     out = np.empty(len(keys))
-    block = np.empty((min(len(keys), GATHER_ROWS), ctx.feature_dim))
-    for at in range(0, len(keys), GATHER_ROWS):
-        rows = ctx.rows(keys[at:at + GATHER_ROWS], block)
-        out[at:at + len(rows)] = forward(net, rows, chain=False)[-1].reshape(-1)
+    for at in range(0, len(keys), len(rows)):
+        block = ctx.rows(keys[at:at + len(rows)], rows)
+        out[at:at + len(block)] = forward(net, block, chain=False)[-1].reshape(-1)
     return bce_loss(out, labels), accuracy(out, labels)
 
 
@@ -193,8 +199,10 @@ def train_ftl(
     The log holds only the epochs this call trained.
     With ``metrics=False`` no epoch is evaluated and the log stays empty;
     evaluation is a pure function of the net, so everything else is the same.
-    No step matrix is built: every batch and every evaluation block is
-    gathered from the step's pair keys.
+    No step matrix is built: each step gathers every batch and every
+    evaluation block from pair keys into one buffer of
+    ``min(max(step pairs, validation pairs), batch_size)`` rows, so each
+    example set is scored in blocks of ``min(its size, batch_size)`` rows.
     """
     root = RngStream(schedule.seed)
     if start is None:
@@ -237,7 +245,7 @@ def train_ftl(
 
         y = labels(positives, negatives)
         n = len(keys)
-        batch = np.empty((min(n, schedule.batch_size), ctx.feature_dim))
+        batch = np.empty((min(max(n, len(val_keys)), schedule.batch_size), ctx.feature_dim))
         if first == 1 and schedule.reset_optimizer_between_steps and k > 1:
             adam = AdamState.create(net.flat.size, schedule.learning_rate)
 
@@ -249,8 +257,9 @@ def train_ftl(
                 backward(net, acts, bce_gradient(acts[-1], y[idx]), grad)
                 adam_step(adam, net.flat, grad)
             if metrics:
-                log.append(k, epoch, "train", *evaluate(net, ctx, keys, y))
-                log.append(k, epoch, "validation", *evaluate(net, ctx, val_keys, val_labels))
+                log.append(k, epoch, "train", *evaluate(net, ctx, keys, y, batch))
+                log.append(k, epoch, "validation",
+                           *evaluate(net, ctx, val_keys, val_labels, batch))
         stopped = (k, last)
 
     return FtlResult(net, log, val_pos, val_negs, adam, stopped)
@@ -316,7 +325,11 @@ def run_experiment(
                             + (f"(signal {-code})" if code < 0 else f"(exit code {code})"))
                     results[name] = future.result()
         except BaseException:  # a dead worker, a failed arm or an interrupt
-            for worker in multiprocessing.active_children():
-                worker.terminate()  # the other arms' workers
+            # the other arms' workers; the caller's own processes are left alone
+            for *_, worker in running.values():
+                worker.terminate()
+            for _, pool, worker in running.values():
+                worker.join()
+                pool.shutdown()
             raise
     return {name: results[name] for name in sorted(results)}

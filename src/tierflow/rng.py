@@ -27,13 +27,20 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _INV_2_53 = float(2.0**-53)
+# elements per block of the chunked elementwise passes (raw draws, Adam's
+# update, weight draws, the VAE's output layer): a block's scratch stays in cache
+CHUNK = 65536
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, vectorized over uint64 arrays (wraps mod 2**64)."""
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    """splitmix64 finalizer, in place over a uint64 array (wraps mod 2**64);
+    returns ``z``."""
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def derive_seed(seed: int, label: str, *indices: int) -> int:
@@ -68,11 +75,18 @@ class RngStream:
         return self._counter
 
     def _raw(self, n: int) -> np.ndarray:
+        """The next ``n`` raw draws, mixed in place ``CHUNK`` at a time, so the
+        only scratch beside the output is one chunk's shifted copy."""
         if n < 0:
             raise ValueError(f"draw count must be >= 0, got {n}")
-        idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
+        out = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n
-        return _mix64(np.uint64(self.seed) + idx * _GAMMA)
+        for at in range(0, n, CHUNK):
+            z = out[at:at + CHUNK]
+            z *= _GAMMA
+            z += np.uint64(self.seed)
+            _mix64(z)
+        return out
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size: int = 1) -> np.ndarray:
         """Uniform doubles in [low, high) from the top 53 bits of each raw draw."""

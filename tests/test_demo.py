@@ -46,9 +46,9 @@ def test_scale_data_path_smoke(tmp_path):
     ]
     assert all(stage["s"] >= 0 for stage in report["stages"].values())
     # the step's rows are its positives and as many negatives, gathered 64 +
-    # 128 wide into one block of at most 4096 rows
+    # 128 wide into one block of at most 1000 rows, the default batch size
     assert report["step_rows"] > 0 and report["step_rows"] % 2 == 0
-    block_rows = min(report["step_rows"], 4096)
+    block_rows = min(report["step_rows"], 1000)
     assert report["block_mb"] == round(block_rows * 192 * 8 / 2**20, 1)
     assert report["peak_rss_mb"] >= max(s["peak_rss_mb"] for s in report["stages"].values())
 

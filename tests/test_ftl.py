@@ -1,5 +1,6 @@
 import math
 import multiprocessing
+import time
 import tracemalloc
 from unittest import mock
 
@@ -10,10 +11,10 @@ from hypothesis import strategies as st
 
 from tierflow import ftl
 from tierflow.data import (
-    GATHER_ROWS,
     DataContext,
     InteractionTable,
     TierSpec,
+    labels,
     synth_generate,
     tier_filter,
 )
@@ -301,17 +302,20 @@ def test_evaluate_constant_half_predictor(tiny_ctx):
         tiny_ctx.feature_dim,
     )
     pos = ftl.tier_keys(tiny_ctx, VAL, "validation")
-    loss, acc = evaluate(net, tiny_ctx, pos, np.ones(len(pos)))
-    assert loss == pytest.approx(math.log(2), rel=1e-12)
-    assert acc == 100.0  # every pair labeled 1, ties classify positive
     # compound "C000000" sorts first, so its pair with protein row j has key j
     n_p = len(tiny_ctx.proteins)
     negs = np.array([k % n_p for k in pos[:10].tolist()])
     negs = negs[~np.isin(negs, tiny_ctx.positive_keys)]
     keys = np.concatenate([pos, negs])
-    loss2, acc2 = evaluate(net, tiny_ctx, keys, np.repeat([1.0, 0.0], [len(pos), len(negs)]))
-    assert loss2 == pytest.approx(math.log(2), rel=1e-12)
-    assert acc2 == pytest.approx(100.0 * len(pos) / (len(pos) + len(negs)))
+    for block in (1, 7, 1000):
+        rows = np.empty((block, tiny_ctx.feature_dim))
+        loss, acc = evaluate(net, tiny_ctx, pos, np.ones(len(pos)), rows)
+        assert loss == pytest.approx(math.log(2), rel=1e-12)
+        assert acc == 100.0  # every pair labeled 1, ties classify positive
+        loss2, acc2 = evaluate(
+            net, tiny_ctx, keys, np.repeat([1.0, 0.0], [len(pos), len(negs)]), rows)
+        assert loss2 == pytest.approx(math.log(2), rel=1e-12)
+        assert acc2 == pytest.approx(100.0 * len(pos) / (len(pos) + len(negs)))
 
 
 def test_evaluate_empty_rejected(tiny_ctx):
@@ -320,25 +324,56 @@ def test_evaluate_empty_rejected(tiny_ctx):
         tiny_ctx.feature_dim,
     )
     with pytest.raises(ValueError):
-        evaluate(net, tiny_ctx, np.zeros(0, dtype=np.int64), np.zeros(0))
+        evaluate(net, tiny_ctx, np.zeros(0, dtype=np.int64), np.zeros(0),
+                 np.empty((4, tiny_ctx.feature_dim)))
 
 
-@pytest.mark.parametrize("n", [1, 777, GATHER_ROWS, GATHER_ROWS + 1, 3 * GATHER_ROWS + 5])
+@pytest.mark.parametrize("n", [1, 777, 4096, 4097, 3 * 4096 + 5])
 def test_blocked_evaluate_matches_the_whole_matrix(tiny_ctx, n):
     rng = np.random.default_rng(n)
     keys = rng.integers(0, len(tiny_ctx.compounds) * len(tiny_ctx.proteins), n)
     labels = (rng.random(n) < 0.5).astype(np.float64)
     net = init_network([16, 8, 1], tiny_ctx.feature_dim, rng=RngStream(n))
-    loss, acc = evaluate(net, tiny_ctx, keys, labels)
     # the formula over the whole matrix in one forward pass
     x, _ = tiny_ctx.feature_matrix(keys, np.zeros(0, dtype=np.int64))
     out = forward(net, x, chain=False)[-1]
     reference = bce_loss(out, labels), accuracy(out, labels)
-    if n <= GATHER_ROWS:
-        assert (loss, acc) == reference
-    else:
-        assert loss == pytest.approx(reference[0], rel=1e-12)
-        assert acc == pytest.approx(reference[1], rel=1e-12)
+    for block in (1, 7, 1000, 1001, 4096):
+        loss, acc = evaluate(net, tiny_ctx, keys, labels, np.empty((block, x.shape[1])))
+        if n <= block:
+            assert (loss, acc) == reference
+        else:
+            assert loss == pytest.approx(reference[0], rel=1e-12)
+            assert acc == pytest.approx(reference[1], rel=1e-12)
+
+
+@pytest.mark.parametrize("tier, batch_size", [
+    (HIGH, 1000),                  # validation set < step < batch
+    (TierSpec(800, 900), 1000),    # step < validation set < batch
+    (TierSpec(800, 900), 250),     # step < batch < validation set
+])
+def test_small_step_scores_validation_in_batch_sized_blocks(tiny_ctx, tier, batch_size):
+    sched = fast_schedule([TrainStep(tier, 3)], seed=2, batch_size=batch_size)
+    run = train_ftl(sched, tiny_ctx)
+    val_keys = np.concatenate([run.validation_positives, run.validation_negatives])
+    assert 2 * len(ftl.tier_keys(tiny_ctx, tier, "step 1")) < batch_size
+    rows = np.empty((min(len(val_keys), batch_size), tiny_ctx.feature_dim))
+    y = labels(run.validation_positives, run.validation_negatives)
+    for epoch in (1, 2, 3):
+        net = train_ftl(sched, tiny_ctx, stop=(1, epoch), metrics=False).network
+        [record] = [r for r in run.log.records if (r.split, r.epoch) == ("validation", epoch)]
+        assert (record.loss, record.accuracy) == evaluate(net, tiny_ctx, val_keys, y, rows)
+
+
+@pytest.mark.parametrize("positives", [8000, 32000])
+def test_evaluation_adds_no_gather_block_to_the_epoch_peak(positives):
+    # both sets are scored through the step's 1000-row batch buffer, so metrics
+    # add the output vector (8 bytes a key) and bce_loss's clamped copy and two
+    # temporaries (24 bytes a key of the larger set, the step's); a 4096-row
+    # evaluation block of these 128 columns alone would be 4.2 MB
+    ctx = wide_context(positives)
+    step, evaluated = 2 * positives, 2 * positives + 2 * 200
+    assert train_peak(ctx, True) <= train_peak(ctx, False) + 8 * evaluated + 24 * step
 
 
 def test_best_validation_extremes():
@@ -410,6 +445,25 @@ def test_failed_arm_stops_the_other_workers(tiny_ctx):
     for worker in multiprocessing.active_children():
         worker.join(timeout=5)
     assert not multiprocessing.active_children()
+
+
+def test_failed_run_leaves_the_callers_own_processes(tiny_ctx):
+    sleeper = multiprocessing.get_context("spawn").Process(target=time.sleep, args=(60,))
+    sleeper.start()
+    try:
+        arms = {
+            "empty": fast_schedule([TrainStep(TierSpec(0, 300), 1)]),
+            "long": fast_schedule([TrainStep(HIGH, 20_000)]),
+        }
+        with pytest.raises(DataError, match="has no positives"):
+            run_experiment(arms, tiny_ctx, jobs=2)
+        sleeper.join(timeout=1)
+        assert sleeper.exitcode is None  # the caller's own child was not signalled
+        # and the run's workers were joined, not merely signalled
+        assert multiprocessing.active_children() == [sleeper]
+    finally:
+        sleeper.terminate()
+        sleeper.join(timeout=5)
 
 
 @pytest.mark.parametrize("fork_at", [(1, 2), (1, 3), (2, 1)])

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tierflow.rng import RngStream, derive_seed
+from tierflow.rng import CHUNK, RngStream, derive_seed
 
 
 def test_same_seed_same_sequence():
@@ -96,3 +98,42 @@ def test_permutation_equals_stable_argsort(seed, n, skip):
     a, b = RngStream(seed), RngStream(seed)
     a.uniform(size=skip), b.uniform(size=skip)
     assert np.array_equal(a.permutation(n), np.argsort(b._raw(n), kind="stable"))
+
+GAMMA = np.uint64(0x9E3779B97F4A7C15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    counter=st.sampled_from([0, 1, CHUNK - 1, CHUNK]) | st.integers(0, 2**63),
+    n=st.sampled_from([0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+    | st.integers(0, 3 * CHUNK),
+)
+def test_chunked_draws_equal_the_whole_array_formula(seed, counter, n):
+    r = RngStream(seed)
+    r._counter = counter
+    # raw_i = mix64((s + i * gamma) mod 2**64) over the whole array at once
+    z = np.uint64(seed) + np.arange(counter + 1, counter + n + 1, dtype=np.uint64) * GAMMA
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    expected = z ^ (z >> np.uint64(31))
+    drawn = r._raw(n)
+    assert drawn.dtype == np.uint64 and drawn.tobytes() == expected.tobytes()
+    assert r.counter == counter + n
+
+
+def test_large_permutation_holds_no_whole_array_scratch():
+    # the step size of a 1e7-record run: the draws and the argsort's output are
+    # 8 bytes a row each, and the draws' scratch is a few CHUNK-sized blocks
+    # (the whole-array formula peaked at three 8-byte arrays of n)
+    n = 3_660_000
+    r = RngStream(7)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        perm = r.permutation(n)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(perm) == n
+    assert peak <= 2 * 8 * n + 4 * 8 * CHUNK
