@@ -47,20 +47,16 @@ def _apply_activation(z: np.ndarray, tag: str) -> np.ndarray:
     raise ValueError(f"unknown activation {tag!r}")
 
 
-def _activation_gradient(
-    delta: np.ndarray, a_out: np.ndarray, tag: str, out: np.ndarray | None = None
-) -> np.ndarray:
-    """dLoss/dPre-activation from dLoss/dOutput, through the activation's
-    output; a ReLU's is written into ``out`` when given."""
+def _activation_gradient(delta: np.ndarray, a_out: np.ndarray, tag: str) -> None:
+    """Turn dLoss/dOutput in ``delta`` into dLoss/dPre-activation, in place,
+    through the activation's output ``a_out``."""
     if tag == RELU:
-        return np.multiply(delta, a_out > 0.0, out=out)
-    if tag == SIGMOID:
-        # delta * (a_out * (1 - a_out)), in one array
-        dz = np.subtract(1.0, a_out)
-        dz *= a_out
-        dz *= delta
-        return dz
-    return delta
+        np.multiply(delta, a_out > 0.0, out=delta)
+    elif tag == SIGMOID:
+        # delta * (a_out * (1 - a_out))
+        factor = np.subtract(1.0, a_out)
+        factor *= a_out
+        delta *= factor
 
 
 def check_finite(arr: np.ndarray, what: str) -> None:
@@ -219,7 +215,8 @@ def forward(
     With ``logits``, an array shaped like the output, the last layer's
     pre-activation is written there and its activation is left to the caller:
     the chain ends in ``logits``, and checking the output's finiteness is the
-    caller's part too.
+    caller's part too.  A training step runs ``forward(..., logits=z)``, then
+    :func:`sigmoid_bce`, which leaves dLoss/dz in ``z``, then :func:`backward`.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2:
@@ -279,32 +276,56 @@ def bce_term_gradient(
     return out
 
 
-def _clamped_bce_inputs(predictions, labels) -> tuple[np.ndarray, np.ndarray]:
-    # flat predictions clamped to [1e-12, 1 - 1e-12], and flat labels
-    p = np.asarray(predictions, dtype=np.float64).reshape(-1)
-    y = np.asarray(labels, dtype=np.float64).reshape(-1)
-    if p.shape != y.shape:
-        raise ValueError(f"length mismatch: {p.shape[0]} predictions, {y.shape[0]} labels")
-    if p.size == 0:
-        raise ValueError("bce_loss needs at least one prediction")
-    return clamp_probabilities(p), y
-
-
-def bce_gradient(predictions: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Gradient of the mean binary cross-entropy w.r.t. the predictions.
-
-    Evaluated at the predictions clamped to [1e-12, 1 - 1e-12], and shaped
-    like ``predictions``; the training loop needs nothing else.
-    """
-    pc, y = _clamped_bce_inputs(predictions, labels)
-    return bce_term_gradient(pc, y, pc.size, out=pc).reshape(np.shape(predictions))
-
-
 def bce_loss(predictions: np.ndarray, labels: np.ndarray) -> float:
     """Mean binary cross-entropy, with predictions clamped to [1e-12, 1 - 1e-12]
-    before the logs; :func:`bce_gradient` is its gradient."""
-    pc, y = _clamped_bce_inputs(predictions, labels)
-    return float(-np.sum(bce_terms(pc, y, out=pc)) / pc.size)
+    before the logs.
+
+    The terms are written over the clamped copy ``CHUNK`` elements at a time
+    and summed in one pass over it, so the loss holds one array as long as the
+    predictions beside chunk-sized temporaries.
+    """
+    terms = clamp_probabilities(np.asarray(predictions, dtype=np.float64).reshape(-1))
+    y = np.asarray(labels, dtype=np.float64).reshape(-1)
+    if terms.shape != y.shape:
+        raise ValueError(f"length mismatch: {terms.shape[0]} predictions, {y.shape[0]} labels")
+    if terms.size == 0:
+        raise ValueError("bce_loss needs at least one prediction")
+    for at in range(0, terms.size, CHUNK):
+        block = terms[at:at + CHUNK]
+        bce_terms(block, y[at:at + CHUNK], out=block)
+    return float(-np.sum(terms) / terms.size)
+
+
+def sigmoid_bce(z: np.ndarray, labels: np.ndarray) -> float:
+    """The Sigmoid output layer and its binary cross-entropy against ``labels``
+    (shaped like ``z``), summed within a row and averaged over the rows.
+
+    ``z`` holds the output pre-activation, as ``forward(..., logits=z)`` left
+    it, and ends holding the loss's gradient w.r.t. it: (1 - a) * a times the
+    BCE gradient at the clipped output a.  The work runs in row blocks of
+    about ``CHUNK`` elements through one block-sized scratch, each element
+    through the same IEEE operations in the same order as the whole-array
+    expressions; the loss is minus the sum of the :func:`bce_terms`, each
+    block's summed in block order, over the row count.
+    """
+    if labels.shape != z.shape:
+        raise ValueError(f"labels shape {labels.shape} does not match output shape {z.shape}")
+    if z.size == 0:
+        raise ValueError("sigmoid_bce needs at least one prediction")
+    n, width = z.shape
+    rows = max(1, CHUNK // width)
+    scratch = np.empty((min(n, rows), width))
+    total = 0.0
+    for at in range(0, n, rows):
+        dz, a, y = z[at:at + rows], scratch[:n - at], labels[at:at + rows]
+        sigmoid(dz, out=a)
+        check_finite(a, "forward output")
+        np.subtract(1.0, a, out=dz)
+        dz *= a
+        clamp_probabilities(a, out=a)
+        dz *= bce_term_gradient(a, y, n, out=np.empty_like(a))
+        total += np.sum(bce_terms(a, y, out=a))
+    return float(-total / n)
 
 
 def backward(
@@ -313,34 +334,28 @@ def backward(
     loss_gradient: np.ndarray,
     out: np.ndarray | None = None,
 ) -> list[np.ndarray]:
-    """Backpropagate dLoss/dOutput through the network.
+    """Backpropagate dLoss/dz through the network, z the top layer's
+    pre-activation.
 
     ``activations`` is the chain produced by :func:`forward` on the same net;
-    ``loss_gradient`` is the gradient w.r.t. the final (post-activation)
-    output.  The gradients are written into ``out`` (a vector laid out like
-    ``net.flat``, allocated when omitted) and returned as its views, aligned
-    with ``net.parameters()``.
+    its last entry gives only the shape of ``loss_gradient``, and the top
+    layer's activation is the caller's (``forward(..., logits=z)`` and
+    :func:`sigmoid_bce` for a Sigmoid output), so its tag is never read.  The
+    gradients are written into ``out`` (a vector laid out like ``net.flat``,
+    allocated when omitted) and returned as its views, aligned with
+    ``net.parameters()``; ``loss_gradient`` is left as it is.
     """
     return _backpropagate(net, activations, loss_gradient, out, False)[0]
 
 
 def backward_with_input(
-    net: DenseNetwork,
-    activations: list[np.ndarray],
-    loss_gradient: np.ndarray,
-    out=None,
-    from_logits: bool = False,
+    net: DenseNetwork, activations: list[np.ndarray], loss_gradient: np.ndarray, out=None,
 ) -> tuple[list[np.ndarray], np.ndarray]:
-    """Like :func:`backward` but also returns dLoss/dInput (VAE chaining needs it).
-
-    With ``from_logits``, ``loss_gradient`` is the gradient w.r.t. the last
-    layer's pre-activation, for a chain from ``forward(..., logits=)``.
-    """
-    return _backpropagate(net, activations, loss_gradient, out, True, from_logits)
+    """Like :func:`backward` but also returns dLoss/dInput (VAE chaining needs it)."""
+    return _backpropagate(net, activations, loss_gradient, out, True)
 
 
-def _backpropagate(net, activations, loss_gradient, out, input_gradient: bool,
-                   from_logits: bool = False):
+def _backpropagate(net, activations, loss_gradient, out, input_gradient: bool):
     if len(activations) != len(net.layers) + 1:
         raise ValueError(
             f"activation chain has {len(activations)} entries, "
@@ -355,21 +370,17 @@ def _backpropagate(net, activations, loss_gradient, out, input_gradient: bool,
     grads = net.split(np.empty_like(net.flat) if out is None else out)
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
-        a_out = activations[i + 1]
         a_in = activations[i]
         if a_in.shape[1] != layer.in_dim:
             raise ValueError(f"stale activations at layer {i}")
-        top = i == len(net.layers) - 1
-        if from_logits and top:
-            dz = delta
-        else:
+        if i < len(net.layers) - 1:
             # below the top layer, delta is this pass's own array: reuse it
-            dz = _activation_gradient(delta, a_out, layer.activation, None if top else delta)
-        np.matmul(dz.T, a_in, out=grads[2 * i])
-        dz.sum(axis=0, out=grads[2 * i + 1])
+            _activation_gradient(delta, activations[i + 1], layer.activation)
+        np.matmul(delta.T, a_in, out=grads[2 * i])
+        delta.sum(axis=0, out=grads[2 * i + 1])
         # layer 0's input gradient is dLoss/dInput, which only the VAE uses
         if i or input_gradient:
-            delta = dz @ layer.weights
+            delta = delta @ layer.weights
     return grads, delta
 
 
@@ -428,5 +439,5 @@ def accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
         raise ValueError("accuracy needs at least one prediction")
     if p.shape != y.shape:
         raise ValueError(f"length mismatch: {p.shape[0]} predictions, {y.shape[0]} labels")
-    predicted = (p >= 0.5).astype(np.float64)
-    return float(100.0 * np.mean(predicted == y))
+    # a count over the size is the mean of the matches, with no float array of them
+    return float(100.0 * (np.count_nonzero((p >= 0.5) == y) / p.size))

@@ -41,11 +41,11 @@ from .engine import (
     accuracy,
     adam_step,
     backward,
-    bce_gradient,
     bce_loss,
     check_sizes_and_rate,
     forward,
     init_network,
+    sigmoid_bce,
 )
 from .errors import ConfigError
 from .rng import RngStream
@@ -202,7 +202,9 @@ def train_ftl(
     No step matrix is built: each step gathers every batch and every
     evaluation block from pair keys into one buffer of
     ``min(max(step pairs, validation pairs), batch_size)`` rows, so each
-    example set is scored in blocks of ``min(its size, batch_size)`` rows.
+    example set is scored in blocks of ``min(its size, batch_size)`` rows,
+    and a batch's output pre-activation, then its loss gradient, goes to a
+    logits column as long as that buffer.
     """
     root = RngStream(schedule.seed)
     if start is None:
@@ -246,6 +248,7 @@ def train_ftl(
         y = labels(positives, negatives)
         n = len(keys)
         batch = np.empty((min(max(n, len(val_keys)), schedule.batch_size), ctx.feature_dim))
+        logits = np.empty((len(batch), 1))
         if first == 1 and schedule.reset_optimizer_between_steps and k > 1:
             adam = AdamState.create(net.flat.size, schedule.learning_rate)
 
@@ -253,8 +256,10 @@ def train_ftl(
             order = root.spawn("shuffle", k, epoch).permutation(n)
             for at in range(0, n, schedule.batch_size):
                 idx = order[at:at + schedule.batch_size]
-                acts = forward(net, ctx.rows(keys[idx], batch))
-                backward(net, acts, bce_gradient(acts[-1], y[idx]), grad)
+                z = logits[:len(idx)]
+                acts = forward(net, ctx.rows(keys[idx], batch), logits=z)
+                sigmoid_bce(z, y[idx, None])
+                backward(net, acts, z, grad)
                 adam_step(adam, net.flat, grad)
             if metrics:
                 log.append(k, epoch, "train", *evaluate(net, ctx, keys, y, batch))

@@ -17,7 +17,6 @@ import numpy as np
 from . import checkpoint as ckpt
 from .data import FeatureStore
 from .engine import (
-    CHUNK,
     IDENTITY,
     RELU,
     SIGMOID,
@@ -26,14 +25,12 @@ from .engine import (
     adam_step,
     backward,
     backward_with_input,
-    bce_term_gradient,
     bce_terms,
-    check_finite,
     check_sizes_and_rate,
     clamp_probabilities,
     forward,
     init_network,
-    sigmoid,
+    sigmoid_bce,
 )
 from .errors import DataError
 from .rng import RngStream
@@ -175,32 +172,6 @@ def _kl(mu: np.ndarray, logvar: np.ndarray, n: int) -> float:
     return float(0.5 * np.sum(mu**2 + (np.expm1(logvar) - logvar)) / n)
 
 
-def _output_layer(buf: np.ndarray, bits: np.ndarray) -> float:
-    """The decoder's Sigmoid output and its BCE against the bits, in row
-    blocks of about ``CHUNK`` elements, each element through the same IEEE
-    operations in the same order as the whole-array expressions.
-
-    ``buf`` holds the output pre-activation and ends holding the loss's
-    gradient w.r.t. it: (1 - a) * a times the BCE gradient at the clipped
-    output a.  Returns the sum of the :func:`bce_terms`, each block's summed
-    in block order; the output passes through one block-sized scratch.
-    """
-    n, width = bits.shape
-    rows = max(1, CHUNK // width)
-    scratch = np.empty((min(n, rows), width))
-    total = 0.0
-    for at in range(0, n, rows):
-        z, a, x = buf[at:at + rows], scratch[:n - at], bits[at:at + rows]
-        sigmoid(z, out=a)
-        check_finite(a, "forward output")
-        np.subtract(1.0, a, out=z)
-        z *= a
-        clamp_probabilities(a, out=a)
-        z *= bce_term_gradient(a, x, n, out=np.empty_like(a))
-        total += np.sum(bce_terms(a, x, out=a))
-    return total
-
-
 def _gradient(
     model: VaeModel, bits: np.ndarray, eta: np.ndarray,
     buf: np.ndarray, grad: np.ndarray, update,
@@ -213,8 +184,10 @@ def _gradient(
     its pass ends; no network's parameters are read after that.  ``buf``, a
     float64 buffer shaped like ``bits``, is the only batch-sized float array:
     it holds the float batch for the trunk's forward pass, the decoder's
-    output pre-activation, the gradient w.r.t. it, and the float batch again
-    for the trunk's backward pass.
+    output pre-activation, the gradient w.r.t. it (which :func:`sigmoid_bce`
+    leaves there), and the float batch again for the trunk's backward pass.
+    Each backward pass takes the gradient w.r.t. its network's top
+    pre-activation, so the trunk's top ReLU is applied to ``d_h`` here.
     """
     n = len(bits)
     np.copyto(buf, bits)
@@ -223,10 +196,10 @@ def _gradient(
     mu = forward(model.mu_head, h)[-1]
     logvar = forward(model.logvar_head, h)[-1]
     decoder_acts = forward(model.decoder, reparameterize(mu, logvar, eta), logits=buf)
-    recon = float(-_output_layer(buf, bits) / n)
+    recon = sigmoid_bce(buf, bits)
 
     trunk_out, mu_out, lv_out, dec_out = (grad[:getattr(model, p).flat.size] for p in _PARTS)
-    _, d_z = backward_with_input(model.decoder, decoder_acts, buf, dec_out, from_logits=True)
+    _, d_z = backward_with_input(model.decoder, decoder_acts, buf, dec_out)
     del decoder_acts  # freed before the trunk's backward pass allocates its own
     update("decoder", dec_out)
     # KL contributions (mean over batch)
@@ -238,6 +211,7 @@ def _gradient(
     _, d_h_lv = backward_with_input(model.logvar_head, [h, logvar], d_logvar, lv_out)
     update("logvar_head", lv_out)
     d_h += d_h_lv
+    np.multiply(d_h, h > 0.0, out=d_h)  # through the trunk's top ReLU
     np.copyto(buf, bits)
     backward(model.encoder_trunk, trunk_acts, d_h, trunk_out)
     update("encoder_trunk", trunk_out)

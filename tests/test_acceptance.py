@@ -36,10 +36,10 @@ from tierflow.engine import (
     DenseNetwork,
     adam_step,
     backward,
-    bce_gradient,
     bce_loss,
     forward,
     init_network,
+    sigmoid_bce,
 )
 from tierflow.ftl import TrainSchedule, TrainStep, train_ftl
 from tierflow.rng import RngStream
@@ -103,9 +103,10 @@ def test_c01_gradient_correctness():
             continue  # probed point not smooth; redraw
         accepted += 1
 
-        acts_chain = forward(net, x)
-        g = bce_gradient(acts_chain[-1], y)
-        analytic = backward(net, acts_chain, g)
+        z = np.empty((len(x), 1))
+        acts_chain = forward(net, x, logits=z)
+        sigmoid_bce(z, y.reshape(-1, 1))
+        analytic = backward(net, acts_chain, z)
         h = 1e-5
         for p_arr, g_arr in zip(net.parameters(), analytic):
             flat_p, flat_g = p_arr.ravel(), g_arr.ravel()

@@ -104,6 +104,15 @@ def test_unreadable_checkpoints_rejected(tmp_path, load, content):
         load(path)
 
 
+@pytest.mark.parametrize("load", [load_network, load_vae])
+def test_too_deeply_nested_checkpoints_rejected(tmp_path, load):
+    # json.loads raises RecursionError long before this depth
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000, encoding="utf-8")
+    with pytest.raises(DataError, match="deep.json: invalid JSON"):
+        load(path)
+
+
 def test_load_rejects_invalid_json(tmp_path):
     path = tmp_path / "borked.json"
     path.write_text("{not json", encoding="utf-8")

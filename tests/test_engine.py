@@ -1,11 +1,13 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tierflow import engine
 from tierflow.checkpoint import network_from_dict, network_to_dict
 from tierflow.engine import (
     BETA1,
@@ -22,11 +24,11 @@ from tierflow.engine import (
     adam_step,
     backward,
     backward_with_input,
-    bce_gradient,
     bce_loss,
     forward,
     init_network,
     sigmoid,
+    sigmoid_bce,
 )
 from tierflow.rng import RngStream
 
@@ -174,17 +176,25 @@ def test_bce_length_mismatch():
         bce_loss(np.array([[0.5], [0.5]]), np.array([1.0]))
 
 
-def test_bce_gradient_matches_finite_difference():
-    p = np.array([0.3, 0.6, 0.9])
-    y = np.array([0.0, 1.0, 1.0])
-    grad = bce_gradient(p, y)
+def logit(p):
+    return np.log(p) - np.log1p(-p)
+
+
+def test_sigmoid_bce_matches_finite_difference():
+    p = np.array([0.3, 0.6, 0.9, 0.2, 0.5, 0.75])
+    y = np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.0])
     h = 1e-7
-    for i in range(3):
-        up, down = p.copy(), p.copy()
-        up[i] += h
-        down[i] -= h
-        fd = (bce_loss(up, y) - bce_loss(down, y)) / (2 * h)
-        assert grad[i] == pytest.approx(fd, rel=1e-5)
+    for width in (1, 3):  # sigmoid_bce averages over rows, bce_loss over elements
+        z = logit(p).reshape(-1, width)
+        grad = z.copy()
+        sigmoid_bce(grad, y.reshape(z.shape))
+        for i in range(z.size):
+            up, down = z.copy(), z.copy()
+            up.flat[i] += h
+            down.flat[i] -= h
+            fd = width * (bce_loss(sigmoid(up, np.empty_like(up)), y)
+                          - bce_loss(sigmoid(down, np.empty_like(down)), y)) / (2 * h)
+            assert grad.flat[i] == pytest.approx(fd, rel=1e-5)
 
 
 @given(
@@ -194,7 +204,8 @@ def test_bce_gradient_matches_finite_difference():
 def test_bce_nonnegative(ps, data):
     ys = data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=len(ps), max_size=len(ps)))
     loss = bce_loss(np.array(ps), np.array(ys))
-    grad = bce_gradient(np.array(ps), np.array(ys))
+    grad = logit(np.array(ps)).reshape(-1, 1)
+    assert sigmoid_bce(grad, np.array(ys).reshape(-1, 1)) >= 0.0
     assert loss >= 0.0
     assert np.isfinite(grad).all()
 
@@ -203,37 +214,48 @@ def test_bce_nonnegative(ps, data):
 @given(
     n=st.integers(1, 20000),
     seed=st.integers(0, 2**32 - 1),
-    column=st.booleans(),
+    width=st.sampled_from([1, 2, 5]),
+    chunk=st.sampled_from([CHUNK, 64, 4096]),
     edges=st.lists(
-        st.tuples(st.floats(0, 1, exclude_max=True), st.sampled_from([0.0, 1.0])),
+        st.tuples(st.floats(0, 1, exclude_max=True), st.sampled_from([-800.0, -40.0, 40.0, 800.0])),
         min_size=1, max_size=8,
     ),
 )
-def test_bce_gradient_equals_bce_loss_gradient(n, seed, column, edges):
+def test_sigmoid_bce_equals_the_whole_array_expressions(n, seed, width, chunk, edges):
     rng = RngStream(seed)
-    p = rng.uniform(size=n)
-    for where, value in edges:  # exact 0s and 1s exercise the clamp
-        p[int(where * n)] = value
-    y = (rng.uniform(size=n) < 0.5).astype(np.float64)
-    if column:
-        p = p.reshape(n, 1)
-    grad = bce_gradient(p, y)
-    # the gradient and the loss as bce_loss computed them when it returned both
-    pc = np.clip(p.reshape(-1), 1e-12, 1.0 - 1e-12)
-    reference = ((-(y / pc) + (1.0 - y) / (1.0 - pc)) / n).reshape(p.shape)
-    assert grad.shape == p.shape
-    assert grad.tobytes() == reference.tobytes()
-    loss = bce_loss(p, y)
-    assert type(loss) is float
-    assert loss == float(-np.mean(y * np.log(pc) + (1.0 - y) * np.log1p(-pc)))
+    z = rng.uniform(-8, 8, size=n * width)
+    for where, value in edges:  # Sigmoid outputs of exactly 0 and 1 exercise the clamp
+        z[int(where * z.size)] = value
+    y = (rng.uniform(size=z.size) < 0.5).astype(np.float64)
+    # the Sigmoid, its factor, the BCE gradient (over the row count) and the
+    # loss terms as whole-array expressions
+    e = np.exp(-np.abs(z))
+    a = np.where(z >= 0, 1.0, e) / (1.0 + e)
+    pc = np.clip(a, 1e-12, 1.0 - 1e-12)
+    grad = (-(y / pc) + (1.0 - y) / (1.0 - pc)) / n
+    terms = y * np.log(pc) + (1.0 - y) * np.log1p(-pc)
+    # row blocks of max(1, chunk // width) rows, each block's sum added in order
+    rows, total = max(1, chunk // width), 0.0
+    for at in range(0, n, rows):
+        total += np.sum(terms.reshape(n, width)[at:at + rows])
+    got = z.reshape(n, width).copy()
+    with mock.patch.object(engine, "CHUNK", chunk):
+        loss = sigmoid_bce(got, y.reshape(n, width))
+        mean = bce_loss(a, y)
+    assert got.tobytes() == (grad * (a * (1.0 - a))).tobytes()
+    assert type(loss) is float and type(mean) is float
+    assert loss == float(-total / n)
+    assert mean == float(-np.mean(y * np.log(pc) + (1.0 - y) * np.log1p(-pc)))
 
 
-def test_bce_gradient_rejects_what_bce_loss_rejects():
-    for fn in (bce_gradient, bce_loss):
-        with pytest.raises(ValueError, match="length mismatch"):
-            fn(np.array([[0.5], [0.5]]), np.array([1.0]))
+def test_sigmoid_bce_rejects_what_bce_loss_rejects():
+    with pytest.raises(ValueError, match="length mismatch"):
+        bce_loss(np.array([[0.5], [0.5]]), np.array([1.0]))
+    with pytest.raises(ValueError, match="does not match output shape"):
+        sigmoid_bce(np.zeros((2, 1)), np.ones(2))
+    for fn in (sigmoid_bce, bce_loss):
         with pytest.raises(ValueError, match="at least one prediction"):
-            fn(np.zeros((0, 1)), np.zeros(0))
+            fn(np.zeros((0, 1)), np.zeros((0, 1)))
 
 
 # ---------------------------------------------------------------- backward
@@ -259,9 +281,10 @@ def test_backward_identity_layer_hand_case():
 
 def _finite_difference_check(net, x, y, h=1e-5, rel_tol=1e-4, abs_floor=1e-8):
     """Central-difference oracle over every parameter component."""
-    acts = forward(net, x)
-    g = bce_gradient(acts[-1], y)
-    analytic = backward(net, acts, g)
+    z = np.empty((len(x), 1))
+    acts = forward(net, x, logits=z)
+    sigmoid_bce(z, y.reshape(-1, 1))
+    analytic = backward(net, acts, z)
     worst = 0.0
     for p_arr, g_arr in zip(net.parameters(), analytic):
         flat_p, flat_g = p_arr.ravel(), g_arr.ravel()
@@ -295,10 +318,12 @@ def test_backward_matches_backward_with_input_bitwise():
     x = rng.uniform(-2, 2, size=35 * 7).reshape(35, 7)
     y = (rng.uniform(size=35) < 0.5).astype(float)
     acts = forward(net, x)
-    g = bce_gradient(acts[-1], y)
+    g = np.empty((35, 1))
+    chain = forward(net, x, logits=g)
+    sigmoid_bce(g, y.reshape(-1, 1))
     out = np.full_like(net.flat, np.nan)
-    grads = backward(net, acts, g, out)
-    reference, _ = backward_with_input(net, acts, g)
+    grads = backward(net, chain, g, out)
+    reference, _ = backward_with_input(net, chain, g)
     assert all(a.base is out for a in grads)
     assert np.concatenate([r.ravel() for r in reference]).tobytes() == out.tobytes()
     # the chain-free forward gives the same output bits
@@ -307,23 +332,48 @@ def test_backward_matches_backward_with_input_bitwise():
     assert lean[-1].tobytes() == acts[-1].tobytes()
 
 
-def test_backward_from_logits_matches_the_sigmoid_chain_bitwise():
+def test_tier_batch_gradient_matches_the_old_path_bitwise():
+    # a tier-trainer batch, forward(logits=) -> sigmoid_bce -> backward,
+    # against the path it replaced: the Sigmoid output, the clip, the BCE
+    # gradient expression, delta * (a * (1 - a)), and then the layers
     rng = RngStream(43)
-    net = init_network([9, 6, 5], 7, [RELU, RELU, SIGMOID], rng)
-    x = rng.uniform(-2, 2, size=30 * 7).reshape(30, 7)
-    g = rng.uniform(-1, 1, size=30 * 5).reshape(30, 5)
+    net = init_network([9, 6, 4, 1], 7, [RELU, SIGMOID, RELU, SIGMOID], rng)
+    for layer in net.layers:
+        layer.biases += rng.uniform(-0.5, 0.5, size=layer.out_dim)
+    n = 30
+    x = rng.uniform(-2, 2, size=n * 7).reshape(n, 7)
+    # logits spread about 0 so wide that the clip binds at both ends
+    top = net.layers[-1]
+    top.weights *= 200.0
+    top.biases -= np.median(forward(net, x)[-2] @ top.weights.T + top.biases)
+    y = (rng.uniform(size=n) < 0.5).astype(float)
     acts = forward(net, x)
-    expected, expected_input = backward_with_input(net, acts, g)
-    logits = np.full((30, 5), np.nan)
-    chain = forward(net, x, logits=logits)
-    assert chain[-1] is logits and all(a.tobytes() == b.tobytes()
-                                       for a, b in zip(chain[:-1], acts[:-1]))
-    a = np.empty_like(logits)
-    np.subtract(1.0, sigmoid(logits.copy(), a), out=logits)
-    logits *= a
-    logits *= g
-    grads, input_grad = backward_with_input(net, chain, logits, from_logits=True)
-    assert all(r.tobytes() == e.tobytes() for r, e in zip(grads, expected))
+    a = acts[-1]
+    assert (a < 1e-12).any() and (a > 1.0 - 1e-12).any()
+    assert ((a > 1e-12) & (a < 1.0 - 1e-12)).sum() > n // 3
+    pc = np.clip(a.reshape(-1), 1e-12, 1.0 - 1e-12)
+    delta = ((-(y / pc) + (1.0 - y) / (1.0 - pc)) / n).reshape(a.shape)
+    delta = delta * (a * (1.0 - a))
+    expected = []
+    for i in range(len(net.layers) - 1, -1, -1):
+        expected[:0] = [delta.T @ acts[i], delta.sum(axis=0)]
+        if i:
+            delta = delta @ net.layers[i].weights
+            below = acts[i]
+            if net.layers[i - 1].activation == RELU:
+                delta = delta * (below > 0.0)
+            else:
+                delta = delta * (below * (1.0 - below))
+    expected_input = delta @ net.layers[0].weights
+    z = np.full((n, 1), np.nan)
+    chain = forward(net, x, logits=z)
+    assert chain[-1] is z and all(c.tobytes() == r.tobytes()
+                                  for c, r in zip(chain[:-1], acts[:-1]))
+    sigmoid_bce(z, y.reshape(-1, 1))
+    grads = backward(net, chain, z)
+    assert all(g.tobytes() == e.tobytes() for g, e in zip(grads, expected, strict=True))
+    grads, input_grad = backward_with_input(net, chain, z)
+    assert all(g.tobytes() == e.tobytes() for g, e in zip(grads, expected, strict=True))
     assert input_grad.tobytes() == expected_input.tobytes()
 
 
@@ -482,6 +532,16 @@ def test_accuracy_tie_rule_positive():
     assert accuracy(preds, labels) == 50.0
 
 
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1))
+def test_accuracy_equals_the_mean_of_matches(n, seed):
+    rng = RngStream(seed)
+    p = np.round(rng.uniform(size=n) * 4) / 4  # ties at 0.5 go positive
+    y = np.round(rng.uniform(size=n) * 2) / 2  # labels 0, 1 and a stray 0.5
+    expected = float(100.0 * np.mean((p >= 0.5).astype(np.float64) == y))
+    assert accuracy(p, y) == expected
+
+
 def test_accuracy_empty_rejected():
     with pytest.raises(ValueError):
         accuracy(np.array([]), np.array([]))
@@ -497,9 +557,10 @@ def test_training_steps_keep_everything_finite():
     grad = np.empty_like(net.flat)
     x = rng.uniform(-3, 3, size=120).reshape(20, 6)
     y = (rng.uniform(size=20) < 0.5).astype(float)
+    z = np.empty((20, 1))
     for _ in range(50):
-        acts = forward(net, x)
-        g = bce_gradient(acts[-1], y)
-        backward(net, acts, g, grad)
+        acts = forward(net, x, logits=z)
+        sigmoid_bce(z, y.reshape(-1, 1))
+        backward(net, acts, z, grad)
         adam_step(st_, net.flat, grad)
     assert np.isfinite(net.flat).all()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tierflow import ftl
+from tierflow import engine, ftl
 from tierflow.data import (
     DataContext,
     InteractionTable,
@@ -35,6 +35,7 @@ from tierflow.ftl import (
     metrics_csv_lines,
     report_dict,
     run_experiment,
+    tier_keys,
     train_ftl,
 )
 from tierflow.rng import RngStream
@@ -374,6 +375,27 @@ def test_evaluation_adds_no_gather_block_to_the_epoch_peak(positives):
     ctx = wide_context(positives)
     step, evaluated = 2 * positives, 2 * positives + 2 * 200
     assert train_peak(ctx, True) <= train_peak(ctx, False) + 8 * evaluated + 24 * step
+
+
+def test_evaluate_peaks_at_two_key_vectors():
+    # the output vector and bce_loss's clamped copy, with the loss terms
+    # written over the copy a chunk at a time (accuracy holds no float copy
+    # of the output); with 4096-element chunks the two chunk temporaries
+    # are a quarter of a 32k-key vector
+    ctx = wide_context(32000)
+    keys = tier_keys(ctx, LOW, "step")
+    y = (np.arange(len(keys)) % 2).astype(np.float64)
+    net = init_network([8, 1], ctx.feature_dim, rng=RngStream(0))
+    rows = np.empty((1000, ctx.feature_dim))
+    with mock.patch.object(engine, "CHUNK", 4096):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            evaluate(net, ctx, keys, y, rows)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+    assert peak <= 2 * 8 * len(keys) + 3 * 4096 * 8
 
 
 def test_best_validation_extremes():

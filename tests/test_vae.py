@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from tierflow import engine
 from tierflow import vae as vae_module
 from tierflow.data import FeatureStore
 from tierflow.engine import (
@@ -23,6 +24,7 @@ from tierflow.engine import (
     backward_with_input,
     forward,
     init_network,
+    sigmoid_bce,
 )
 from tierflow.errors import DataError
 from tierflow.rng import RngStream
@@ -32,7 +34,6 @@ from tierflow.vae import (
     VaeModel,
     _check_binary,
     _gradient,
-    _output_layer,
     build_vae,
     chemical_preset,
     embed,
@@ -310,9 +311,9 @@ def test_in_place_loss_and_gradient_match_the_expressions_bitwise(data, rows, co
     d_recon = (-(x / clipped) + (1.0 - x) / (1.0 - clipped)) / n
     # row blocks of max(1, chunk // cols) rows: one row, several, or all
     dz = logits.copy()
-    with mock.patch.object(vae_module, "CHUNK", chunk):
-        total = _output_layer(dz, bits)
-    assert bits_of(total) == bits_of(block_sum(terms, chunk))
+    with mock.patch.object(engine, "CHUNK", chunk):
+        loss = sigmoid_bce(dz, bits)
+    assert bits_of(loss) == bits_of(-block_sum(terms, chunk) / n)
     assert dz.tobytes() == (d_recon * (a * (1.0 - a))).tobytes()
     got = vae_loss(a, x, mu, logvar)
     assert list(map(bits_of, got)) == list(map(bits_of, (recon + kl, recon, kl)))
@@ -327,7 +328,8 @@ def test_sigmoid_backward_matches_the_expression_bitwise(data, rows, width):
     delta = data.draw(arrays(np.float64, (rows, width), elements=st.one_of(
         st.floats(min_value=-1e12, max_value=1e12), st.sampled_from([-0.0, 5e-324]),
     )))
-    got = _activation_gradient(delta.copy(), a_out.copy(), SIGMOID)
+    got = delta.copy()
+    _activation_gradient(got, a_out.copy(), SIGMOID)
     assert got.tobytes() == (delta * (a_out * (1.0 - a_out))).tobytes()
 
 
@@ -476,7 +478,7 @@ def reference_loss_terms(clipped, x, mu, logvar):
     hits = np.log(clipped)
     hits *= x
     hits += misses
-    recon = float(-block_sum(hits, vae_module.CHUNK) / n)
+    recon = float(-block_sum(hits, engine.CHUNK) / n)
     kl = float(0.5 * np.sum(mu**2 + (np.expm1(logvar) - logvar)) / n)
     return recon + kl, recon, kl
 
@@ -516,9 +518,9 @@ def reference_backward(model, cache, x, out):
     n = x.shape[0]
     sizes = [getattr(model, p).flat.size for p in vae_module._PARTS]
     trunk_out, mu_out, lv_out, dec_out = np.split(out, np.cumsum(sizes)[:-1])
-    _, d_z = backward_with_input(
-        model.decoder, cache.decoder_acts, reference_recon_gradient(cache.clipped, x), dec_out
-    )
+    a = cache.decoder_acts[-1]
+    d_out = reference_recon_gradient(cache.clipped, x) * ((1.0 - a) * a)  # the Sigmoid's factor
+    _, d_z = backward_with_input(model.decoder, cache.decoder_acts, d_out, dec_out)
     d_mu = d_z + cache.mu / n
     d_logvar = d_z * 0.5 * np.exp(0.5 * cache.logvar) * cache.eta
     d_logvar += 0.5 * np.expm1(cache.logvar) / n
@@ -526,6 +528,7 @@ def reference_backward(model, cache, x, out):
     _, d_h = backward_with_input(model.mu_head, [h, cache.mu], d_mu, mu_out)
     _, d_h_lv = backward_with_input(model.logvar_head, [h, cache.logvar], d_logvar, lv_out)
     d_h += d_h_lv
+    d_h = d_h * (h > 0.0)  # the trunk's top ReLU
     backward(model.encoder_trunk, cache.trunk_acts, d_h, trunk_out)
     return out
 
@@ -604,7 +607,7 @@ def test_train_vae_equals_the_reference_step_bitwise(width, batch, full, short, 
     config = VaeConfig(input_dim=width, encoder_hidden=(6, 3), latent_dim=2,
                        epochs=2, batch_size=batch, learning_rate=1e-2)
     store = random_store(rows, width, seed=seed, density=0.4)
-    with mock.patch.object(vae_module, "CHUNK", chunk):
+    with mock.patch.object(engine, "CHUNK", chunk):
         assert_train_vae_matches_reference(config, store, bias)
 
 
