@@ -27,7 +27,10 @@ trained model as a checkpoint and the means as a latent store.  So the memory
 of the protein preset is measured, not extrapolated from the chemical one.
 
 Each stage reports its wall seconds and the process's peak RSS after it
-(``getrusage``, MiB), so the stage that sets the peak shows.  The last line of
+(``getrusage``, MiB), so the stage that sets the peak shows.  The first row,
+``imports``, is the process before any data exists: the seconds this script
+took to import numpy and tierflow, and the peak RSS once they are imported,
+the floor every later stage reads against.  The last line of
 standard output is one JSON object.  One BLAS thread, as above, matches the
 benchmark's children.
 """
@@ -43,9 +46,11 @@ import tempfile
 import time
 from pathlib import Path
 
-import numpy as np
+_IMPORTS_STARTED = time.perf_counter()
 
-from tierflow.data import (
+import numpy as np  # noqa: E402
+
+from tierflow.data import (  # noqa: E402
     DataContext,
     TierSpec,
     load_bitvectors,
@@ -54,9 +59,13 @@ from tierflow.data import (
     sample_negatives,
     save_latents,
 )
-from tierflow.ftl import TrainSchedule, TrainStep, tier_keys, train_ftl
-from tierflow.rng import RngStream
-from tierflow.vae import chemical_preset, embed, protein_preset, save_vae, train_vae
+from tierflow.ftl import TrainSchedule, TrainStep, tier_keys, train_ftl  # noqa: E402
+from tierflow.rng import RngStream  # noqa: E402
+from tierflow.vae import (  # noqa: E402
+    chemical_preset, embed, protein_preset, save_vae, train_vae,
+)
+
+IMPORTS_S = time.perf_counter() - _IMPORTS_STARTED
 
 WIDTHS = (64, 128)  # compound, protein
 STEP = TierSpec(319, 700)
@@ -102,8 +111,11 @@ def generate(records: int, seed: int, work: Path, compounds: int, proteins: int)
 
 def stager(report: dict):
     """A ``stage(name, fn, *args)`` that runs ``fn(*args)`` and records its
-    seconds and the peak RSS after it under ``report["stages"][name]``."""
-    report["stages"] = {}
+    seconds and the peak RSS after it under ``report["stages"][name]``; the
+    stages start with the ``imports`` row."""
+    report["stages"] = {
+        "imports": {"s": round(IMPORTS_S, 3), "peak_rss_mb": round(peak_rss_mb(), 1)},
+    }
 
     def stage(name, fn, *args):
         started = time.perf_counter()

@@ -13,7 +13,6 @@ variable (error, info, debug).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
 import os
@@ -25,6 +24,16 @@ from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 import numpy as np
+
+# CPython's own sha256 (``_sha2`` from 3.12, ``_sha256`` before): hashlib is
+# pretty heavy to load, since it always loads OpenSSL's libcrypto
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:  # a Python built without either module
+        from hashlib import sha256
 
 from . import checkpoint as ckpt
 from .config import (
@@ -54,7 +63,7 @@ def _setup_logging() -> None:
 
 
 def _digest(doc: dict) -> str:
-    return "sha256:" + hashlib.sha256(
+    return "sha256:" + sha256(
         json.dumps(doc, sort_keys=True).encode("utf-8")
     ).hexdigest()
 
@@ -65,7 +74,7 @@ _DIGEST_BLOCK = 1 << 20
 
 
 def _file_digest(path: Path) -> str:
-    digest = hashlib.sha256()
+    digest = sha256()
     with path.open("rb") as fh:
         while block := fh.read(_DIGEST_BLOCK):
             digest.update(block)

@@ -20,6 +20,9 @@ RELU = "relu"
 SIGMOID = "sigmoid"
 IDENTITY = "identity"
 ACTIVATIONS = (RELU, SIGMOID, IDENTITY)
+# elements per block of bce_loss's terms: its temporaries stay a small share
+# of an evaluation's output vector for example sets shorter than ``CHUNK`` too
+BCE_BLOCK = 4096
 
 
 def sigmoid(z: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -280,9 +283,9 @@ def bce_loss(predictions: np.ndarray, labels: np.ndarray) -> float:
     """Mean binary cross-entropy, with predictions clamped to [1e-12, 1 - 1e-12]
     before the logs.
 
-    The terms are written over the clamped copy ``CHUNK`` elements at a time
-    and summed in one pass over it, so the loss holds one array as long as the
-    predictions beside chunk-sized temporaries.
+    The terms are written over the clamped copy ``BCE_BLOCK`` elements at a
+    time and summed in one pass over it, so the loss holds one array as long
+    as the predictions beside block-sized temporaries.
     """
     terms = clamp_probabilities(np.asarray(predictions, dtype=np.float64).reshape(-1))
     y = np.asarray(labels, dtype=np.float64).reshape(-1)
@@ -290,9 +293,9 @@ def bce_loss(predictions: np.ndarray, labels: np.ndarray) -> float:
         raise ValueError(f"length mismatch: {terms.shape[0]} predictions, {y.shape[0]} labels")
     if terms.size == 0:
         raise ValueError("bce_loss needs at least one prediction")
-    for at in range(0, terms.size, CHUNK):
-        block = terms[at:at + CHUNK]
-        bce_terms(block, y[at:at + CHUNK], out=block)
+    for at in range(0, terms.size, BCE_BLOCK):
+        block = terms[at:at + BCE_BLOCK]
+        bce_terms(block, y[at:at + BCE_BLOCK], out=block)
     return float(-np.sum(terms) / terms.size)
 
 

@@ -18,9 +18,14 @@ raw draws.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
+
+try:
+    # CPython's own blake2 module, the object ``hashlib.blake2b`` already is;
+    # hashlib is pretty heavy to load: it always loads OpenSSL's libcrypto
+    from _blake2 import blake2b
+except ImportError:  # a Python built without _blake2
+    from hashlib import blake2b
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -50,7 +55,7 @@ def derive_seed(seed: int, label: str, *indices: int) -> int:
     run (init, per-step negative sampling, per-epoch shuffles, ...) so that
     adding epochs to one role never perturbs another.
     """
-    h = hashlib.blake2b(digest_size=8)
+    h = blake2b(digest_size=8)
     h.update((seed & _MASK).to_bytes(8, "little"))
     h.update(label.encode("utf-8"))
     for i in indices:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -801,6 +802,46 @@ def test_unallocatable_network_exit_3(tmp_path, jobs):
     assert not (out / "manifest.json").exists()
 
 
+def limited_address_space(mib):
+    """A ``preexec_fn`` capping the child's virtual memory at ``mib`` MiB."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (mib << 20, mib << 20))
+    return limit
+
+
+@pytest.mark.skipif(platform.system() != "Linux", reason="RLIMIT_AS caps mappings on Linux")
+def test_memory_exhaustion_exit_3(tmp_path):
+    # the protein preset's 5508-bit VAE needs hundreds of MiB for its weights
+    # and Adam state; under a 300 MiB address space it cannot be built, while
+    # the same command's dry run (imports, config and data) fits, so the limit
+    # trips on the model
+    rng = np.random.default_rng(5)
+    lines = ["#width=5508"] + [
+        f"p{i:03d}\t" + "".join(np.where(rng.random(5508) < 0.5, "1", "0")) for i in range(64)
+    ]
+    bits = tmp_path / "proteins.bits"
+    bits.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    config = write_json(tmp_path / "vae.json", {"preset": "protein", "seed": 1, "epochs": 1})
+    out = tmp_path / "o"
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])), OPENBLAS_NUM_THREADS="1")
+    argv = [sys.executable, "-m", "tierflow", "embed", "--config", config,
+            "--bitvectors", str(bits), "--out", str(out)]
+    for dry_run, code in ((True, 0), (False, 3)):
+        proc = subprocess.run(
+            argv + ["--dry-run"] * dry_run, capture_output=True, text=True, env=env,
+            preexec_fn=limited_address_space(300), timeout=120,
+        )
+        assert proc.returncode == code, proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("ERROR: out of memory: ")
+    names = ("vae.json", "latents.tsv", "metrics.csv", "manifest.json")
+    assert not [p for p in out.glob("*") if p.name in names or p.suffix == ".tmp"]
+
+
 @pytest.mark.parametrize("module, attr", [
     ("tierflow.ftl", "adam_step"),  # while an arm trains
     ("tierflow.checkpoint", "format_floats"),  # while a checkpoint is written
@@ -995,3 +1036,73 @@ def test_shipped_configs_parse(capsys):
     assert main(["train", "--config", str(configs / "stitch_reference.json"),
                  "--dry-run"]) == 0
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------- hashing
+
+
+NO_OPENSSL_SCRIPT = (
+    "import sys\n"
+    "from tierflow.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(sorted(m for m in ('_hashlib', 'ssl') if m in sys.modules))\n"
+    "sys.exit(code)\n"
+)
+
+
+def test_commands_load_no_openssl(tmp_path, synth_config, experiment_config, small_bits):
+    # the inputs are made here, the commands run in fresh interpreters: what a
+    # command imports to hash its seeds and its manifest never loads OpenSSL
+    vae_config = write_json(tmp_path / "vae.json", VAE_DOC)
+    runs = {
+        "synth": ["synth", "--config", synth_config],
+        "embed": ["embed", "--config", vae_config, "--bitvectors", small_bits],
+        "train-1": ["train", "--config", experiment_config, "--jobs", "1"],
+        "train-2": ["train", "--config", experiment_config, "--jobs", "2"],
+        "diagnose": ["diagnose", "--config", experiment_config, "--jobs", "1",
+                     "--delta", "1"],
+    }
+    for name, argv in runs.items():
+        out = tmp_path / name
+        proc = run_python("-c", NO_OPENSSL_SCRIPT, *argv, "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]", name
+        assert (out / "manifest.json").exists()
+
+
+def test_manifest_digests_are_sha256(tmp_path, experiment_config):
+    out = tmp_path / "out"
+    assert main(["train", "--config", experiment_config, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert len(manifest["outputs"]) == 5
+    for name, digest in manifest["outputs"].items():
+        assert digest == "sha256:" + hashlib.sha256((out / name).read_bytes()).hexdigest()
+    doc = json.loads(pathlib.Path(experiment_config).read_text())
+    assert manifest["config_digest"] == "sha256:" + hashlib.sha256(
+        json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+HASHLIB_FALLBACK_SCRIPT = (
+    "import json, pathlib, sys\n"
+    # hashlib takes blake2b from _blake2 itself, so it is imported before the
+    # built-in modules are hidden from tierflow's own imports
+    "import hashlib\n"
+    "for name in ('_sha2', '_sha256', '_blake2'):\n"
+    "    sys.modules[name] = None\n"
+    "from tierflow import cli, rng\n"
+    "assert cli.sha256 is hashlib.sha256 and rng.blake2b is hashlib.blake2b\n"
+    "print(json.dumps([cli._file_digest(pathlib.Path(sys.argv[1])), cli._digest({'a': [1]}),\n"
+    "                  rng.derive_seed(7, 'init'), rng.derive_seed(2**64 - 1, 'shuffle', 3, -1)]))\n"
+)
+
+
+def test_hashlib_fallback_gives_the_same_digests_and_seeds(tmp_path, small_bits):
+    from tierflow import rng
+
+    assert cli_module.sha256 is not hashlib.sha256  # the built-in module's
+    proc = run_python("-c", HASHLIB_FALLBACK_SCRIPT, small_bits)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        cli_module._file_digest(pathlib.Path(small_bits)), cli_module._digest({"a": [1]}),
+        rng.derive_seed(7, "init"), rng.derive_seed(2**64 - 1, "shuffle", 3, -1),
+    ]

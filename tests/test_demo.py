@@ -41,7 +41,7 @@ def test_scale_data_path_smoke(tmp_path):
     scale = load_script("scale_data_path")
     report = scale.run(2_000, 1, tmp_path, compounds=400, proteins=100)
     assert list(report["stages"]) == [
-        "generate", "load_interactions", "load_latents", "data_context",
+        "imports", "generate", "load_interactions", "load_latents", "data_context",
         "tier_mask", "negatives", "row_gather", "train_one_epoch",
     ]
     assert all(stage["s"] >= 0 for stage in report["stages"].values())
@@ -64,7 +64,7 @@ def test_scale_data_path_script_reports_every_stage():
     assert proc.returncode == 0, proc.stderr
     *table, last = proc.stdout.splitlines()
     report = json.loads(last)
-    stages = ["generate", "load_interactions", "load_latents", "data_context", "tier_mask",
+    stages = ["imports", "generate", "load_interactions", "load_latents", "data_context", "tier_mask",
               "negatives", "row_gather", "train_one_epoch"]
     assert (report["records"], report["grid"]) == (20000, [20000, 2000])
     assert list(report["stages"]) == stages
@@ -75,7 +75,7 @@ def test_scale_data_path_vae_smoke(tmp_path):
     scale = load_script("scale_data_path")
     report = scale.run_vae(300, 96, 1, tmp_path)
     assert list(report["stages"]) == [
-        "generate", "load_bitvectors", "train_vae_one_epoch", "embed", "save_vae",
+        "imports", "generate", "load_bitvectors", "train_vae_one_epoch", "embed", "save_vae",
         "save_latents",
     ]
     assert report["latents_mb"] == round(300 * 64 * 8 / 2**20, 1)

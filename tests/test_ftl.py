@@ -377,25 +377,37 @@ def test_evaluation_adds_no_gather_block_to_the_epoch_peak(positives):
     assert train_peak(ctx, True) <= train_peak(ctx, False) + 8 * evaluated + 24 * step
 
 
-def test_evaluate_peaks_at_two_key_vectors():
-    # the output vector and bce_loss's clamped copy, with the loss terms
-    # written over the copy a chunk at a time (accuracy holds no float copy
-    # of the output); with 4096-element chunks the two chunk temporaries
-    # are a quarter of a 32k-key vector
-    ctx = wide_context(32000)
+def evaluate_peak(positives):
+    """tracemalloc peak above the start of ``evaluate`` over the LOW keys of
+    ``wide_context(positives)`` with an [8, 1] net, and the key count."""
+    ctx = wide_context(positives)
     keys = tier_keys(ctx, LOW, "step")
     y = (np.arange(len(keys)) % 2).astype(np.float64)
     net = init_network([8, 1], ctx.feature_dim, rng=RngStream(0))
     rows = np.empty((1000, ctx.feature_dim))
-    with mock.patch.object(engine, "CHUNK", 4096):
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            evaluate(net, ctx, keys, y, rows)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-    assert peak <= 2 * 8 * len(keys) + 3 * 4096 * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        evaluate(net, ctx, keys, y, rows)
+        return tracemalloc.get_traced_memory()[1] - before, len(keys)
+    finally:
+        tracemalloc.stop()
+
+
+def test_evaluate_peaks_at_two_key_vectors():
+    # the output vector and bce_loss's clamped copy, with the loss terms
+    # written over the copy a block at a time (accuracy holds no float copy
+    # of the output); the block's temporaries are a small share of a 32k-key
+    # vector
+    peak, n = evaluate_peak(32000)
+    assert peak <= 2 * 8 * n + 3 * engine.BCE_BLOCK * 8
+
+
+def test_evaluate_peak_past_one_chunk_stays_below_two_and_a_half_key_vectors():
+    # 128k keys, past rng.CHUNK: bce_loss's block is its own, so its
+    # temporaries do not grow to CHUNK elements with the set
+    peak, n = evaluate_peak(64000)
+    assert peak <= 2.5 * 8 * n
 
 
 def test_best_validation_extremes():

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -79,6 +80,21 @@ def test_derive_seed_sensitivity():
     assert derive_seed(1, "init", 0) != base
     assert derive_seed(1, "init", 1) != derive_seed(1, "init", 2)
 
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.text(max_size=20),
+    st.lists(st.integers(min_value=-(2**63), max_value=2**63 - 1), max_size=4),
+)
+def test_derive_seed_is_blake2b_of_its_key(seed, label, indices):
+    h = hashlib.blake2b(digest_size=8)
+    h.update((seed % 2**64).to_bytes(8, "little"))
+    h.update(label.encode("utf-8"))
+    for i in indices:
+        h.update(i.to_bytes(8, "little", signed=True))
+    assert derive_seed(seed, label, *indices) == int.from_bytes(h.digest(), "little")
 
 def test_spawn_independent_of_parent_state():
     parent = RngStream(11)
