@@ -802,21 +802,17 @@ def test_unallocatable_network_exit_3(tmp_path, jobs):
     assert not (out / "manifest.json").exists()
 
 
-def limited_address_space(mib):
-    """A ``preexec_fn`` capping the child's virtual memory at ``mib`` MiB."""
-    import resource
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (mib << 20, mib << 20))
-    return limit
-
-
 @pytest.mark.skipif(platform.system() != "Linux", reason="RLIMIT_AS caps mappings on Linux")
 def test_memory_exhaustion_exit_3(tmp_path):
     # the protein preset's 5508-bit VAE needs hundreds of MiB for its weights
     # and Adam state; under a 300 MiB address space it cannot be built, while
     # the same command's dry run (imports, config and data) fits, so the limit
     # trips on the model
+    import resource
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))
+
     rng = np.random.default_rng(5)
     lines = ["#width=5508"] + [
         f"p{i:03d}\t" + "".join(np.where(rng.random(5508) < 0.5, "1", "0")) for i in range(64)
@@ -833,7 +829,7 @@ def test_memory_exhaustion_exit_3(tmp_path):
     for dry_run, code in ((True, 0), (False, 3)):
         proc = subprocess.run(
             argv + ["--dry-run"] * dry_run, capture_output=True, text=True, env=env,
-            preexec_fn=limited_address_space(300), timeout=120,
+            preexec_fn=limit_address_space, timeout=120,
         )
         assert proc.returncode == code, proc.stderr
     [line] = proc.stderr.splitlines()
